@@ -40,6 +40,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include <unistd.h>
+
 #include "apps/fleet_telemetry.h"
 #include "apps/ride_hailing.h"
 #include "common/json.h"
@@ -515,8 +517,11 @@ Value recovery_section(bool smoke, double* speedup_out,
   // replay, not just the snapshot load.
   const std::uint64_t cadence = smoke ? 128 : 4096;
   const int repeats = smoke ? 1 : 3;
+  // Per-process directories: the smoke test and the CI script may run
+  // this binary concurrently.
   const std::string base =
-      std::filesystem::temp_directory_path().string() + "/kn_bench_recovery";
+      std::filesystem::temp_directory_path().string() + "/kn_bench_recovery_" +
+      std::to_string(static_cast<long>(::getpid()));
   const std::string full_dir = base + "_full";
   const std::string delta_dir = base + "_delta";
 

@@ -30,6 +30,35 @@ bool in_sync(const Value& current, const Value& desired) {
   return current == desired;
 }
 
+/// Name resolution for one (mapping, target object) instance of a pass,
+/// without copies: aliases resolve into the pass's working snapshot, and
+/// `it` (the fan-out driver key) and `this` (the target object) are served
+/// from members. `this` shadows `it`, which shadows an alias of that name.
+class InstanceEnv : public expr::Env {
+ public:
+  explicit InstanceEnv(const std::map<std::string, Value>& working)
+      : working_(working) {}
+
+  void bind(const Value* this_obj, const std::string* it_key) {
+    this_ = this_obj;
+    has_it_ = it_key != nullptr;
+    if (has_it_) it_ = Value(*it_key);
+  }
+
+  [[nodiscard]] const Value* resolve(const std::string& name) const override {
+    if (name == "this") return this_;
+    if (has_it_ && name == "it") return &it_;
+    auto it = working_.find(name);
+    return it == working_.end() ? nullptr : &it->second;
+  }
+
+ private:
+  const std::map<std::string, Value>& working_;
+  const Value* this_ = nullptr;
+  Value it_;
+  bool has_it_ = false;
+};
+
 }  // namespace
 
 CastIntegrator::CastIntegrator(std::string name, de::ObjectDe& de, Dxg dxg,
@@ -360,25 +389,23 @@ CastIntegrator::PatchSet CastIntegrator::evaluate(const Snapshot& snapshot) {
   // Work on a mutable copy so later mappings see earlier mappings' writes
   // within the same pass (operation ordering via state dependencies).
   std::map<std::string, Value> working = snapshot.values;
+  InstanceEnv env(working);
+  const Value empty_object = Value::object();
 
   // Evaluates one (mapping, target object key) instance; `it_key` is bound
-  // for fan-out instances.
+  // for fan-out instances. Evaluation borrows from `working`, which is only
+  // mutated after the instance's result has been compared and copied out.
   auto apply_one = [&](const DxgMapping& mapping,
                        const std::string& target_object,
                        const std::string* it_key) {
-    expr::MapEnv env;
-    for (const auto& [alias, value] : working) {
-      env.bind(alias, value);
-    }
-    if (it_key != nullptr) env.bind("it", Value(*it_key));
     // `this` = the target object's current value.
-    Value target_obj = Value::object();
+    const Value* target_obj = &empty_object;
     auto wit = working.find(mapping.target_alias);
     if (wit != working.end()) {
       const Value* obj = wit->second.get(target_object);
-      if (obj != nullptr && obj->is_object()) target_obj = *obj;
+      if (obj != nullptr && obj->is_object()) target_obj = obj;
     }
-    env.bind("this", target_obj);
+    env.bind(target_obj, it_key);
 
     auto evaluated = expr::evaluate(*mapping.compiled, env, functions);
     if (!evaluated.ok()) {
@@ -393,7 +420,7 @@ CastIntegrator::PatchSet CastIntegrator::evaluate(const Snapshot& snapshot) {
       ++result.not_ready;
       return;
     }
-    const Value* current = target_obj.get(mapping.field);
+    const Value* current = target_obj->get(mapping.field);
     if (current != nullptr && in_sync(*current, desired)) return;
 
     // Record the patch, grouped by (alias, object).

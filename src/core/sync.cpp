@@ -83,19 +83,15 @@ void SyncIntegrator::install_subscriptions() {
     }
     auto sub = route.source->subscribe(
         principal(), std::move(spec), [this](const de::LogRecord&) {
-          if (!running_ || round_pending_) return;
-          // Coalesce a burst of matching appends into one round, scheduled
-          // after the current clock step so the append completes first.
-          round_pending_ = true;
-          de_.clock().schedule_after(0, [this]() {
-            round_pending_ = false;
-            if (!running_) return;
-            auto moved = run_round_sync();
-            if (!moved.ok()) {
-              KN_WARN << "sync " << name_ << ": push round failed: "
-                      << moved.error().to_string();
-            }
-          });
+          if (!running_) return;
+          // Coalesce a burst of matching appends into one round. An append
+          // that lands while the round runs may be past the round's query,
+          // so it earns exactly one follow-up round.
+          if (round_pending_) {
+            followup_ = true;
+            return;
+          }
+          schedule_push_round();
         });
     if (!sub.ok()) {
       KN_WARN << "sync " << name_ << ": subscribe denied on pool '"
@@ -104,6 +100,29 @@ void SyncIntegrator::install_subscriptions() {
     }
     subscriptions_.emplace_back(route.source, sub.value());
   }
+}
+
+void SyncIntegrator::schedule_push_round() {
+  // After the current clock step, so the triggering append completes first.
+  round_pending_ = true;
+  de_.clock().schedule_after(0, [this]() {
+    if (!running_) {
+      round_pending_ = false;
+      return;
+    }
+    // Appends before this point are read by this round.
+    followup_ = false;
+    auto moved = run_round_sync();
+    round_pending_ = false;
+    if (!moved.ok()) {
+      KN_WARN << "sync " << name_ << ": push round failed: "
+              << moved.error().to_string();
+    }
+    if (followup_ && running_) {
+      followup_ = false;
+      schedule_push_round();
+    }
+  });
 }
 
 void SyncIntegrator::remove_subscriptions() {

@@ -120,6 +120,8 @@ class SyncIntegrator : public Integrator {
   /// Installs/removes the push-mode source subscriptions (one per route).
   void install_subscriptions();
   void remove_subscriptions();
+  /// Schedules one push round after the current clock step.
+  void schedule_push_round();
 
  public:
   /// Number of record passes a pipeline costs: unconsolidated, one pass
@@ -140,7 +142,12 @@ class SyncIntegrator : public Integrator {
   /// Push-mode subscription ids, paired with the pool they live on.
   std::vector<std::pair<de::LogPool*, std::uint64_t>> subscriptions_;
   bool running_ = false;
-  bool round_pending_ = false;  // push: one scheduled round per burst
+  /// Push: a round is scheduled or running. It stays set while the round
+  /// runs, because the round drives the clock and appends can land
+  /// mid-round; those set `followup_` instead of nesting a second round
+  /// from the same cursor.
+  bool round_pending_ = false;
+  bool followup_ = false;  // push: an append landed mid-round
   int round_attempt_ = 0;  // consecutive failed rounds (retry bookkeeping)
   sim::SimTime round_first_attempt_ = 0;
   sim::Rng retry_rng_{0x53594e43};

@@ -1,5 +1,7 @@
 #include "core/trace.h"
 
+#include <algorithm>
+
 namespace knactor::core {
 
 std::uint64_t Tracer::begin(const std::string& name, std::uint64_t parent) {
@@ -17,22 +19,21 @@ std::uint64_t Tracer::begin(const std::string& name, std::uint64_t parent) {
 void Tracer::annotate(std::uint64_t span_id, const std::string& key,
                       const std::string& value) {
   std::lock_guard lock(mutex_);
-  for (auto& span : spans_) {
-    if (span.id == span_id) {
-      span.attributes[key] = value;
-      return;
-    }
-  }
+  if (Span* span = find_locked(span_id)) span->attributes[key] = value;
 }
 
 void Tracer::end(std::uint64_t span_id) {
   std::lock_guard lock(mutex_);
-  for (auto& span : spans_) {
-    if (span.id == span_id) {
-      span.end = clock_.now();
-      return;
-    }
-  }
+  if (Span* span = find_locked(span_id)) span->end = clock_.now();
+}
+
+Span* Tracer::find_locked(std::uint64_t span_id) {
+  // begin() and merge() stamp ids from the one increasing counter and
+  // append, and clear() does not reset it, so spans_ is sorted by id.
+  auto it = std::lower_bound(
+      spans_.begin(), spans_.end(), span_id,
+      [](const Span& span, std::uint64_t id) { return span.id < id; });
+  return it != spans_.end() && it->id == span_id ? &*it : nullptr;
 }
 
 std::vector<Span> Tracer::by_name(const std::string& name) const {

@@ -113,6 +113,9 @@ class Tracer {
   };
 
  private:
+  /// The span with `span_id`, or nullptr; caller holds mutex_.
+  Span* find_locked(std::uint64_t span_id);
+
   sim::VirtualClock& clock_;
   mutable std::mutex mutex_;
   std::vector<Span> spans_;

@@ -31,7 +31,7 @@ Error arity_error(const std::string& fn, std::size_t want, std::size_t got) {
                      " argument(s), got " + std::to_string(got));
 }
 
-Result<Value> fn_currency_convert(const std::vector<Value>& args) {
+Result<Value> fn_currency_convert(const Args& args) {
   if (args.size() != 3) return arity_error("currency_convert", 3, args.size());
   // Null inputs mean "upstream not ready" — propagate.
   if (args[0].is_null() || args[1].is_null() || args[2].is_null()) {
@@ -55,7 +55,7 @@ Result<Value> fn_currency_convert(const std::vector<Value>& args) {
   return Value(*amount / from_it->second * to_it->second);
 }
 
-Result<Value> fn_len(const std::vector<Value>& args) {
+Result<Value> fn_len(const Args& args) {
   if (args.size() != 1) return arity_error("len", 1, args.size());
   const Value& v = args[0];
   if (v.is_string()) return Value(static_cast<std::int64_t>(v.as_string().size()));
@@ -65,14 +65,14 @@ Result<Value> fn_len(const std::vector<Value>& args) {
   return Error::eval(std::string("len() of ") + v.type_name());
 }
 
-Result<Value> fn_str(const std::vector<Value>& args) {
+Result<Value> fn_str(const Args& args) {
   if (args.size() != 1) return arity_error("str", 1, args.size());
   const Value& v = args[0];
   if (v.is_string()) return v;
   return Value(common::to_json(v));
 }
 
-Result<Value> fn_int(const std::vector<Value>& args) {
+Result<Value> fn_int(const Args& args) {
   if (args.size() != 1) return arity_error("int", 1, args.size());
   const Value& v = args[0];
   if (v.is_int()) return v;
@@ -88,7 +88,7 @@ Result<Value> fn_int(const std::vector<Value>& args) {
   return Error::eval(std::string("int() of ") + v.type_name());
 }
 
-Result<Value> fn_float(const std::vector<Value>& args) {
+Result<Value> fn_float(const Args& args) {
   if (args.size() != 1) return arity_error("float", 1, args.size());
   const Value& v = args[0];
   if (v.is_double()) return v;
@@ -103,7 +103,7 @@ Result<Value> fn_float(const std::vector<Value>& args) {
   return Error::eval(std::string("float() of ") + v.type_name());
 }
 
-Result<Value> fn_round(const std::vector<Value>& args) {
+Result<Value> fn_round(const Args& args) {
   if (args.empty() || args.size() > 2) return arity_error("round", 2, args.size());
   auto x = args[0].try_number();
   if (!x) return Error::eval("round() needs a number");
@@ -116,7 +116,7 @@ Result<Value> fn_round(const std::vector<Value>& args) {
   return Value(std::round(*x * scale) / scale);
 }
 
-Result<Value> fn_abs(const std::vector<Value>& args) {
+Result<Value> fn_abs(const Args& args) {
   if (args.size() != 1) return arity_error("abs", 1, args.size());
   if (args[0].is_int()) return Value(std::abs(args[0].as_int()));
   if (args[0].is_double()) return Value(std::fabs(args[0].as_double()));
@@ -126,7 +126,7 @@ Result<Value> fn_abs(const std::vector<Value>& args) {
 /// Validates a single list-of-numbers argument; reports element values and
 /// whether all were ints.
 Result<std::pair<std::vector<double>, bool>> numeric_list(
-    const std::vector<Value>& args, const char* name) {
+    const Args& args, const char* name) {
   if (args.size() != 1) return arity_error(name, 1, args.size());
   if (args[0].is_null()) {
     // Propagated "not ready" marker; caller maps empty+flag back to null.
@@ -146,7 +146,7 @@ Result<std::pair<std::vector<double>, bool>> numeric_list(
   return std::pair{std::move(nums), all_int};
 }
 
-Result<Value> fn_sum(const std::vector<Value>& args) {
+Result<Value> fn_sum(const Args& args) {
   if (args.size() == 1 && args[0].is_null()) return Value(nullptr);
   KN_ASSIGN_OR_RETURN(auto nums, numeric_list(args, "sum"));
   double acc = 0;
@@ -155,7 +155,7 @@ Result<Value> fn_sum(const std::vector<Value>& args) {
   return Value(acc);
 }
 
-Result<Value> fn_min(const std::vector<Value>& args) {
+Result<Value> fn_min(const Args& args) {
   if (args.size() == 1 && args[0].is_null()) return Value(nullptr);
   KN_ASSIGN_OR_RETURN(auto nums, numeric_list(args, "min"));
   if (nums.first.empty()) return Error::eval("min() of empty list");
@@ -164,7 +164,7 @@ Result<Value> fn_min(const std::vector<Value>& args) {
   return Value(m);
 }
 
-Result<Value> fn_max(const std::vector<Value>& args) {
+Result<Value> fn_max(const Args& args) {
   if (args.size() == 1 && args[0].is_null()) return Value(nullptr);
   KN_ASSIGN_OR_RETURN(auto nums, numeric_list(args, "max"));
   if (nums.first.empty()) return Error::eval("max() of empty list");
@@ -173,7 +173,7 @@ Result<Value> fn_max(const std::vector<Value>& args) {
   return Value(m);
 }
 
-Result<Value> fn_avg(const std::vector<Value>& args) {
+Result<Value> fn_avg(const Args& args) {
   if (args.size() == 1 && args[0].is_null()) return Value(nullptr);
   KN_ASSIGN_OR_RETURN(auto nums, numeric_list(args, "avg"));
   if (nums.first.empty()) return Error::eval("avg() of empty list");
@@ -182,7 +182,7 @@ Result<Value> fn_avg(const std::vector<Value>& args) {
   return Value(acc / static_cast<double>(nums.first.size()));
 }
 
-Result<Value> fn_upper(const std::vector<Value>& args) {
+Result<Value> fn_upper(const Args& args) {
   if (args.size() != 1) return arity_error("upper", 1, args.size());
   auto s = args[0].try_string();
   if (!s) return Error::eval("upper() needs a string");
@@ -192,7 +192,7 @@ Result<Value> fn_upper(const std::vector<Value>& args) {
   return Value(std::move(out));
 }
 
-Result<Value> fn_lower(const std::vector<Value>& args) {
+Result<Value> fn_lower(const Args& args) {
   if (args.size() != 1) return arity_error("lower", 1, args.size());
   auto s = args[0].try_string();
   if (!s) return Error::eval("lower() needs a string");
@@ -202,7 +202,7 @@ Result<Value> fn_lower(const std::vector<Value>& args) {
   return Value(std::move(out));
 }
 
-Result<Value> fn_concat(const std::vector<Value>& args) {
+Result<Value> fn_concat(const Args& args) {
   std::string out;
   for (const auto& v : args) {
     if (v.is_null()) return Value(nullptr);
@@ -211,7 +211,7 @@ Result<Value> fn_concat(const std::vector<Value>& args) {
   return Value(std::move(out));
 }
 
-Result<Value> fn_contains(const std::vector<Value>& args) {
+Result<Value> fn_contains(const Args& args) {
   if (args.size() != 2) return arity_error("contains", 2, args.size());
   const Value& container = args[0];
   const Value& needle = args[1];
@@ -235,7 +235,7 @@ Result<Value> fn_contains(const std::vector<Value>& args) {
   return Error::eval("contains() needs (string|list|object, value)");
 }
 
-Result<Value> fn_keys(const std::vector<Value>& args) {
+Result<Value> fn_keys(const Args& args) {
   if (args.size() != 1) return arity_error("keys", 1, args.size());
   if (!args[0].is_object()) return Error::eval("keys() needs an object");
   Value::Array out;
@@ -243,7 +243,7 @@ Result<Value> fn_keys(const std::vector<Value>& args) {
   return Value(std::move(out));
 }
 
-Result<Value> fn_values(const std::vector<Value>& args) {
+Result<Value> fn_values(const Args& args) {
   if (args.size() != 1) return arity_error("values", 1, args.size());
   if (!args[0].is_object()) return Error::eval("values() needs an object");
   Value::Array out;
@@ -251,7 +251,7 @@ Result<Value> fn_values(const std::vector<Value>& args) {
   return Value(std::move(out));
 }
 
-Result<Value> fn_get(const std::vector<Value>& args) {
+Result<Value> fn_get(const Args& args) {
   if (args.size() != 2 && args.size() != 3) {
     return arity_error("get", 2, args.size());
   }
@@ -264,7 +264,7 @@ Result<Value> fn_get(const std::vector<Value>& args) {
   return v == nullptr || v->is_null() ? fallback : *v;
 }
 
-Result<Value> fn_unique(const std::vector<Value>& args) {
+Result<Value> fn_unique(const Args& args) {
   if (args.size() != 1) return arity_error("unique", 1, args.size());
   if (!args[0].is_array()) return Error::eval("unique() needs a list");
   Value::Array out;
@@ -281,7 +281,7 @@ Result<Value> fn_unique(const std::vector<Value>& args) {
   return Value(std::move(out));
 }
 
-Result<Value> fn_sorted(const std::vector<Value>& args) {
+Result<Value> fn_sorted(const Args& args) {
   if (args.size() != 1) return arity_error("sorted", 1, args.size());
   if (!args[0].is_array()) return Error::eval("sorted() needs a list");
   Value::Array out = args[0].as_array();
@@ -301,7 +301,7 @@ Result<Value> fn_sorted(const std::vector<Value>& args) {
   return Value(std::move(out));
 }
 
-Result<Value> fn_split(const std::vector<Value>& args) {
+Result<Value> fn_split(const Args& args) {
   if (args.size() != 2) return arity_error("split", 2, args.size());
   if (args[0].is_null()) return Value(nullptr);
   auto s = args[0].try_string();
@@ -323,7 +323,7 @@ Result<Value> fn_split(const std::vector<Value>& args) {
   return Value(std::move(out));
 }
 
-Result<Value> fn_join(const std::vector<Value>& args) {
+Result<Value> fn_join(const Args& args) {
   if (args.size() != 2) return arity_error("join", 2, args.size());
   if (args[0].is_null()) return Value(nullptr);
   auto sep = args[1].try_string();
@@ -340,7 +340,7 @@ Result<Value> fn_join(const std::vector<Value>& args) {
   return Value(std::move(out));
 }
 
-Result<Value> fn_replace(const std::vector<Value>& args) {
+Result<Value> fn_replace(const Args& args) {
   if (args.size() != 3) return arity_error("replace", 3, args.size());
   if (args[0].is_null()) return Value(nullptr);
   auto s = args[0].try_string();
@@ -358,7 +358,7 @@ Result<Value> fn_replace(const std::vector<Value>& args) {
   return Value(std::move(out));
 }
 
-Result<Value> fn_trim(const std::vector<Value>& args) {
+Result<Value> fn_trim(const Args& args) {
   if (args.size() != 1) return arity_error("trim", 1, args.size());
   if (args[0].is_null()) return Value(nullptr);
   auto s = args[0].try_string();
@@ -369,7 +369,7 @@ Result<Value> fn_trim(const std::vector<Value>& args) {
   return Value(s->substr(b, e - b + 1));
 }
 
-Result<Value> fn_startswith(const std::vector<Value>& args) {
+Result<Value> fn_startswith(const Args& args) {
   if (args.size() != 2) return arity_error("startswith", 2, args.size());
   if (args[0].is_null()) return Value(nullptr);
   auto s = args[0].try_string();
@@ -378,7 +378,7 @@ Result<Value> fn_startswith(const std::vector<Value>& args) {
   return Value(s->rfind(*prefix, 0) == 0);
 }
 
-Result<Value> fn_endswith(const std::vector<Value>& args) {
+Result<Value> fn_endswith(const Args& args) {
   if (args.size() != 2) return arity_error("endswith", 2, args.size());
   if (args[0].is_null()) return Value(nullptr);
   auto s = args[0].try_string();

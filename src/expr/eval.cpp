@@ -40,100 +40,161 @@ Result<int> compare_values(const Value& a, const Value& b) {
                     b.type_name());
 }
 
+/// One-slot scope for a comprehension's loop variable: binds the name to
+/// the current item by pointer and defers every other name to the parent.
+class LoopEnv : public Env {
+ public:
+  LoopEnv(const Env& parent, const std::string& name)
+      : parent_(parent), name_(name) {}
+
+  void bind(const Value* item) { item_ = item; }
+
+  [[nodiscard]] const Value* resolve(const std::string& name) const override {
+    return name == name_ ? item_ : parent_.resolve(name);
+  }
+
+ private:
+  const Env& parent_;
+  const std::string& name_;
+  const Value* item_ = nullptr;
+};
+
+const Value kNull{};
+
 class Evaluator {
  public:
   Evaluator(const Env& env, const FunctionRegistry& functions)
       : env_(env), functions_(functions) {}
 
+  /// Evaluates `node` to an owned value: the only copy evaluation makes of
+  /// data it reads from the Env is this final one.
   Result<Value> eval(const Node& node) {
+    Value tmp;
+    KN_ASSIGN_OR_RETURN(const Value* v, borrow(node, tmp));
+    if (v == &tmp) return tmp;
+    return *v;
+  }
+
+ private:
+  /// Evaluates `node` without copying what it reads. Names resolve to the
+  /// Env's own storage; attribute and index chains point into a borrowed
+  /// base; a ternary passes its chosen branch through. Every other node is
+  /// computed into `tmp`, and so is a field of a base that is itself a
+  /// temporary. The result is valid while the Env and `tmp` are.
+  Result<const Value*> borrow(const Node& node, Value& tmp) {
     switch (node.kind) {
       case NodeKind::kLiteral:
-        return node.literal;
+        return &node.literal;
       case NodeKind::kName: {
         const Value* v = env_.resolve(node.name);
         if (v == nullptr) {
           return eval_error("unknown name '" + node.name + "'");
         }
-        return *v;
+        return v;
       }
       case NodeKind::kAttribute: {
-        KN_ASSIGN_OR_RETURN(Value base, eval(*node.a));
-        if (base.is_null()) {
+        KN_ASSIGN_OR_RETURN(const Value* base, borrow(*node.a, tmp));
+        if (base->is_null()) {
           // Missing upstream state resolves to null rather than erroring:
           // Cast treats null results as "dependency not ready yet".
-          return Value(nullptr);
+          return &kNull;
         }
-        if (!base.is_object()) {
+        if (!base->is_object()) {
           return eval_error("cannot access attribute '" + node.name +
-                            "' of " + base.type_name());
+                            "' of " + base->type_name());
         }
-        const Value* v = base.get(node.name);
-        return v == nullptr ? Value(nullptr) : *v;
+        return field_of(base, base->get(node.name), tmp);
       }
       case NodeKind::kIndex: {
-        KN_ASSIGN_OR_RETURN(Value base, eval(*node.a));
-        KN_ASSIGN_OR_RETURN(Value sub, eval(*node.b));
-        if (base.is_array()) {
-          auto idx = sub.try_int();
+        KN_ASSIGN_OR_RETURN(const Value* base, borrow(*node.a, tmp));
+        Value sub_tmp;
+        KN_ASSIGN_OR_RETURN(const Value* sub, borrow(*node.b, sub_tmp));
+        if (base->is_array()) {
+          auto idx = sub->try_int();
           if (!idx) return eval_error("array index must be an int");
           std::int64_t i = *idx;
-          auto n = static_cast<std::int64_t>(base.as_array().size());
+          auto n = static_cast<std::int64_t>(base->as_array().size());
           if (i < 0) i += n;  // Python negative indexing
           if (i < 0 || i >= n) return eval_error("array index out of range");
-          return base.as_array()[static_cast<std::size_t>(i)];
+          return field_of(base,
+                          &base->as_array()[static_cast<std::size_t>(i)], tmp);
         }
-        if (base.is_object()) {
-          auto key = sub.try_string();
+        if (base->is_object()) {
+          auto key = sub->try_string();
           if (!key) return eval_error("object index must be a string");
-          const Value* v = base.get(*key);
-          return v == nullptr ? Value(nullptr) : *v;
+          return field_of(base, base->get(*key), tmp);
         }
-        if (base.is_string()) {
-          auto idx = sub.try_int();
+        if (base->is_string()) {
+          auto idx = sub->try_int();
           if (!idx) return eval_error("string index must be an int");
           std::int64_t i = *idx;
-          auto n = static_cast<std::int64_t>(base.as_string().size());
+          auto n = static_cast<std::int64_t>(base->as_string().size());
           if (i < 0) i += n;
           if (i < 0 || i >= n) return eval_error("string index out of range");
-          return Value(std::string(1, base.as_string()[static_cast<std::size_t>(i)]));
+          tmp = Value(std::string(
+              1, base->as_string()[static_cast<std::size_t>(i)]));
+          return &tmp;
         }
-        return eval_error(std::string("cannot index ") + base.type_name());
+        return eval_error(std::string("cannot index ") + base->type_name());
       }
+      case NodeKind::kTernary: {
+        Value cond_tmp;
+        KN_ASSIGN_OR_RETURN(const Value* cond, borrow(*node.a, cond_tmp));
+        // A null condition means the deciding state has not arrived:
+        // neither branch is taken (the Cast integrator skips the mapping
+        // until the dependency resolves).
+        if (cond->is_null()) return &kNull;
+        return borrow(cond->truthy() ? *node.b : *node.c, tmp);
+      }
+      default:
+        break;
+    }
+    KN_ASSIGN_OR_RETURN(tmp, compute(node));
+    return &tmp;
+  }
+
+  /// A member `field` of borrowed `base` (nullptr when absent). When the
+  /// base is the temporary `tmp` itself, the field is moved out into it;
+  /// `tmp` is a non-const object this evaluator owns, so the cast is safe.
+  static const Value* field_of(const Value* base, const Value* field,
+                               Value& tmp) {
+    if (field == nullptr) return &kNull;
+    if (base != &tmp) return field;
+    Value out = std::move(*const_cast<Value*>(field));
+    tmp = std::move(out);
+    return &tmp;
+  }
+
+  /// Nodes that construct a new value.
+  Result<Value> compute(const Node& node) {
+    switch (node.kind) {
       case NodeKind::kCall: {
         const Function* fn = functions_.find(node.name);
         if (fn == nullptr) {
           return eval_error("unknown function '" + node.name + "'");
         }
-        std::vector<Value> args;
-        args.reserve(node.args.size());
-        for (const auto& arg : node.args) {
-          KN_ASSIGN_OR_RETURN(Value v, eval(*arg));
-          args.push_back(std::move(v));
+        std::vector<Value> temps(node.args.size());
+        std::vector<const Value*> args(node.args.size());
+        for (std::size_t i = 0; i < node.args.size(); ++i) {
+          KN_ASSIGN_OR_RETURN(args[i], borrow(*node.args[i], temps[i]));
         }
-        return (*fn)(args);
+        return (*fn)(Args(args));
       }
       case NodeKind::kUnary: {
-        KN_ASSIGN_OR_RETURN(Value v, eval(*node.a));
-        if (node.op == "not") return Value(!v.truthy());
-        if (!v.is_number()) {
+        Value tmp;
+        KN_ASSIGN_OR_RETURN(const Value* v, borrow(*node.a, tmp));
+        if (node.op == "not") return Value(!v->truthy());
+        if (!v->is_number()) {
           return eval_error("unary '" + node.op + "' needs a number");
         }
         if (node.op == "-") {
-          if (v.is_int()) return Value(-v.as_int());
-          return Value(-v.as_double());
+          if (v->is_int()) return Value(-v->as_int());
+          return Value(-v->as_double());
         }
-        return v;  // unary '+'
+        return *v;  // unary '+'
       }
       case NodeKind::kBinary:
         return eval_binary(node);
-      case NodeKind::kTernary: {
-        KN_ASSIGN_OR_RETURN(Value cond, eval(*node.a));
-        // A null condition means the deciding state has not arrived:
-        // neither branch is taken (the Cast integrator skips the mapping
-        // until the dependency resolves).
-        if (cond.is_null()) return Value(nullptr);
-        return cond.truthy() ? eval(*node.b) : eval(*node.c);
-      }
       case NodeKind::kList: {
         Value::Array arr;
         arr.reserve(node.args.size());
@@ -152,46 +213,52 @@ class Evaluator {
         return Value(std::move(obj));
       }
       case NodeKind::kListComp: {
-        KN_ASSIGN_OR_RETURN(Value iter, eval(*node.a));
-        if (iter.is_null()) return Value(nullptr);  // dependency not ready
-        if (!iter.is_array()) {
+        Value iter_tmp;
+        KN_ASSIGN_OR_RETURN(const Value* iter, borrow(*node.a, iter_tmp));
+        if (iter->is_null()) return Value(nullptr);  // dependency not ready
+        if (!iter->is_array()) {
           return eval_error("comprehension iterable must be a list, got " +
-                            std::string(iter.type_name()));
+                            std::string(iter->type_name()));
         }
+        LoopEnv scope(env_, node.name);
+        Evaluator inner(scope, functions_);
         Value::Array out;
-        for (const auto& item : iter.as_array()) {
-          MapEnv scope(&env_);
-          scope.bind(node.name, item);
-          Evaluator inner(scope, functions_);
+        for (const auto& item : iter->as_array()) {
+          scope.bind(&item);
           if (node.c) {
-            KN_ASSIGN_OR_RETURN(Value keep, inner.eval(*node.c));
-            if (!keep.truthy()) continue;
+            Value keep_tmp;
+            KN_ASSIGN_OR_RETURN(const Value* keep,
+                                inner.borrow(*node.c, keep_tmp));
+            if (!keep->truthy()) continue;
           }
           KN_ASSIGN_OR_RETURN(Value v, inner.eval(*node.b));
           out.push_back(std::move(v));
         }
         return Value(std::move(out));
       }
+      default:
+        break;
     }
     return eval_error("unhandled node kind");
   }
 
- private:
   Result<Value> eval_binary(const Node& node) {
     const std::string& op = node.op;
+    Value lhs_tmp;
+    KN_ASSIGN_OR_RETURN(const Value* lhs_ptr, borrow(*node.a, lhs_tmp));
+    const Value& lhs = *lhs_ptr;
     if (op == "and") {
-      KN_ASSIGN_OR_RETURN(Value lhs, eval(*node.a));
       if (!lhs.truthy()) return lhs;  // Python returns the operand
       return eval(*node.b);
     }
     if (op == "or") {
-      KN_ASSIGN_OR_RETURN(Value lhs, eval(*node.a));
       if (lhs.truthy()) return lhs;
       return eval(*node.b);
     }
 
-    KN_ASSIGN_OR_RETURN(Value lhs, eval(*node.a));
-    KN_ASSIGN_OR_RETURN(Value rhs, eval(*node.b));
+    Value rhs_tmp;
+    KN_ASSIGN_OR_RETURN(const Value* rhs_ptr, borrow(*node.b, rhs_tmp));
+    const Value& rhs = *rhs_ptr;
 
     if (op == "==") return Value(values_equal(lhs, rhs));
     if (op == "!=") return Value(!values_equal(lhs, rhs));

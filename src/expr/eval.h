@@ -20,7 +20,9 @@
 namespace knactor::expr {
 
 /// Name-resolution environment. The Cast integrator implements this over
-/// data-store snapshots; tests use MapEnv.
+/// its pass's working snapshot; tests use MapEnv. Evaluation borrows what
+/// resolve() returns (it copies only the final result), so the pointed-to
+/// values must stay unchanged for the duration of an evaluate() call.
 class Env {
  public:
   virtual ~Env() = default;
@@ -29,8 +31,7 @@ class Env {
       const std::string& name) const = 0;
 };
 
-/// Env over an in-memory map, with optional chaining to a parent (used for
-/// comprehension loop scopes).
+/// Env over an in-memory map, with optional chaining to a parent.
 class MapEnv : public Env {
  public:
   MapEnv() = default;
@@ -52,9 +53,44 @@ class MapEnv : public Env {
   const Env* parent_ = nullptr;
 };
 
+/// The evaluated arguments of one call, as a borrowed view: each argument
+/// points into the caller's Env or into an evaluator temporary, and is
+/// valid only for the duration of the call. A function must copy anything
+/// it keeps.
+class Args {
+ public:
+  /// Iterates the arguments as `const Value&`.
+  class iterator {
+   public:
+    explicit iterator(const common::Value* const* at) : at_(at) {}
+    const common::Value& operator*() const { return **at_; }
+    iterator& operator++() {
+      ++at_;
+      return *this;
+    }
+    bool operator!=(const iterator& other) const { return at_ != other.at_; }
+
+   private:
+    const common::Value* const* at_;
+  };
+
+  explicit Args(const std::vector<const common::Value*>& values)
+      : values_(values) {}
+
+  [[nodiscard]] std::size_t size() const { return values_.size(); }
+  [[nodiscard]] bool empty() const { return values_.empty(); }
+  const common::Value& operator[](std::size_t i) const { return *values_[i]; }
+  [[nodiscard]] iterator begin() const { return iterator(values_.data()); }
+  [[nodiscard]] iterator end() const {
+    return iterator(values_.data() + values_.size());
+  }
+
+ private:
+  const std::vector<const common::Value*>& values_;
+};
+
 /// A builtin or user-registered function.
-using Function =
-    std::function<common::Result<common::Value>(const std::vector<common::Value>&)>;
+using Function = std::function<common::Result<common::Value>(const Args&)>;
 
 /// Registry of callable functions. The default registry carries the
 /// builtins the paper's DXG uses (currency_convert) plus a standard

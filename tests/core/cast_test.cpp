@@ -400,5 +400,46 @@ TEST_F(CastTest, RunPassSyncManualDrive) {
   EXPECT_EQ(dst_->peek("state")->data->get("copied")->as_int(), 6);
 }
 
+TEST_F(CastTest, FanOutReadsEarlierInPassWritesThroughThisAndAlias) {
+  // Within a pass, a later mapping sees an earlier mapping's write for the
+  // same instance, through `this` and through the target alias, so every
+  // instance converges in the first pass and the second finds it in sync.
+  constexpr int kItems = 2000;
+  for (int i = 0; i < kItems; ++i) {
+    (void)src_->put_sync("svc", "item/" + std::to_string(i),
+                         Value::object({{"v", i}}));
+  }
+  (void)src_->put_sync("svc", "other/0", Value::object({{"v", -1}}));
+  auto cast = make_cast(R"(Input:
+  A: src
+  B: dst
+DXG:
+  B.*:
+    $for: A item/
+    base: get(A, it).v * 2
+    via_this: this.base + 1
+    via_alias: get(B, it).base + 10
+)");
+  auto written = cast->run_pass_sync();
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(written.value(), 3u * kItems);
+  EXPECT_EQ(cast->stats().fields_written, 3u * kItems);
+  EXPECT_EQ(cast->stats().passes, 2u);
+  EXPECT_EQ(cast->stats().eval_errors, 0u);
+  ASSERT_EQ(dst_->size(), static_cast<std::size_t>(kItems));
+  for (int i = 0; i < kItems; ++i) {
+    const de::StateObject* out = dst_->peek("item/" + std::to_string(i));
+    ASSERT_NE(out, nullptr) << i;
+    EXPECT_EQ(out->data->get("base")->as_int(), 2 * i);
+    EXPECT_EQ(out->data->get("via_this")->as_int(), 2 * i + 1);
+    EXPECT_EQ(out->data->get("via_alias")->as_int(), 2 * i + 10);
+  }
+  // Converged: a further pass writes nothing.
+  auto again = cast->run_pass_sync();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value(), 0u);
+  EXPECT_EQ(cast->stats().fields_written, 3u * kItems);
+}
+
 }  // namespace
 }  // namespace knactor::core

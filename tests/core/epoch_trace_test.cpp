@@ -60,6 +60,57 @@ TEST(SpanBuffer, MergeRestampsIdsAndPreservesParentLinks) {
   EXPECT_EQ(tracer.spans().size(), 4u);
 }
 
+TEST(Tracer, AnnotateAndEndFindSpanByIdAfterClearAndMerge) {
+  sim::VirtualClock clock;
+  core::Tracer tracer(clock);
+  for (int i = 0; i < 5; ++i) tracer.end(tracer.begin("before-clear"));
+  tracer.clear();
+
+  // Ids keep increasing across clear(); lookups must not match stale ids.
+  const std::uint64_t a = tracer.begin("a");
+  core::Tracer::SpanBuffer buffer;
+  const std::uint64_t local = buffer.begin("merged", 0);
+  buffer.end(local, 1);
+  tracer.merge(buffer);
+  const std::uint64_t b = tracer.begin("b");
+
+  clock.advance(7);
+  tracer.annotate(b, "k", "vb");
+  tracer.end(b);
+  clock.advance(3);
+  tracer.annotate(a, "k", "va");
+  tracer.end(a);
+  // Unknown ids (cleared, or never issued) are ignored.
+  tracer.annotate(1, "k", "stale");
+  tracer.end(1);
+  tracer.end(b + 100);
+
+  auto spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].name, "a");
+  EXPECT_EQ(spans[0].attributes.at("k"), "va");
+  EXPECT_EQ(spans[0].end, 10u);
+  EXPECT_EQ(spans[1].name, "merged");
+  EXPECT_TRUE(spans[1].attributes.empty());
+  EXPECT_EQ(spans[1].end, 1u);
+  EXPECT_EQ(spans[2].name, "b");
+  EXPECT_EQ(spans[2].attributes.at("k"), "vb");
+  EXPECT_EQ(spans[2].end, 7u);
+  // The merged span took an id between a and b.
+  EXPECT_LT(spans[0].id, spans[1].id);
+  EXPECT_LT(spans[1].id, spans[2].id);
+
+  // A span merged later is found by the id merge stamped on it.
+  buffer.begin("late", 10);
+  tracer.merge(buffer);
+  const std::uint64_t late_id = tracer.spans().back().id;
+  EXPECT_GT(late_id, b);
+  tracer.annotate(late_id, "stage", "S");
+  tracer.end(late_id);
+  EXPECT_EQ(tracer.spans().back().attributes.at("stage"), "S");
+  EXPECT_EQ(tracer.spans().back().end, 10u);
+}
+
 TEST(MetricsDelta, MergeEqualsSerialIncrements) {
   core::Metrics serial;
   core::Metrics merged;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 namespace knactor::core {
 namespace {
 
@@ -167,6 +169,55 @@ TEST_F(SyncTest, PeriodicTicksOnClock) {
   EXPECT_EQ(dst_->size(), 1u);
   EXPECT_GE(sync.stats().rounds, 2u);
   sync.stop();
+}
+
+TEST_F(SyncTest, PushAppendsFasterThanARoundAreRolledUpOnce) {
+  // A push round drives the clock (query, then append), so on a timed
+  // profile appends arriving every 0.5 ms land while a round is running.
+  // Each one must be consumed exactly once: one rollup row per group, and
+  // every record processed once.
+  de::LogDe timed(clock_, de::LogDeProfile::zed());
+  de::LogPool& readings = timed.create_pool("readings");
+  de::LogPool& rollup = timed.create_pool("rollup");
+  SyncIntegrator::Options options;
+  options.push = true;
+  SyncIntegrator sync("s", timed, options);
+  SyncRoute route;
+  route.name = "r";
+  route.source = &readings;
+  route.target = &rollup;
+  route.pipeline.push_back(
+      de::LogOp::aggregate({"id"}, {{"n", {"count", "id"}}}));
+  ASSERT_TRUE(sync.add_route(std::move(route)).ok());
+  ASSERT_TRUE(sync.start().ok());
+
+  constexpr int kReadings = 60;
+  for (int i = 0; i < kReadings; ++i) {
+    clock_.schedule_at(i * 500 * sim::kMicrosecond, [&readings, i]() {
+      readings.append("m", Value::object({{"id", i}}),
+                      [](common::Result<std::uint64_t>) {});
+    });
+  }
+  clock_.run_all();
+  sync.stop();
+
+  ASSERT_EQ(readings.size(), static_cast<std::size_t>(kReadings));
+  auto rows = rollup.query_sync("h", {});
+  ASSERT_TRUE(rows.ok());
+  std::map<std::int64_t, int> rows_per_id;
+  for (const Value& row : rows.value()) {
+    EXPECT_EQ(row.get("n")->as_int(), 1);
+    ++rows_per_id[row.get("id")->as_int()];
+  }
+  EXPECT_EQ(rows_per_id.size(), static_cast<std::size_t>(kReadings));
+  for (const auto& [id, n] : rows_per_id) {
+    EXPECT_EQ(n, 1) << "id " << id;
+  }
+  EXPECT_EQ(sync.stats().records_processed,
+            static_cast<std::uint64_t>(kReadings));
+  EXPECT_EQ(sync.stats().records_moved, static_cast<std::uint64_t>(kReadings));
+  // Rounds coalesce: far fewer than one per append.
+  EXPECT_LT(sync.stats().rounds, static_cast<std::uint64_t>(kReadings));
 }
 
 TEST_F(SyncTest, CountPassesConsolidation) {

@@ -597,16 +597,112 @@ TEST(Builtins, UnknownFunctionErrors) {
 
 TEST(Builtins, CustomRegistration) {
   FunctionRegistry registry;
-  registry.register_function("twice", [](const std::vector<Value>& args)
-                                          -> common::Result<Value> {
-    return Value(args[0].as_int() * 2);
-  });
+  registry.register_function(
+      "twice", [](const Args& args) -> common::Result<Value> {
+        return Value(args[0].as_int() * 2);
+      });
   MapEnv env;
   auto r = evaluate("twice(21)", env, registry);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().as_int(), 42);
   // Builtins absent from a custom registry.
   EXPECT_FALSE(evaluate("len(\"x\")", env, registry).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Borrowed evaluation: names, attribute chains and call arguments point into
+// the Env's own storage; only the final result is copied.
+// ---------------------------------------------------------------------------
+
+TEST(Borrowed, CallArgumentsPointIntoEnvStorage) {
+  FunctionRegistry registry;
+  std::vector<const Value*> seen;
+  registry.register_function(
+      "addr", [&seen](const Args& args) -> common::Result<Value> {
+        for (const Value& v : args) seen.push_back(&v);
+        return Value(static_cast<std::int64_t>(args.size()));
+      });
+  MapEnv env;
+  env.bind("R", Value::object({{"a", Value::object({{"b", 1}})},
+                               {"xs", Value::array({1, 2, 3})}}));
+  const Value* r = env.resolve("R");
+
+  ASSERT_TRUE(evaluate("addr(R)", env, registry).ok());
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], r);
+
+  seen.clear();
+  ASSERT_TRUE(evaluate("addr(R.a, R.a.b, R.xs[1], R[\"a\"])", env, registry)
+                  .ok());
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(seen[0], r->get("a"));
+  EXPECT_EQ(seen[1], r->get("a")->get("b"));
+  EXPECT_EQ(seen[2], &r->get("xs")->as_array()[1]);
+  EXPECT_EQ(seen[3], r->get("a"));
+
+  // A comprehension's loop variable is the iterable's own element.
+  seen.clear();
+  ASSERT_TRUE(evaluate("[addr(x) for x in R.xs]", env, registry).ok());
+  ASSERT_EQ(seen.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(seen[i], &r->get("xs")->as_array()[i]);
+  }
+}
+
+TEST(Borrowed, AttributeOfCallResult) {
+  MapEnv env;
+  env.bind("R", Value::object(
+                    {{"ride/1", Value::object({{"zone", "north"},
+                                               {"fare", 12}})}}));
+  env.bind("k", Value("ride/1"));
+  EXPECT_EQ(eval_with("get(R, k).zone", env).as_string(), "north");
+  EXPECT_EQ(eval_with("get(R, k)[\"fare\"] * 2", env).as_int(), 24);
+  EXPECT_EQ(eval_with("[get(R, k).zone][0]", env).as_string(), "north");
+  EXPECT_EQ(eval_with("{\"z\": get(R, k).zone}.z", env).as_string(), "north");
+  // The env's value is untouched by moving fields out of temporaries.
+  EXPECT_EQ(env.resolve("R")->get("ride/1")->get("zone")->as_string(),
+            "north");
+}
+
+TEST(Borrowed, NullPropagatesThroughChains) {
+  MapEnv env;
+  env.bind("C", Value::object({{"order", Value(nullptr)}}));
+  EXPECT_TRUE(eval_with("C.order.items.name", env).is_null());
+  EXPECT_TRUE(eval_with("C.missing.deeper", env).is_null());
+  EXPECT_TRUE(eval_with("get(C, \"nope\").x", env).is_null());
+  EXPECT_TRUE(eval_with("C.order.cost > 10", env).is_null());
+  EXPECT_TRUE(eval_with("1 if C.order.flag else 2", env).is_null());
+}
+
+TEST(Borrowed, UnknownNameErrorUnchanged) {
+  MapEnv env;
+  env.bind("C", Value::object());
+  auto err = eval_error("C.a + nope.b", env);
+  EXPECT_EQ(err.code, common::Error::Code::kEval);
+  EXPECT_EQ(err.message, "unknown name 'nope'");
+}
+
+TEST(Borrowed, ComprehensionVariableShadowsOuterName) {
+  MapEnv env;
+  env.bind("x", Value(100));
+  env.bind("xs", Value::array({1, 2, 3}));
+  Value v = eval_with("[x * 2 for x in xs if x > 1]", env);
+  EXPECT_EQ(common::to_json(v), "[4,6]");
+  // The outer binding is visible again after the comprehension.
+  EXPECT_EQ(eval_with("[x for x in xs][0] + x", env).as_int(), 101);
+  // Nested comprehensions shadow in turn.
+  env.bind("m", Value::array({Value::array({1, 2}), Value::array({3})}));
+  EXPECT_EQ(common::to_json(eval_with("[[x + 1 for x in x] for x in m]", env)),
+            "[[2,3],[4]]");
+}
+
+TEST(Borrowed, SameArgumentTwice) {
+  MapEnv env;
+  env.bind("x", Value("ab"));
+  env.bind("o", Value::object({{"s", "cd"}}));
+  EXPECT_EQ(eval_with("concat(x, x)", env).as_string(), "abab");
+  EXPECT_EQ(eval_with("concat(o.s, o.s, x)", env).as_string(), "cdcdab");
+  EXPECT_EQ(eval_with("x + x", env).as_string(), "abab");
 }
 
 // Property-style sweep: parse(to_string(parse(x))) is a fixed point.

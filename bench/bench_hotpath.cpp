@@ -188,7 +188,7 @@ FanoutRun run_fanout(std::size_t subscribers, std::size_t commits,
       spec.filter = "bucket == " + std::to_string(i % 100);
       (void)orders.subscribe("svc", std::move(spec), count);
     } else {
-      (void)orders.watch("svc", "", count);
+      (void)orders.subscribe("svc", {}, count);
     }
   }
 
@@ -273,22 +273,23 @@ SyncRun run_smart_home(std::size_t records, bool consolidate) {
 }
 
 // ---------------------------------------------------------------------------
-// Commit scaling: the parallel commit pipeline vs the per-op path.
+// Commit scaling: batched epochs vs single-op epochs.
 // ---------------------------------------------------------------------------
 
 // CPU-bound open-loop commit workload. Latencies are virtual (the redis
 // profile's sampled commit times cost zero wall time), so every measured
 // microsecond is framework CPU: scheduler traffic, per-op closures,
-// RBAC/watch matching, WAL and buffer staging, map commits. The whole
-// workload is admitted up front and then drained to convergence — the
-// load a service sees when writes arrive faster than they commit. Under
-// that load the per-op path keeps one scheduled commit (with its
-// completion closure and sampled deadline) per in-flight write — `ops`
-// scheduler entries sifting through the event heap — while the epoch
-// pipeline keeps one per in-flight epoch (`ops / epoch_size` entries,
-// stamps pre-assigned, shards committed via the phase-B/phase-C
-// pipeline). Both modes run the same batched watcher and durable WAL and
-// must converge to the identical store and delivery outcome. Inputs
+// RBAC/watch matching, buffer staging, map commits. The whole workload is
+// admitted up front and then drained to convergence — the load a service
+// sees when writes arrive faster than they commit. Both modes commit
+// through the same epoch pipeline. The baseline issues every write with
+// put(), a single-op epoch: one scheduled commit (with its completion
+// closure and sampled deadline) and one pipeline pass per in-flight write
+// — `ops` scheduler entries sifting through the event heap. The batched
+// mode keeps one per in-flight epoch (`ops / epoch_size` entries, stamps
+// reserved once per epoch, shards committed via the phase-B/phase-C
+// pipeline). Both modes run the same batched watcher and must converge to
+// the identical store and delivery outcome. Inputs
 // (keys, payloads, epoch batches) are pre-built outside the timed region
 // so the interval isolates commit machinery, not Value construction.
 struct ScalingRun {
@@ -302,16 +303,16 @@ ScalingRun run_commit_scaling(std::size_t ops, std::size_t epoch_size,
                               bool use_epoch) {
   using namespace knactor;
   sim::VirtualClock clock;
-  de::ObjectDeProfile profile = de::ObjectDeProfile::redis();
-  profile.durable = true;  // WAL staging is part of the measured commit
-  de::ObjectDe de(clock, profile);
+  de::ObjectDe de(clock, de::ObjectDeProfile::redis());
   common::WorkerPool pool(workers);
   de.set_shards(shards);
   de.set_worker_pool(&pool);
   de::ObjectStore& store = de.create_store("events");
   std::uint64_t batches = 0;
-  (void)store.watch_batch("observer", "", 5 * sim::kMillisecond,
-                          [&batches](const de::WatchBatch&) { ++batches; });
+  de::SubscriptionSpec windowed;
+  windowed.qos.window = 5 * sim::kMillisecond;
+  (void)store.subscribe_batch("observer", std::move(windowed),
+                              [&batches](const de::WatchBatch&) { ++batches; });
 
   // Load-generator exclusion: all keys and payloads (and, for the epoch
   // mode, the assembled write batches) are built before the timed region
@@ -1143,12 +1144,12 @@ int main(int argc, char** argv) {
     report.set("stage_attribution", std::move(stages));
   }
 
-  // CPU-bound commit scaling: the epoch pipeline at {1,2,8} shards against
-  // the legacy per-op path, both under open-loop load (the full workload
-  // in flight at once). The gate is on the 8-shard point: the pipeline
-  // restructure (one scheduler entry + one stamp reservation per epoch
-  // instead of per op) must at least double commit throughput — on a
-  // multi-core box phase-B shard parallelism stacks on top.
+  // CPU-bound commit scaling: batched epochs at {1,2,8} shards against
+  // single-op epochs (the "legacy" rows: one put() per write), both under
+  // open-loop load (the full workload in flight at once). The gate is on
+  // the 8-shard point: batching (one scheduler entry + one pipeline pass
+  // per epoch instead of per op) must at least double commit throughput —
+  // on a multi-core box phase-B shard parallelism stacks on top.
   double scaling_8s_speedup = 0;
   bool scaling_converged = true;
   if (want("scaling")) {

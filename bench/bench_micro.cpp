@@ -207,7 +207,8 @@ void BM_ObjectStoreWatchDispatch(benchmark::State& state) {
   de::ObjectStore& store = de.create_store("s");
   std::size_t events = 0;
   for (int w = 0; w < state.range(0); ++w) {
-    store.watch("b", "", [&events](const de::WatchEvent&) { ++events; });
+    (void)store.subscribe("b", {},
+                          [&events](const de::WatchEvent&) { ++events; });
   }
   Value v = sample_order(2);
   for (auto _ : state) {

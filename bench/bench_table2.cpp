@@ -147,24 +147,30 @@ StageSample run_knactor_exchange(const knactor::de::ObjectDeProfile& profile,
   sim::Rng ship_rng(seed * 31 + 7);
   sim::LatencyModel processing = sim::LatencyModel::normal_ms(446.0, 2.5);
   bool shipping_in_flight = false;
-  shipping.watch("knactor:shipping", "", [&](const de::WatchEvent& event) {
-    if (event.type == de::WatchEventType::kDeleted || !event.object.data) {
-      return;
-    }
-    const Value* items = event.object.data->get("items");
-    const Value* addr = event.object.data->get("addr");
-    const Value* method = event.object.data->get("method");
-    const Value* id = event.object.data->get("id");
-    if (items == nullptr || addr == nullptr || method == nullptr) return;
-    if (id != nullptr || shipping_in_flight) return;
-    shipping_in_flight = true;
-    clock.schedule_after(processing.sample(ship_rng), [&]() {
-      Value patch = Value::object();
-      patch.set("id", Value("track-1"));
-      shipping.patch("knactor:shipping", "state", std::move(patch),
-                     [](knactor::common::Result<std::uint64_t>) {});
-    });
-  });
+  auto shipper = shipping.subscribe(
+      "knactor:shipping", {}, [&](const de::WatchEvent& event) {
+        if (event.type == de::WatchEventType::kDeleted || !event.object.data) {
+          return;
+        }
+        const Value* items = event.object.data->get("items");
+        const Value* addr = event.object.data->get("addr");
+        const Value* method = event.object.data->get("method");
+        const Value* id = event.object.data->get("id");
+        if (items == nullptr || addr == nullptr || method == nullptr) return;
+        if (id != nullptr || shipping_in_flight) return;
+        shipping_in_flight = true;
+        clock.schedule_after(processing.sample(ship_rng), [&]() {
+          Value patch = Value::object();
+          patch.set("id", Value("track-1"));
+          shipping.patch("knactor:shipping", "state", std::move(patch),
+                         [](knactor::common::Result<std::uint64_t>) {});
+        });
+      });
+  if (!shipper.ok()) {
+    std::fprintf(stderr, "shipping watch failed: %s\n",
+                 shipper.error().to_string().c_str());
+    return {};
+  }
 
   SimTime t0 = clock.now();
   checkout.put("knactor:checkout", "order", bench_order(),

@@ -50,8 +50,10 @@ Status RpcIngressBridge::expose(const net::ServiceDescriptor& service,
           // Reply once the response field shows up.
           auto watch_id = std::make_shared<std::uint64_t>(0);
           auto done = std::make_shared<bool>(false);
-          *watch_id = store_.watch(
-              principal(), key,
+          de::SubscriptionSpec spec;
+          spec.prefix = key;
+          auto sub = store_.subscribe(
+              principal(), std::move(spec),
               [this, key, binding, respond, watch_id,
                done](const de::WatchEvent& event) {
                 if (*done || event.object.key != key ||
@@ -64,23 +66,24 @@ Status RpcIngressBridge::expose(const net::ServiceDescriptor& service,
                 if (response == nullptr || response->is_null()) return;
                 *done = true;
                 ++bridged_;
-                store_.unwatch(*watch_id);
+                store_.unsubscribe(*watch_id, /*drain=*/false);
                 Value reply = *response;
                 // Clean the request object up (fire and forget).
                 store_.remove(principal(), key, [](Status) {});
                 respond(std::move(reply));
               });
-          if (*watch_id == 0) {
+          if (!sub.ok()) {
             respond(Error::permission_denied(
                 "ingress-bridge: watch denied on store"));
             return;
           }
+          *watch_id = sub.value();
           if (binding.timeout > 0) {
             network_.clock().schedule_after(
                 binding.timeout, [this, respond, watch_id, done]() {
                   if (*done) return;
                   *done = true;
-                  store_.unwatch(*watch_id);
+                  store_.unsubscribe(*watch_id, /*drain=*/false);
                   respond(Error::unavailable(
                       "ingress-bridge: service did not respond"));
                 });

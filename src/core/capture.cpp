@@ -20,20 +20,22 @@ ChangeCapture::ChangeCapture(std::string name, de::ObjectStore& store,
 
 Status ChangeCapture::start() {
   if (watch_id_ != 0) return Status::success();
-  watch_id_ = store_.watch(principal(), options_.key_prefix,
-                           [this](const de::WatchEvent& event) {
-                             on_event(event);
-                           });
-  if (watch_id_ == 0) {
+  de::SubscriptionSpec spec;
+  spec.prefix = options_.key_prefix;
+  auto sub = store_.subscribe(
+      principal(), std::move(spec),
+      [this](const de::WatchEvent& event) { on_event(event); });
+  if (!sub.ok()) {
     return common::Error::permission_denied("capture " + name_ +
                                             ": watch denied");
   }
+  watch_id_ = sub.value();
   return Status::success();
 }
 
 void ChangeCapture::stop() {
   if (watch_id_ != 0) {
-    store_.unwatch(watch_id_);
+    store_.unsubscribe(watch_id_, /*drain=*/false);
     watch_id_ = 0;
   }
 }

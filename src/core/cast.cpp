@@ -237,7 +237,7 @@ void CastIntegrator::install_watches() {
 
 void CastIntegrator::remove_watches() {
   for (auto& [store, id] : watches_) {
-    store->unwatch(id);
+    store->unsubscribe(id, /*drain=*/false);
   }
   watches_.clear();
 }

@@ -69,8 +69,8 @@ class CastIntegrator : public Integrator {
     /// §3.3 "consolidate the state processing logic", applied in time).
     sim::SimTime debounce = 0;
     /// Server-side watch coalescing (tentpole of the hot-path batching
-    /// work): when > 0, watches register via ObjectStore::watch_batch with
-    /// this window — the DE buffers a burst of commits and delivers one
+    /// work): when > 0, watches register via ObjectStore::subscribe_batch
+    /// with this window — the DE buffers a burst of commits and delivers one
     /// WatchBatch, and the integrator runs one pass per batch. Unlike
     /// `debounce` (client-side: every event still crosses the wire), the
     /// coalescing happens inside the DE, so one notification is delivered

@@ -36,13 +36,16 @@ void Knactor::start() {
   if (running_) return;
   running_ = true;
   for (auto& [label, bound] : object_stores_) {
-    bound.watch_id = bound.store->watch(
-        principal(), "", [this](const de::WatchEvent& event) {
+    auto sub = bound.store->subscribe(
+        principal(), de::SubscriptionSpec{},
+        [this](const de::WatchEvent& event) {
           if (running_ && reconciler_) {
             reconciler_->on_object_event(*this, event);
           }
         });
-    if (bound.watch_id == 0) {
+    if (sub.ok()) {
+      bound.watch_id = sub.value();
+    } else {
       KN_WARN << "knactor " << name_ << ": watch on store '" << label
               << "' denied";
     }
@@ -54,7 +57,7 @@ void Knactor::stop() {
   running_ = false;
   for (auto& [label, bound] : object_stores_) {
     if (bound.watch_id != 0) {
-      bound.store->unwatch(bound.watch_id);
+      bound.store->unsubscribe(bound.watch_id, /*drain=*/false);
       bound.watch_id = 0;
     }
   }

@@ -184,8 +184,8 @@ class Kernel {
   // Every watch on a DE facade is a subscription (de/subscription.h); the
   // kernel owns the registry so tooling (knctl explain/trace, SLO gates)
   // sees one uniform surface across facades. Counters are bumped only from
-  // serial phases (the per-op commit path, the epoch pipeline's Phase-C
-  // merge, flush/delivery callbacks) — never from shard tasks — so their
+  // serial phases (the epoch pipeline's Phase-C merge, flush/delivery
+  // callbacks) — never from shard tasks — so their
   // values are byte-identical across shard/worker configurations.
 
   /// One registered subscription: the contract (filter text, projection,
@@ -235,9 +235,11 @@ class Kernel {
   // pure function of its position in the epoch (base + index). Shards then
   // stamp their ops from disjoint slices of the reservation without ever
   // touching the shared counters — the parallel run is byte-identical to
-  // the serial one by construction. Ops that fail validation leave holes in
-  // the sequence; both domains only need to be strictly increasing, and the
-  // serial oracle runs the same reservation path, so the holes match too.
+  // the serial one by construction. Afterwards the facade hands back the
+  // stamps past the epoch's last committed op (restore_sequences), so only
+  // ops that fail between committed ops leave holes; both domains only need
+  // to be strictly increasing, and the serial oracle runs the same
+  // reservation path, so the holes match too.
 
   /// Reserves `n` revision numbers; returns the first. Epoch op `i` commits
   /// with revision `base + i` (matching what n serial next_revision() calls
@@ -261,7 +263,7 @@ class Kernel {
   void set_available(bool available) { available_ = available; }
   [[nodiscard]] bool available() const { return available_; }
   void crash() { available_ = false; }
-  /// Runs the facade's restart hook (WAL replay or wipe), then marks up.
+  /// Runs the facade's restart hook (recovery or wipe), then marks up.
   void recover() {
     if (restart_) restart_();
     available_ = true;

@@ -64,134 +64,59 @@ void ObjectStore::get_shared(
   });
 }
 
-void ObjectStore::put(const std::string& principal, const std::string& key,
-                      Value data, PutCallback done) {
+void ObjectStore::submit(const std::string& principal, EpochWrite write,
+                         PutCallback done) {
   sim::SimTime rt = de_.profile_.write_rt.sample(de_.kernel_.rng());
   // The ambient trace context is captured synchronously at the client
   // call (the writer's causal moment), not at the commit's scheduled
   // execution — by then the writer has cleared it.
   core::TraceContext ctx = de_.kernel_.trace_context();
   de_.clock().schedule_after(
-      rt, [this, principal, key, ctx, data = std::move(data),
+      rt, [this, principal, ctx, write = std::move(write),
            done = std::move(done)]() mutable {
         if (!de_.kernel_.guard_available()) {
           done(Error::unavailable("object: de unavailable (crashed)"));
           return;
         }
-        ++de_.stats_.writes;
-        Decision d = de_.check_access(principal, name_, key, Verb::kUpdate);
-        if (!d.allowed) {
-          ++de_.stats_.permission_denials;
-          done(Error::permission_denied("object: " + principal +
-                                        " cannot write " + name_ + "/" + key));
-          return;
-        }
-        if (auto status = Rbac::validate_write(data, d.fields); !status.ok()) {
-          ++de_.stats_.permission_denials;
-          done(status.error());
-          return;
-        }
-        de_.commit_ctx_ = ctx;
-        auto committed = de_.commit_put(*this, key, std::move(data),
-                                        /*merge=*/false, std::nullopt,
-                                        principal);
-        de_.commit_ctx_ = {};
-        done(std::move(committed));
+        ++(write.remove ? de_.stats_.deletes : de_.stats_.writes);
+        done(de_.commit_one(*this, principal, ctx, write));
       });
+}
+
+void ObjectStore::put(const std::string& principal, const std::string& key,
+                      Value data, PutCallback done) {
+  submit(principal,
+         EpochWrite{key, std::move(data), /*merge=*/false, /*remove=*/false,
+                    std::nullopt},
+         std::move(done));
 }
 
 void ObjectStore::put_versioned(const std::string& principal,
                                 const std::string& key, Value data,
                                 std::uint64_t expected_version,
                                 PutCallback done) {
-  sim::SimTime rt = de_.profile_.write_rt.sample(de_.kernel_.rng());
-  core::TraceContext ctx = de_.kernel_.trace_context();
-  de_.clock().schedule_after(
-      rt, [this, principal, key, ctx, data = std::move(data), expected_version,
-           done = std::move(done)]() mutable {
-        if (!de_.kernel_.guard_available()) {
-          done(Error::unavailable("object: de unavailable (crashed)"));
-          return;
-        }
-        ++de_.stats_.writes;
-        Decision d = de_.check_access(principal, name_, key, Verb::kUpdate);
-        if (!d.allowed) {
-          ++de_.stats_.permission_denials;
-          done(Error::permission_denied("object: " + principal +
-                                        " cannot write " + name_ + "/" + key));
-          return;
-        }
-        if (auto status = Rbac::validate_write(data, d.fields); !status.ok()) {
-          ++de_.stats_.permission_denials;
-          done(status.error());
-          return;
-        }
-        de_.commit_ctx_ = ctx;
-        auto committed = de_.commit_put(*this, key, std::move(data),
-                                        /*merge=*/false, expected_version,
-                                        principal);
-        de_.commit_ctx_ = {};
-        done(std::move(committed));
-      });
+  submit(principal,
+         EpochWrite{key, std::move(data), /*merge=*/false, /*remove=*/false,
+                    expected_version},
+         std::move(done));
 }
 
 void ObjectStore::patch(const std::string& principal, const std::string& key,
                         Value fields, PutCallback done) {
-  sim::SimTime rt = de_.profile_.write_rt.sample(de_.kernel_.rng());
-  core::TraceContext ctx = de_.kernel_.trace_context();
-  de_.clock().schedule_after(
-      rt, [this, principal, key, ctx, fields = std::move(fields),
-           done = std::move(done)]() mutable {
-        if (!de_.kernel_.guard_available()) {
-          done(Error::unavailable("object: de unavailable (crashed)"));
-          return;
-        }
-        ++de_.stats_.writes;
-        Decision d = de_.check_access(principal, name_, key, Verb::kUpdate);
-        if (!d.allowed) {
-          ++de_.stats_.permission_denials;
-          done(Error::permission_denied("object: " + principal +
-                                        " cannot patch " + name_ + "/" + key));
-          return;
-        }
-        if (auto status = Rbac::validate_write(fields, d.fields);
-            !status.ok()) {
-          ++de_.stats_.permission_denials;
-          done(status.error());
-          return;
-        }
-        de_.commit_ctx_ = ctx;
-        auto committed = de_.commit_put(*this, key, std::move(fields),
-                                        /*merge=*/true, std::nullopt,
-                                        principal);
-        de_.commit_ctx_ = {};
-        done(std::move(committed));
-      });
+  submit(principal,
+         EpochWrite{key, std::move(fields), /*merge=*/true, /*remove=*/false,
+                    std::nullopt},
+         std::move(done));
 }
 
 void ObjectStore::remove(const std::string& principal, const std::string& key,
                          DelCallback done) {
-  sim::SimTime rt = de_.profile_.write_rt.sample(de_.kernel_.rng());
-  core::TraceContext ctx = de_.kernel_.trace_context();
-  de_.clock().schedule_after(rt, [this, principal, key, ctx,
-                                  done = std::move(done)] {
-    if (!de_.kernel_.guard_available()) {
-      done(Error::unavailable("object: de unavailable (crashed)"));
-      return;
-    }
-    ++de_.stats_.deletes;
-    Decision d = de_.check_access(principal, name_, key, Verb::kDelete);
-    if (!d.allowed) {
-      ++de_.stats_.permission_denials;
-      done(Error::permission_denied("object: " + principal +
-                                    " cannot delete " + name_ + "/" + key));
-      return;
-    }
-    de_.commit_ctx_ = ctx;
-    auto committed = de_.commit_delete(*this, key);
-    de_.commit_ctx_ = {};
-    done(std::move(committed));
-  });
+  submit(principal,
+         EpochWrite{key, Value(), /*merge=*/false, /*remove=*/true,
+                    std::nullopt},
+         [done = std::move(done)](Result<std::uint64_t> r) {
+           done(r.ok() ? Status::success() : Status(r.error()));
+         });
 }
 
 void ObjectStore::list(const std::string& principal, const std::string& prefix,
@@ -249,13 +174,25 @@ void ObjectStore::put_epoch(const std::string& principal,
                             std::vector<EpochWrite> writes,
                             EpochCallback done) {
   // One write round trip for the whole epoch: batching the exchange is the
-  // point of the pipeline (the per-op path pays the round trip per write).
+  // point of the pipeline (a single-op epoch pays the round trip per write).
   sim::SimTime rt = de_.profile_.write_rt.sample(de_.kernel_.rng());
   core::TraceContext ctx = de_.kernel_.trace_context();
   de_.clock().schedule_after(
       rt, [this, principal, ctx, writes = std::move(writes),
            done = std::move(done)]() mutable {
-        done(de_.commit_epoch(*this, principal, ctx, std::move(writes)));
+        if (!de_.kernel_.available()) {
+          de_.stats_.unavailable_rejections += writes.size();
+          done(std::vector<Result<std::uint64_t>>(
+              writes.size(),
+              Error::unavailable("object: de unavailable (crashed)")));
+          return;
+        }
+        for (const auto& w : writes) {
+          ++(w.remove ? de_.stats_.deletes : de_.stats_.writes);
+        }
+        const std::vector<ObjectStore*> stores(writes.size(), this);
+        done(de_.commit_epoch(principal, ctx, stores, writes,
+                              /*atomic=*/false));
       });
 }
 
@@ -302,26 +239,6 @@ Result<std::uint64_t> ObjectStore::subscribe_batch(
                               std::move(callback));
 }
 
-std::uint64_t ObjectStore::watch(const std::string& principal,
-                                 const std::string& prefix,
-                                 WatchCallback callback) {
-  SubscriptionSpec spec;
-  spec.prefix = prefix;
-  auto sub = subscribe(principal, std::move(spec), std::move(callback));
-  return sub.ok() ? sub.value() : 0;
-}
-
-std::uint64_t ObjectStore::watch_batch(const std::string& principal,
-                                       const std::string& prefix,
-                                       sim::SimTime window,
-                                       WatchBatchCallback callback) {
-  SubscriptionSpec spec;
-  spec.prefix = prefix;
-  spec.qos.window = window;
-  auto sub = subscribe_batch(principal, std::move(spec), std::move(callback));
-  return sub.ok() ? sub.value() : 0;
-}
-
 void ObjectStore::unsubscribe(std::uint64_t watch_id, bool drain) {
   auto it = de_.watch_buffers_.find(watch_id);
   if (it != de_.watch_buffers_.end()) {
@@ -352,10 +269,6 @@ void ObjectStore::unsubscribe(std::uint64_t watch_id, bool drain) {
   // buffer and no-ops — never a dangling coalesce slot, deterministically.
   de_.watch_buffers_.erase(watch_id);
   de_.kernel_.unregister_subscription(watch_id);
-}
-
-void ObjectStore::unwatch(std::uint64_t watch_id) {
-  unsubscribe(watch_id, /*drain=*/false);
 }
 
 // Synchronous wrappers.
@@ -448,48 +361,25 @@ Result<StateObject> UdfContext::get(const std::string& store,
 
 Result<std::uint64_t> UdfContext::put(const std::string& store,
                                       const std::string& key, Value data) {
-  de_.clock().advance(de_.profile_.engine_write.sample(de_.kernel_.rng()));
-  ++de_.stats_.engine_ops;
-  ObjectStore* s = de_.store(store);
-  if (s == nullptr) {
-    return Error::not_found("udf: unknown store '" + store + "'");
-  }
-  Decision d =
-      de_.check_access(principal_, store, key, Verb::kUpdate);
-  if (!d.allowed) {
-    ++de_.stats_.permission_denials;
-    return Error::permission_denied("udf: " + principal_ + " cannot write " +
-                                    store + "/" + key);
-  }
-  KN_TRY(Rbac::validate_write(data, d.fields));
-  de_.commit_ctx_ = de_.kernel_.trace_context();
-  auto committed = de_.commit_put(*s, key, std::move(data), /*merge=*/false,
-                                  std::nullopt, principal_);
-  de_.commit_ctx_ = {};
-  return committed;
+  return write(store, EpochWrite{key, std::move(data), /*merge=*/false,
+                                 /*remove=*/false, std::nullopt});
 }
 
 Result<std::uint64_t> UdfContext::patch(const std::string& store,
                                         const std::string& key, Value fields) {
+  return write(store, EpochWrite{key, std::move(fields), /*merge=*/true,
+                                 /*remove=*/false, std::nullopt});
+}
+
+Result<std::uint64_t> UdfContext::write(const std::string& store,
+                                        EpochWrite op) {
   de_.clock().advance(de_.profile_.engine_write.sample(de_.kernel_.rng()));
   ++de_.stats_.engine_ops;
   ObjectStore* s = de_.store(store);
   if (s == nullptr) {
     return Error::not_found("udf: unknown store '" + store + "'");
   }
-  Decision d =
-      de_.check_access(principal_, store, key, Verb::kUpdate);
-  if (!d.allowed) {
-    ++de_.stats_.permission_denials;
-    return Error::permission_denied("udf: " + principal_ + " cannot patch " +
-                                    store + "/" + key);
-  }
-  KN_TRY(Rbac::validate_write(fields, d.fields));
-  de_.commit_ctx_ = de_.kernel_.trace_context();
-  auto committed = de_.commit_put(*s, key, std::move(fields), /*merge=*/true,
-                                  std::nullopt, principal_);
-  de_.commit_ctx_ = {};
-  return committed;
+  return de_.commit_one(*s, principal_, de_.kernel_.trace_context(), op);
 }
 
 Result<std::vector<StateObject>> UdfContext::list(const std::string& store,
@@ -510,7 +400,12 @@ Result<std::vector<StateObject>> UdfContext::list(const std::string& store,
   std::vector<StateObject> out;
   for (std::size_t i = 0; i < s->objects_.shard_count(); ++i) {
     for (const auto& [key, obj] : s->objects_.shard(i)) {
-      if (common::starts_with(key, prefix)) out.push_back(obj);
+      if (!common::starts_with(key, prefix)) continue;
+      out.push_back(obj);
+      if (!d.fields.unrestricted() && obj.data) {
+        out.back().data = std::make_shared<const Value>(
+            Rbac::filter_fields(*obj.data, d.fields));
+      }
     }
   }
   std::sort(out.begin(), out.end(),
@@ -558,8 +453,22 @@ void ObjectDe::set_shards(std::size_t n) {
   for (auto& [name, store] : stores_) {
     store->objects_.set_shard_count(n);
   }
-  // In-flight watch buffers keep their original partitioning; they flush
-  // through buf.shards.size(), so no repartition is needed.
+  // Pending watch buffers follow the new partitioning, so the epoch
+  // pipeline can stage into every buffer shard-locally. Each key lives in
+  // exactly one queue, and flush orders slots by commit seq, so moving
+  // them changes nothing observable.
+  for (auto& [id, buf] : watch_buffers_) {
+    if (buf.shards.empty() || buf.shards.size() == n) continue;
+    std::vector<ShardQueue> old = std::move(buf.shards);
+    buf.shards.assign(n, ShardQueue{});
+    for (ShardQueue& queue : old) {
+      for (BufferedEvent& be : queue.events) {
+        ShardQueue& dst = buf.shards[shard_of(be.event.object.key, n)];
+        dst.slots.emplace(be.event.object.key, dst.events.size());
+        dst.events.push_back(std::move(be));
+      }
+    }
+  }
 }
 
 Status ObjectDe::register_udf(const std::string& principal,
@@ -641,81 +550,30 @@ void ObjectDe::transact(const std::string& principal, std::vector<TxnOp> ops,
       return;
     }
     ++stats_.writes;
-    // Validate everything before touching anything.
-    for (const auto& op : ops) {
+    std::vector<ObjectStore*> stores;
+    std::vector<EpochWrite> writes;
+    stores.reserve(ops.size());
+    writes.reserve(ops.size());
+    for (auto& op : ops) {
       ObjectStore* store = this->store(op.store);
       if (store == nullptr) {
         done(Error::not_found("txn: unknown store '" + op.store + "'"));
         return;
       }
-      Decision d =
-          check_access(principal, op.store, op.key, Verb::kUpdate);
-      if (!d.allowed) {
-        ++stats_.permission_denials;
-        done(Error::permission_denied("txn: " + principal + " cannot write " +
-                                      op.store + "/" + op.key));
-        return;
-      }
-      if (auto status = Rbac::validate_write(op.data, d.fields); !status.ok()) {
-        ++stats_.permission_denials;
-        done(status.error());
-        return;
-      }
-      if (op.expected_version.has_value()) {
-        const StateObject* cur = store->objects_.find(op.key);
-        std::uint64_t current = cur == nullptr ? 0 : cur->version;
-        if (current != *op.expected_version) {
-          ++stats_.version_conflicts;
-          done(Error::failed_precondition(
-              "txn: version conflict on " + op.store + "/" + op.key));
-          return;
-        }
-      }
+      stores.push_back(store);
+      writes.push_back(EpochWrite{std::move(op.key), std::move(op.data),
+                                  op.merge, /*remove=*/false,
+                                  op.expected_version});
     }
-    // Apply with notifications deferred so observers see the exchange as
-    // one atomic step.
-    defer_notifications_ = true;
-    commit_ctx_ = ctx;
-    std::uint64_t last_version = 0;
-    for (auto& op : ops) {
-      ObjectStore* store = this->store(op.store);
-      auto committed = commit_put(*store, op.key, std::move(op.data), op.merge,
-                                  std::nullopt);
-      if (committed.ok()) last_version = committed.value();
+    auto results = commit_epoch(principal, ctx, stores, writes,
+                                /*atomic=*/true);
+    if (results.empty()) {
+      done(Value(std::int64_t{0}));
+    } else if (!results.back().ok()) {
+      done(results.back().error());
+    } else {
+      done(Value(static_cast<std::int64_t>(results.back().value())));
     }
-    if (persist_ != nullptr && !txn_records_.empty()) {
-      // One atomic frame for the whole transaction; the drain below
-      // allocates one commit seq per pending notification, so the frame's
-      // counter footer is the post-drain state.
-      std::vector<std::string_view> records(txn_records_.begin(),
-                                            txn_records_.end());
-      auto st = persist_->append_batch(
-          records, static_cast<std::uint32_t>(records.size()),
-          kernel_.peek_next_revision(),
-          kernel_.commit_seq() + pending_notifications_.size());
-      txn_records_.clear();
-      if (!st.ok()) {
-        // Torn mid-transaction: nothing of it is durable (one checksum
-        // covers the frame) and no observer saw it (notifications were
-        // still deferred). The client retries after recovery.
-        kernel_.crash();
-        defer_notifications_ = false;
-        pending_notifications_.clear();
-        done(st.error());
-        return;
-      }
-    }
-    defer_notifications_ = false;
-    std::vector<PendingNotification> pending =
-        std::move(pending_notifications_);
-    pending_notifications_.clear();
-    for (auto& n : pending) {
-      commit_ctx_ = n.ctx;
-      fire_watches(n.store, n.type, n.object);
-      fire_triggers(n.store, n.type, n.object);
-    }
-    commit_ctx_ = {};
-    done(Value(static_cast<std::int64_t>(last_version)));
   });
 }
 
@@ -736,30 +594,13 @@ void ObjectDe::restart() {
     (void)recover_from_disk();
     return;
   }
+  // Every acked commit of a durable in-memory DE is already in process
+  // memory, so it restarts with its exact state: objects, versions,
+  // timestamps, and kernel sequences.
+  if (profile_.durable) return;
   for (auto& [name, store] : stores_) {
     store->objects_.clear();
   }
-  if (!profile_.durable) {
-    wal_.clear();
-    return;
-  }
-  // Replay the WAL in order (versions are re-assigned monotonically; watch
-  // and trigger delivery is suppressed during recovery, as listeners
-  // re-list after a restart in the Kubernetes informer pattern).
-  std::vector<WalEntry> wal = std::move(wal_);
-  wal_.clear();
-  bool saved = recovering_;
-  recovering_ = true;
-  for (const auto& entry : wal) {
-    ObjectStore& store = create_store(entry.store);
-    if (entry.data == nullptr) {
-      (void)commit_delete(store, entry.key);
-    } else {
-      (void)commit_put(store, entry.key, *entry.data, /*merge=*/false,
-                       std::nullopt);
-    }
-  }
-  recovering_ = saved;
 }
 
 Status ObjectDe::enable_persistence(persist::Engine* engine) {
@@ -772,8 +613,6 @@ Status ObjectDe::enable_persistence(persist::Engine* engine) {
     persist_ = nullptr;
     return st;
   }
-  // The on-disk journal supersedes the in-memory WAL from here on.
-  wal_.clear();
   kernel_.add_gc_hook([engine] { return engine->gc(); });
   return Status::success();
 }
@@ -855,249 +694,109 @@ void ObjectDe::maybe_auto_snapshot() {
   (void)snapshot_now();
 }
 
-Result<std::uint64_t> ObjectDe::commit_put(
-    ObjectStore& store, const std::string& key, Value data, bool merge,
-    std::optional<std::uint64_t> expected, const std::string& principal) {
-  StateObject* existing = store.objects_.find(key);
-  bool existed = existing != nullptr;
-  if (expected.has_value()) {
-    std::uint64_t current = existed ? existing->version : 0;
-    if (current != *expected) {
-      ++stats_.version_conflicts;
-      return Error::failed_precondition(
-          "object: version conflict on " + store.name_ + "/" + key +
-          " (expected " + std::to_string(*expected) + ", have " +
-          std::to_string(current) + ")");
-    }
-  }
-
-  Value final_data;
-  if (merge && existed && existing->data && existing->data->is_object() &&
-      data.is_object()) {
-    final_data = *existing->data;
-    for (const auto& [k, v] : data.as_object()) {
-      final_data.set(k, v);
-    }
-  } else {
-    final_data = std::move(data);
-  }
-
-  // Version-chain lineage: snapshot the previous version before the
-  // overwrite invalidates `existing`.
-  const bool lineage = kernel_.provenance().enabled() && !recovering_;
-  core::LineageRef prev;
-  if (lineage && existed) {
-    prev = {store.name_, key, existing->version, existing->data};
-  }
-
-  StateObject obj;
-  obj.key = key;
-  obj.data = std::make_shared<const Value>(std::move(final_data));
-  obj.version = kernel_.next_revision();
-  obj.created_at = existed ? existing->created_at : clock().now();
-  obj.updated_at = clock().now();
-  if (existed) {
-    *existing = obj;  // in place: the find above already walked the shard
-  } else {
-    store.objects_[key] = obj;
-  }
-
-  if (lineage) {
-    core::LineageRecord rec;
-    rec.output = {store.name_, key, obj.version, obj.data};
-    if (existed) rec.inputs.push_back(std::move(prev));
-    rec.op = "write:" + principal;
-    rec.stage = "S";  // service-side write (richer integrator records for
-                      // the same version are recorded after the commit)
-    rec.trace_id = commit_ctx_.trace_id;
-    rec.time = clock().now();
-    kernel_.provenance().record(std::move(rec));
-  }
-
-  if (persist_ != nullptr) {
-    if (!recovering_) {
-      std::string rec;
-      persist::encode_put(rec, store.name_, key, obj.version, obj.created_at,
-                          obj.updated_at, *obj.data);
-      if (defer_notifications_) {
-        // Transaction: stage; transact() flushes every staged record as
-        // one atomic frame before the notification drain.
-        txn_records_.push_back(std::move(rec));
-      } else {
-        // Journal before notifications, carrying this commit's post-state
-        // counters (fire_watches below allocates exactly one commit seq).
-        auto st = persist_->append_batch({rec}, 1,
-                                         kernel_.peek_next_revision(),
-                                         kernel_.commit_seq() + 1);
-        if (!st.ok()) {
-          // Torn append: the op is not durable, so it must not ack or
-          // notify. Recovery reloads the journal's valid prefix; the
-          // client retries against the recovered state.
-          kernel_.crash();
-          return st.error();
-        }
-      }
-    }
-  } else if (profile_.durable) {
-    wal_.push_back(WalEntry{store.name_, key, obj.data});
-  }
-
-  if (!recovering_) {
-    fire_watches(store.name_,
-                 existed ? WatchEventType::kModified : WatchEventType::kAdded,
-                 obj);
-    fire_triggers(store.name_,
-                  existed ? WatchEventType::kModified : WatchEventType::kAdded,
-                  obj);
-    if (!defer_notifications_) maybe_auto_snapshot();
-  }
-  return obj.version;
-}
-
-Status ObjectDe::commit_delete(ObjectStore& store, const std::string& key) {
-  StateObject* existing = store.objects_.find(key);
-  if (existing == nullptr) {
-    return Error::not_found("object: " + store.name_ + "/" + key +
-                            " not found");
-  }
-  StateObject obj = *existing;
-  store.objects_.erase(key);
-  if (persist_ != nullptr) {
-    if (!recovering_) {
-      std::string rec;
-      persist::encode_delete(rec, store.name_, key);
-      if (defer_notifications_) {
-        txn_records_.push_back(std::move(rec));
-      } else {
-        auto st = persist_->append_batch({rec}, 1,
-                                         kernel_.peek_next_revision(),
-                                         kernel_.commit_seq() + 1);
-        if (!st.ok()) {
-          kernel_.crash();
-          return st.error();
-        }
-      }
-    }
-  } else if (profile_.durable) {
-    wal_.push_back(WalEntry{store.name_, key, nullptr});
-  }
-  if (!recovering_) {
-    fire_watches(store.name_, WatchEventType::kDeleted, obj);
-    fire_triggers(store.name_, WatchEventType::kDeleted, obj);
-    if (!defer_notifications_) maybe_auto_snapshot();
-  }
-  return Status::success();
-}
-
 // ---------------------------------------------------------------------------
-// Epoch commit pipeline (ObjectStore::put_epoch).
+// Epoch commit pipeline: the one write path. put/patch/remove and UDF
+// writes are single-op epochs, put_epoch a batch, transact an atomic epoch
+// across stores.
 //
-// Phase A (serial): availability gate, receipt stats, one clock read, stamp
-//   pre-assignment (versions and commit seqs reserved up front — op i's
-//   stamps are base + index, independent of execution order), partition by
-//   key shard.
+// Phase A (serial): one clock read, stamp pre-assignment (versions and
+//   commit seqs reserved up front — op i's stamps are base + index,
+//   independent of execution order), partition by key shard.
 // Phase B (parallel, one ordered queue per shard): RBAC with buffered
 //   audit, write validation, version check, merge compute, state insert,
-//   WAL JSON staging, lineage snapshot, watch matching + field filtering.
-//   No clock reads, no RNG draws, no shared-counter bumps — each op's
-//   scratch (EpochOp) is owned by exactly one shard task.
+//   journal record encoding, lineage snapshot, watch matching + field
+//   filtering, batched-watch staging. No clock reads, no RNG draws, no
+//   shared-counter bumps — each op's scratch (EpochOp) is owned by exactly
+//   one shard task.
+// Stamp rule: the epoch then gives back the stamps past its last committed
+//   op, so a failed single op consumes nothing and only failures *between*
+//   committed ops leave holes.
+// Rollback: the chaos fault hook, a torn journal append, or a failed op in
+//   an atomic epoch rolls every op back, so neither state, stamps, journal,
+//   lineage, nor any notification of the epoch leaks.
 // Phase C (serial merge, global op order): audit splice, lineage records,
-//   all-or-nothing WAL splice, stats, watch enqueue/delivery scheduling and
-//   trigger fan-out through the same code the per-op path uses (so RNG
-//   draws happen in exactly the serial order). The chaos fault hook runs
-//   between B and C: a crash there rolls the whole epoch back, so recovery
-//   never replays a half-merged epoch.
+//   stats, then per op its watchers in registration order (per-event
+//   delivery or batched flush scheduling, each drawing from the RNG
+//   exactly where a serial commit would) and its trigger fan-out.
 // ---------------------------------------------------------------------------
 
+Result<std::uint64_t> ObjectDe::commit_one(ObjectStore& store,
+                                           const std::string& principal,
+                                           const core::TraceContext& ctx,
+                                           EpochWrite& write) {
+  ObjectStore* target = &store;
+  return std::move(commit_epoch(principal, ctx, {&target, 1}, {&write, 1},
+                                /*atomic=*/false)
+                       .front());
+}
+
 std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
-    ObjectStore& store, const std::string& principal,
-    const core::TraceContext& client_ctx, std::vector<EpochWrite> writes) {
+    const std::string& principal, const core::TraceContext& client_ctx,
+    std::span<ObjectStore* const> stores, std::span<EpochWrite> writes,
+    bool atomic) {
   const std::size_t n = writes.size();
   std::vector<Result<std::uint64_t>> results;
   results.reserve(n);
   if (n == 0) return results;
 
   // --- Phase A: serial prep ------------------------------------------------
-  if (!kernel_.available()) {
-    stats_.unavailable_rejections += n;
-    for (std::size_t i = 0; i < n; ++i) {
-      results.push_back(Error::unavailable("object: de unavailable (crashed)"));
-    }
-    return results;
-  }
-  for (const auto& w : writes) {
-    if (w.remove) {
-      ++stats_.deletes;
-    } else {
-      ++stats_.writes;
-    }
-  }
   const sim::SimTime now = clock().now();
+  const std::size_t shard_count = shards_;
+  std::vector<EpochOp> ops(n);
+  std::vector<std::vector<std::size_t>> shard_ops(shard_count);
 
-  // Pre-assign stamps: versions go to puts only (a delete never consumed a
-  // revision on the per-op path), commit seqs to every op (every successful
-  // commit consumed one). Failed ops leave holes; the serial oracle runs
-  // this same reservation, so the holes are configuration-independent.
-  std::vector<std::uint64_t> rev_for(n, 0);
+  // Pre-assign stamps: versions go to puts only (a delete consumes no
+  // revision), commit seqs to every op.
   std::uint64_t puts = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!writes[i].remove) rev_for[i] = puts++;
-  }
-  const std::uint64_t rev_base = kernel_.reserve_revisions(puts);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!writes[i].remove) rev_for[i] += rev_base;
-  }
-  const std::uint64_t seq_base = kernel_.reserve_commit_seqs(n);
-
-  std::vector<std::size_t> store_watchers;
-  for (std::size_t w = 0; w < watches_.size(); ++w) {
-    if (watches_[w].store == store.name_) store_watchers.push_back(w);
-  }
-
-  const std::size_t shard_count = store.objects_.shard_count();
-  std::vector<std::vector<std::size_t>> shard_ops(shard_count);
-  for (std::size_t i = 0; i < n; ++i) {
+    if (!writes[i].remove) ++puts;
+    ops[i].rev_end = puts;
     shard_ops[shard_of(writes[i].key, shard_count)].push_back(i);
   }
+  const std::uint64_t rev_base = kernel_.reserve_revisions(puts);
+  for (EpochOp& op : ops) op.rev_end += rev_base;
+  const std::uint64_t seq_base = kernel_.reserve_commit_seqs(n);
 
-  // Per-shard watch queues: batched store watchers commit straight into
-  // their buffers from the shard tasks. A buffer's shard queue `s` holds
-  // only shard-`s` keys and is touched by exactly one task, so no locks —
-  // and no per-op buffer lookups in the serial merge. The shared-counter
-  // side (`buf.commits`, coalesce stats, flush scheduling with its RNG
-  // draw) is staged per shard and folded serially in Phase C. A buffer
-  // whose shard layout predates a set_shards() call falls back to the
-  // serial per-op enqueue.
-  struct BatchTarget {
+  // The watchers of every store the epoch touches, in registration order.
+  // Batched watchers commit straight into their buffers from the shard
+  // tasks: a buffer's shard queue `s` holds only shard-`s` keys and is
+  // touched by exactly one task, so no locks; the shared-counter side
+  // (`buf.commits`, coalesce stats, flush scheduling with its RNG draw)
+  // is staged as a WatchHit and folded serially in Phase C.
+  struct EpochWatcher {
     std::size_t watch_index = 0;
-    WatchBuffer* buffer = nullptr;
-    std::vector<BatchStageUndo> undo;          // per shard; crash rollback
-    std::vector<std::uint64_t> commits;        // per shard; folded serially
-    std::vector<std::uint64_t> coalesced;
+    WatchBuffer* buffer = nullptr;     // batched watchers only
+    std::vector<BatchStageUndo> undo;  // per shard; only with stage_undo
   };
-  std::vector<BatchTarget> batch_targets;
-  std::vector<int> batch_target_of(watches_.size(), -1);
-  for (std::size_t widx : store_watchers) {
-    const Watch& w = watches_[widx];
-    if (!w.batched) continue;
-    WatchBuffer& buf = watch_buffers_[w.id];
-    if (buf.shards.empty()) buf.shards.resize(shards_);
-    if (buf.shards.size() != shard_count) continue;  // serial fallback
-    BatchTarget target;
-    target.watch_index = widx;
-    target.buffer = &buf;
-    target.undo.resize(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      target.undo[s].base_events = buf.shards[s].events.size();
-      // Upper bound (every shard op may match): keeps the shard tasks from
-      // reallocating the queue mid-epoch.
-      buf.shards[s].events.reserve(buf.shards[s].events.size() +
-                                   shard_ops[s].size());
+  // Rollback staging (pre-image copies, watch-buffer undo logs) is only
+  // consumed when the epoch can roll back — an atomic epoch, the chaos
+  // fault hook, or an armed journal fault; otherwise the hot path skips
+  // the copies entirely.
+  const bool stage_undo = atomic || static_cast<bool>(epoch_fault_hook_) ||
+                          (persist_ != nullptr && persist_->fault_armed());
+  auto touches = [&](const std::string& store_name) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0 && stores[i] == stores[i - 1]) continue;  // runs of one store
+      if (stores[i]->name_ == store_name) return true;
     }
-    target.commits.assign(shard_count, 0);
-    target.coalesced.assign(shard_count, 0);
-    batch_target_of[widx] = static_cast<int>(batch_targets.size());
-    batch_targets.push_back(std::move(target));
+    return false;
+  };
+  std::vector<EpochWatcher> watchers;
+  for (std::size_t w = 0; w < watches_.size(); ++w) {
+    const Watch& watch = watches_[w];
+    if (!touches(watch.store)) continue;
+    EpochWatcher& entry = watchers.emplace_back();
+    entry.watch_index = w;
+    if (!watch.batched) continue;
+    WatchBuffer& buf = watch_buffers_[watch.id];
+    if (buf.shards.empty()) buf.shards.resize(shard_count);
+    entry.buffer = &buf;
+    if (stage_undo) {
+      entry.undo.resize(shard_count);
+      for (std::size_t s = 0; s < shard_count; ++s) {
+        entry.undo[s].base_events = buf.shards[s].events.size();
+      }
+    }
   }
 
   // --- Phase B: parallel per-shard commit ---------------------------------
@@ -1109,17 +808,10 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       tracer_ != nullptr ? shard_count : 0);
   std::vector<core::Metrics::Delta> metric_deltas(
       epoch_metrics_ != nullptr ? shard_count : 0);
-  std::vector<EpochOp> ops(n);
-  // Rollback staging (pre-image copies, watch-buffer undo logs) is only
-  // consumed by the mid-epoch crash paths — the chaos fault hook and a
-  // torn journal append; with neither armed the epoch cannot roll back,
-  // so the hot path skips the copies entirely.
-  const bool stage_undo =
-      static_cast<bool>(epoch_fault_hook_) ||
-      (persist_ != nullptr && persist_->fault_armed());
   auto process_op = [&](std::size_t i, std::size_t shard) {
     EpochWrite& w = writes[i];
     EpochOp& op = ops[i];
+    ObjectStore& store = *stores[i];
     op.ctx = client_ctx;
     op.ctx.commit_seq = seq_base + i;
     if (op.ctx.trace_id == 0) op.ctx.trace_id = op.ctx.commit_seq;
@@ -1130,7 +822,7 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       op.fail = EpochOp::Fail::kDenied;
       op.error = Error::permission_denied(
           "object: " + principal + " cannot " +
-          (w.remove ? std::string("delete ") : std::string("write ")) +
+          (w.remove ? "delete " : w.merge ? "patch " : "write ") +
           store.name_ + "/" + w.key);
       return;
     }
@@ -1141,8 +833,12 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
         return;
       }
     }
-    StateObject* existing = store.objects_.find(w.key);
-    const bool existed = existing != nullptr;
+    // One ordered walk of the op's map shard serves the lookup, the
+    // in-place update, and the hinted insert or erase.
+    auto& objects = store.objects_.shard(shard);
+    auto slot = objects.lower_bound(w.key);
+    const bool existed = slot != objects.end() && slot->first == w.key;
+    StateObject* existing = existed ? &slot->second : nullptr;
     if (w.expected_version.has_value()) {
       std::uint64_t current = existed ? existing->version : 0;
       if (current != *w.expected_version) {
@@ -1165,13 +861,10 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       op.undo_existed = true;
       if (stage_undo) op.undo_obj = *existing;
       op.obj = *existing;
-      store.objects_.erase(w.key);
+      objects.erase(slot);
       op.type = WatchEventType::kDeleted;
       if (persist_ != nullptr) {
         persist::encode_delete(op.persist_rec, store.name_, op.obj.key);
-      } else if (profile_.durable) {
-        op.has_wal = true;
-        op.wal = WalEntry{store.name_, op.obj.key, nullptr};
       }
     } else {
       Value final_data;
@@ -1184,7 +877,11 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       } else {
         final_data = std::move(w.data);
       }
-      const bool lineage = kernel_.provenance().enabled() && !recovering_;
+      // Version-chain lineage: every commit records "write:<principal>"
+      // with the key's previous version as input, so lineage walks
+      // continue through service writes (integrator records for the same
+      // version are recorded later and win reverse lookups).
+      const bool lineage = kernel_.provenance().enabled();
       core::LineageRef prev;
       if (lineage && existed) {
         prev = {store.name_, w.key, existing->version, existing->data};
@@ -1195,25 +892,24 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       }
       op.obj.key = std::move(w.key);  // rollback/merge read op.obj.key now
       op.obj.data = std::make_shared<const Value>(std::move(final_data));
-      op.obj.version = rev_for[i];
+      op.obj.version = op.rev_end - 1;
       op.obj.created_at = existed ? existing->created_at : now;
       op.obj.updated_at = now;
       if (existed) {
         *existing = op.obj;  // in place: one shard walk per op, not two
       } else {
-        store.objects_[op.obj.key] = op.obj;
+        objects.emplace_hint(slot, op.obj.key, op.obj);
       }
       if (lineage) {
-        op.has_lineage = true;
-        op.lineage.output = {store.name_, op.obj.key, op.obj.version,
-                             op.obj.data};
-        if (existed) op.lineage.inputs.push_back(std::move(prev));
-        op.lineage.op = "write:" + principal;
-        op.lineage.stage = "S";
-        // Matches the per-op path: the version-chain record carries the
-        // *client* trace id (the commit-seq root is stamped on events only).
-        op.lineage.trace_id = client_ctx.trace_id;
-        op.lineage.time = now;
+        core::LineageRecord& rec = op.lineage.emplace();
+        rec.output = {store.name_, op.obj.key, op.obj.version, op.obj.data};
+        if (existed) rec.inputs.push_back(std::move(prev));
+        rec.op = "write:" + principal;
+        rec.stage = "S";
+        // The version-chain record carries the *client* trace id (the
+        // commit-seq root is stamped on events only).
+        rec.trace_id = client_ctx.trace_id;
+        rec.time = now;
       }
       if (persist_ != nullptr) {
         // Serialized in the shard task, reading straight through the
@@ -1222,74 +918,56 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
         persist::encode_put(op.persist_rec, store.name_, op.obj.key,
                             op.obj.version, op.obj.created_at,
                             op.obj.updated_at, *op.obj.data);
-      } else if (profile_.durable) {
-        op.has_wal = true;
-        op.wal = WalEntry{store.name_, op.obj.key, op.obj.data};
       }
       op.type = existed ? WatchEventType::kModified : WatchEventType::kAdded;
     }
     op.committed = true;
     // Watch matching: prefix + RBAC (audited into the op's sink, in watcher
-    // registration order — same audit shape as the per-op path). Batched
-    // watchers with a shard-aligned buffer take the direct path: the event
-    // coalesces into the buffer's shard queue right here (shard-local, so
-    // lock-free), leaving only counter folding for Phase C. Per-event
-    // watchers and fallback buffers stage a WatchHit for the serial merge.
+    // registration order). Batched watchers coalesce the event into their
+    // buffer's shard queue right here (shard-local, so lock-free);
+    // per-event watchers get a ready-to-ship event. Either way the op
+    // records one WatchHit per watcher for the serial merge.
     const std::string& key = op.obj.key;
-    for (std::size_t widx : store_watchers) {
+    for (EpochWatcher& entry : watchers) {
+      const std::size_t widx = entry.watch_index;
       const Watch& watch = watches_[widx];
-      if (!common::starts_with(key, watch.prefix)) continue;
+      if (watch.store != store.name_ ||
+          !common::starts_with(key, watch.prefix)) {
+        continue;
+      }
       Decision wd = kernel_.check_access_buffered(
           watch.principal, store.name_, key, Verb::kWatch, now, &op.audit);
       if (!wd.allowed) continue;
       // Subscription content filter + projection: apply() is pure, so it
       // runs right here in the shard task. Accounting is staged on the op
       // (shard-local) and folded in Phase C, like every other counter.
-      common::SharedValue payload = op.obj.data;
+      std::optional<common::SharedValue> projected;
       if (watch.sub != nullptr && watch.sub->active()) {
         op.sub_matched.push_back(static_cast<std::uint32_t>(widx));
-        auto projected = watch.sub->apply(op.obj.data);
+        projected = watch.sub->apply(op.obj.data);
         if (!projected.has_value()) {
           op.sub_filtered.push_back(static_cast<std::uint32_t>(widx));
           continue;  // rejected pre-enqueue: no slot, no RBAC filter, no hit
         }
-        payload = std::move(*projected);
       }
-      const int bt = batch_target_of[widx];
-      if (bt >= 0) {
-        BatchTarget& target = batch_targets[static_cast<std::size_t>(bt)];
-        WatchEvent event;
-        event.type = op.type;
-        event.store = store.name_;
-        event.object = op.obj;
-        event.object.data = payload;
-        event.ctx = op.ctx;
-        ++target.commits[shard];
-        if (coalesce_into(target.buffer->shards[shard], std::move(event),
-                          op.ctx.commit_seq, wd.fields,
-                          stage_undo ? &target.undo[shard] : nullptr)) {
-          ++target.coalesced[shard];
-        }
-        continue;
-      }
-      EpochOp::WatchHit hit;
+      EpochOp::WatchHit& hit = op.hits.emplace_back();
       hit.watch_index = widx;
-      if (watch.batched) {
-        hit.batched = true;
-        hit.fields = wd.fields;
-        hit.payload = std::move(payload);
-      } else {
-        hit.event.type = op.type;
-        hit.event.store = store.name_;
-        hit.event.object = op.obj;
-        hit.event.object.data = std::move(payload);
-        hit.event.ctx = op.ctx;
-        if (!wd.fields.unrestricted() && hit.event.object.data) {
-          hit.event.object.data = std::make_shared<const Value>(
-              Rbac::filter_fields(*hit.event.object.data, wd.fields));
-        }
+      hit.event.type = op.type;
+      hit.event.store = store.name_;
+      hit.event.object = op.obj;
+      if (projected.has_value()) hit.event.object.data = std::move(*projected);
+      hit.event.ctx = op.ctx;
+      if (entry.buffer != nullptr) {
+        hit.staged = true;
+        hit.buffer = entry.buffer;
+        hit.coalesced = coalesce_into(
+            entry.buffer->shards[shard], std::move(hit.event),
+            op.ctx.commit_seq, wd.fields,
+            stage_undo ? &entry.undo[shard] : nullptr);
+      } else if (!wd.fields.unrestricted() && hit.event.object.data) {
+        hit.event.object.data = std::make_shared<const Value>(
+            Rbac::filter_fields(*hit.event.object.data, wd.fields));
       }
-      op.hits.push_back(std::move(hit));
     }
   };
   auto process = [&](std::size_t i, std::size_t shard,
@@ -1299,78 +977,105 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
     if (spans != nullptr) {
       const std::uint64_t sid = spans->begin("de.epoch.op", now);
       spans->annotate(sid, "stage", "S");
-      spans->annotate(sid, "store", store.name_);
+      spans->annotate(sid, "store", stores[i]->name_);
       spans->end(sid, now);
     }
     if (delta != nullptr) {
       delta->inc(ops[i].committed ? "de.epoch.committed" : "de.epoch.failed");
     }
   };
-  std::vector<std::vector<std::function<void()>>> queues(shard_count);
+  auto run_shard = [&](std::size_t s) {
+    core::Tracer::SpanBuffer* spans =
+        span_buffers.empty() ? nullptr : &span_buffers[s];
+    core::Metrics::Delta* delta =
+        metric_deltas.empty() ? nullptr : &metric_deltas[s];
+    for (std::size_t i : shard_ops[s]) process(i, s, spans, delta);
+  };
+  std::size_t busy = 0;
+  std::size_t lone = 0;
   for (std::size_t s = 0; s < shard_count; ++s) {
     if (shard_ops[s].empty()) continue;
-    queues[s].push_back([&, s] {
-      core::Tracer::SpanBuffer* spans =
-          span_buffers.empty() ? nullptr : &span_buffers[s];
-      core::Metrics::Delta* delta =
-          metric_deltas.empty() ? nullptr : &metric_deltas[s];
-      for (std::size_t i : shard_ops[s]) process(i, s, spans, delta);
-    });
+    ++busy;
+    lone = s;
   }
-  kernel_.run_epoch_tasks(queues);
-
-  // --- mid-epoch crash / journal append -----------------------------------
-  // The journal append sits between the parallel phase and the serial
-  // merge, in the same all-or-nothing position as the chaos fault hook:
-  // one frame carries every committed record in global op order plus the
-  // post-reservation counters. It is appended even when every op failed —
-  // the reservation holes are part of the durable sequence state. The hook
-  // runs first (a process that died between commit and merge never reached
-  // the append); either way a crash here rolls the whole epoch back so
-  // neither state, journal, audit, lineage, nor any notification leaks.
-  bool crashed = epoch_fault_hook_ && epoch_fault_hook_();
-  Error crash_error = Error::unavailable("object: de crashed mid-epoch");
-  if (!crashed && persist_ != nullptr) {
-    std::vector<std::string_view> records;
-    records.reserve(n);
-    std::uint32_t record_count = 0;
-    for (const EpochOp& op : ops) {
-      if (!op.committed || op.persist_rec.empty()) continue;
-      records.push_back(op.persist_rec);
-      ++record_count;
+  if (busy == 1) {
+    run_shard(lone);  // a lone shard queue runs inline on any pool
+  } else {
+    std::vector<std::vector<std::function<void()>>> queues(shard_count);
+    for (std::size_t s = 0; s < shard_count; ++s) {
+      if (shard_ops[s].empty()) continue;
+      queues[s].push_back([&run_shard, s] { run_shard(s); });
     }
-    auto st = persist_->append_batch(records, record_count,
-                                     kernel_.peek_next_revision(),
-                                     kernel_.commit_seq());
+    kernel_.run_epoch_tasks(queues);
+  }
+
+  // --- stamp rule, rollback, journal append -------------------------------
+  std::size_t last = n;  // last committed op; n = none
+  std::size_t first_failed = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (ops[i].committed) {
+      last = i;
+    } else if (first_failed == n) {
+      first_failed = i;
+    }
+  }
+  // The hook runs first (a process that died between commit and merge
+  // never reached the append); the journal append sits in the same
+  // all-or-nothing position: one frame carries every committed record in
+  // global op order plus the post-epoch counters.
+  bool crashed = epoch_fault_hook_ && epoch_fault_hook_();
+  std::optional<Error> append_error;
+  const bool aborted = !crashed && atomic && first_failed != n;
+  if (crashed || aborted || last == n) {
+    kernel_.restore_sequences(rev_base, seq_base - 1);
+  } else {
+    kernel_.restore_sequences(ops[last].rev_end, seq_base + last);
+  }
+  if (!crashed && !aborted && last != n && persist_ != nullptr) {
+    std::vector<std::string_view> records;
+    for (const EpochOp& op : ops) {
+      if (op.committed) records.push_back(op.persist_rec);
+    }
+    auto st = persist_->append_batch(
+        records, static_cast<std::uint32_t>(records.size()),
+        kernel_.peek_next_revision(), kernel_.commit_seq());
     if (!st.ok()) {
       crashed = true;
-      crash_error = st.error();
+      append_error = st.error();
+      kernel_.restore_sequences(rev_base, seq_base - 1);
     }
   }
-  if (crashed) {
+  auto count_failure = [this](const EpochOp& op) {
+    if (op.fail == EpochOp::Fail::kDenied ||
+        op.fail == EpochOp::Fail::kInvalid) {
+      ++stats_.permission_denials;
+    } else if (op.fail == EpochOp::Fail::kConflict) {
+      ++stats_.version_conflicts;
+    }
+  };
+  if (crashed || aborted) {
     // Reverse order restores within-epoch overwrite chains correctly. The
-    // pre-images are only there when a crash path was armed (stage_undo);
-    // an unexpected real I/O failure skips the restore — recovery reloads
-    // state from disk anyway.
+    // pre-images are only there when a rollback path was armed
+    // (stage_undo); an unexpected real I/O failure skips the restore —
+    // recovery reloads state from disk anyway.
     if (stage_undo) {
       for (std::size_t i = n; i-- > 0;) {
         if (!ops[i].committed) continue;
         // op.obj.key owns the key now (writes[i].key was moved for puts).
         if (ops[i].undo_existed) {
-          store.objects_[ops[i].obj.key] = std::move(ops[i].undo_obj);
+          stores[i]->objects_[ops[i].obj.key] = std::move(ops[i].undo_obj);
         } else {
-          store.objects_.erase(ops[i].obj.key);
+          stores[i]->objects_.erase(ops[i].obj.key);
         }
       }
-      // Un-stage the watch events the shard tasks coalesced directly into
-      // batched watchers' buffers: restore overwritten pre-epoch slots,
-      // then truncate this epoch's appends and their slot-index entries.
-      // Without this, a crashed epoch would leak half-merged notifications
-      // on the next flush.
-      for (BatchTarget& target : batch_targets) {
+      // Un-stage the watch events the shard tasks coalesced into batched
+      // watchers' buffers: restore overwritten pre-epoch slots, then
+      // truncate this epoch's appends and their slot-index entries.
+      for (EpochWatcher& entry : watchers) {
+        if (entry.buffer == nullptr) continue;
         for (std::size_t s = 0; s < shard_count; ++s) {
-          BatchStageUndo& u = target.undo[s];
-          ShardQueue& queue = target.buffer->shards[s];
+          BatchStageUndo& u = entry.undo[s];
+          ShardQueue& queue = entry.buffer->shards[s];
           for (auto& [idx, prev] : u.saved) {
             queue.events[idx] = std::move(prev);
           }
@@ -1381,67 +1086,41 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
         }
       }
     }
-    kernel_.crash();
-    stats_.unavailable_rejections += n;
-    for (std::size_t i = 0; i < n; ++i) {
-      results.push_back(crash_error);
+    if (crashed) {
+      kernel_.crash();
+      stats_.unavailable_rejections += n;
+      results.assign(n, append_error.value_or(Error::unavailable(
+                            "object: de crashed mid-epoch")));
+      return results;
     }
+    // Atomic abort: the access decisions and failures stay on the record;
+    // every op fails with the first failure's error.
+    for (const EpochOp& op : ops) {
+      kernel_.append_audit(op.audit);
+      count_failure(op);
+    }
+    results.assign(n, ops[first_failed].error);
     return results;
   }
 
   // --- Phase C: serial deterministic merge --------------------------------
   // Fold the worker-local observability sinks first, in shard-index order
-  // (a crashed epoch never reaches this point — its buffers are dropped
-  // with the stack frame).
+  // (a rolled-back epoch never reaches this point — its buffers are
+  // dropped with the stack frame).
   for (auto& buffer : span_buffers) tracer_->merge(buffer);
   if (epoch_metrics_ != nullptr) {
     epoch_metrics_->inc("de.epoch.epochs");
     for (auto& delta : metric_deltas) epoch_metrics_->merge(delta);
   }
-  // Fold the direct-staged batch watchers' shard-local counters and draw
-  // the flush delay (one RNG sample per watcher, registration order — the
-  // same draw enqueue_batched would have made on the first matching op).
-  for (BatchTarget& target : batch_targets) {
-    std::uint64_t commits = 0;
-    std::uint64_t coalesced = 0;
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      commits += target.commits[s];
-      coalesced += target.coalesced[s];
-    }
-    if (commits == 0) continue;
-    WatchBuffer& buf = *target.buffer;
-    buf.commits += commits;
-    stats_.watch_events_coalesced += coalesced;
-    if (!buf.flush_scheduled) {
-      buf.flush_scheduled = true;
-      Watch& w = watches_[target.watch_index];
-      begin_batch_span(w, buf);
-      sim::SimTime delay =
-          w.window + profile_.watch_notify.sample(kernel_.rng());
-      std::uint64_t id = w.id;
-      clock().schedule_after(delay, [this, id]() { flush_watch_batch(id); });
-    }
-  }
   for (std::size_t i = 0; i < n; ++i) {
     EpochOp& op = ops[i];
     kernel_.append_audit(op.audit);
     if (op.fail != EpochOp::Fail::kNone) {
-      switch (op.fail) {
-        case EpochOp::Fail::kDenied:
-        case EpochOp::Fail::kInvalid:
-          ++stats_.permission_denials;
-          break;
-        case EpochOp::Fail::kConflict:
-          ++stats_.version_conflicts;
-          break;
-        default:
-          break;
-      }
+      count_failure(op);
       results.push_back(op.error);
       continue;
     }
-    if (op.has_lineage) kernel_.provenance().record(std::move(op.lineage));
-    if (op.has_wal) wal_.push_back(std::move(op.wal));
+    if (op.lineage) kernel_.provenance().record(std::move(*op.lineage));
     // Fold the shard-staged subscription accounting in global op order, and
     // emit the `sub.filter` spans here on the main loop — span count and
     // order stay independent of the shard/worker configuration.
@@ -1457,80 +1136,28 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       note_filtered(w, op.obj.key);
     }
     for (EpochOp::WatchHit& hit : op.hits) {
-      Watch& watch = watches_[hit.watch_index];
-      if (hit.batched) {
-        Decision d;
-        d.allowed = true;
-        d.fields = hit.fields;
-        StateObject delivered = op.obj;
-        delivered.data = std::move(hit.payload);
-        enqueue_batched(watch, op.type, delivered, d, op.ctx.commit_seq,
-                        op.ctx);
-      } else {
+      const Watch& watch = watches_[hit.watch_index];
+      if (!hit.staged) {
         schedule_event_delivery(watch, std::move(hit.event));
-      }
-    }
-    fire_triggers_with(store.name_, op.type, op.obj, op.ctx);
-    results.push_back(writes[i].remove ? std::uint64_t{0} : op.obj.version);
-  }
-  maybe_auto_snapshot();
-  return results;
-}
-
-void ObjectDe::fire_watches(const std::string& store_name, WatchEventType type,
-                            const StateObject& obj) {
-  if (defer_notifications_) {
-    pending_notifications_.push_back({store_name, type, obj, commit_ctx_});
-    return;
-  }
-  std::uint64_t seq = kernel_.next_commit_seq();
-  // Stamp the commit's causal context: a commit with no trace yet becomes
-  // a trace root and adopts its own commit seq as the trace id (commit
-  // seqs are allocated on the main loop, so ids are deterministic across
-  // shard/worker configurations).
-  core::TraceContext ctx = commit_ctx_;
-  ctx.commit_seq = seq;
-  if (ctx.trace_id == 0) ctx.trace_id = seq;
-  for (auto& w : watches_) {
-    if (w.store != store_name) continue;
-    if (!common::starts_with(obj.key, w.prefix)) continue;
-    Decision d = check_access(w.principal, store_name, obj.key, Verb::kWatch);
-    if (!d.allowed) continue;
-    // Subscription content filter + projection, evaluated before any queue
-    // slot or RBAC field filter is spent on the event.
-    const StateObject* deliver = &obj;
-    StateObject projected;
-    if (w.sub != nullptr && w.sub->active()) {
-      Kernel::SubscriptionInfo* info = kernel_.find_subscription(w.id);
-      if (info != nullptr) ++info->matched;
-      auto out = w.sub->apply(obj.data);
-      if (!out.has_value()) {
-        ++stats_.watch_events_filtered;
-        if (info != nullptr) ++info->filtered;
-        note_filtered(w, obj.key);
         continue;
       }
-      if (out->get() != obj.data.get()) {
-        projected = obj;
-        projected.data = std::move(*out);
-        deliver = &projected;
+      WatchBuffer& buf = *hit.buffer;
+      ++buf.commits;
+      if (hit.coalesced) ++stats_.watch_events_coalesced;
+      if (!buf.flush_scheduled) {
+        buf.flush_scheduled = true;
+        begin_batch_span(watch, buf);
+        sim::SimTime delay =
+            watch.window + profile_.watch_notify.sample(kernel_.rng());
+        std::uint64_t id = watch.id;
+        clock().schedule_after(delay, [this, id]() { flush_watch_batch(id); });
       }
     }
-    if (w.batched) {
-      enqueue_batched(w, type, *deliver, d, seq, ctx);
-      continue;
-    }
-    WatchEvent event;
-    event.type = type;
-    event.store = store_name;
-    event.object = *deliver;
-    event.ctx = ctx;
-    if (!d.fields.unrestricted() && event.object.data) {
-      event.object.data = std::make_shared<const Value>(
-          Rbac::filter_fields(*event.object.data, d.fields));
-    }
-    schedule_event_delivery(w, std::move(event));
+    fire_triggers(stores[i]->name_, op.type, op.obj, op.ctx);
+    results.push_back(writes[i].remove ? std::uint64_t{0} : op.obj.version);
   }
+  if (last != n) maybe_auto_snapshot();
+  return results;
 }
 
 std::uint64_t ObjectDe::add_subscription(
@@ -1693,34 +1320,9 @@ bool ObjectDe::coalesce_into(ShardQueue& queue, WatchEvent&& event,
   return true;
 }
 
-void ObjectDe::enqueue_batched(Watch& w, WatchEventType type,
-                               const StateObject& obj, const Decision& d,
-                               std::uint64_t seq,
-                               const core::TraceContext& ctx) {
-  WatchEvent event;
-  event.type = type;
-  event.store = w.store;
-  event.object = obj;  // payload stays a shared snapshot (zero-copy)
-  event.ctx = ctx;
-  WatchBuffer& buf = watch_buffers_[w.id];
-  if (buf.shards.empty()) buf.shards.resize(shards_);
-  ShardQueue& queue = buf.shards[shard_of(obj.key, buf.shards.size())];
-  ++buf.commits;
-  if (coalesce_into(queue, std::move(event), seq, d.fields, nullptr)) {
-    ++stats_.watch_events_coalesced;
-  }
-  if (!buf.flush_scheduled) {
-    buf.flush_scheduled = true;
-    begin_batch_span(w, buf);
-    sim::SimTime delay = w.window + profile_.watch_notify.sample(kernel_.rng());
-    std::uint64_t id = w.id;
-    clock().schedule_after(delay, [this, id]() { flush_watch_batch(id); });
-  }
-}
-
 void ObjectDe::flush_watch_batch(std::uint64_t watch_id) {
   auto it = watch_buffers_.find(watch_id);
-  if (it == watch_buffers_.end()) return;  // unwatched while buffering
+  if (it == watch_buffers_.end()) return;  // unsubscribed while buffering
   WatchBuffer buf = std::move(it->second);
   watch_buffers_.erase(it);
   const Watch* live = nullptr;
@@ -1806,27 +1408,13 @@ void ObjectDe::flush_watch_batch(std::uint64_t watch_id) {
   finish_subscription_delivery(*live, buf.span_id, batch.events.size(),
                                batch.events.empty() ? nullptr
                                                     : &batch.events.back());
-  auto callback = live->batch_callback;  // copy: callback may unwatch
+  auto callback = live->batch_callback;  // copy: callback may unsubscribe
   callback(batch);
 }
 
 void ObjectDe::fire_triggers(const std::string& store_name,
-                             WatchEventType type, const StateObject& obj) {
-  // During a transaction the event was queued once by fire_watches; the
-  // drain loop re-invokes both paths.
-  if (defer_notifications_) return;
-  // fire_watches ran first for this commit and allocated its seq, so the
-  // kernel's current commit seq is this commit's — use it to root the
-  // trace exactly like the watch path does.
-  core::TraceContext ctx = commit_ctx_;
-  ctx.commit_seq = kernel_.commit_seq();
-  if (ctx.trace_id == 0) ctx.trace_id = ctx.commit_seq;
-  fire_triggers_with(store_name, type, obj, ctx);
-}
-
-void ObjectDe::fire_triggers_with(const std::string& store_name,
-                                  WatchEventType type, const StateObject& obj,
-                                  const core::TraceContext& ctx) {
+                             WatchEventType type, const StateObject& obj,
+                             const core::TraceContext& ctx) {
   for (const auto& t : triggers_) {
     if (t.store != store_name) continue;
     if (!common::starts_with(obj.key, t.prefix)) continue;

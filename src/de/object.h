@@ -1,8 +1,8 @@
 // Object Data Exchange: hosts named data stores of versioned state objects
 // (attribute-value documents) and exposes CRUD + list + watch, optional
 // server-side functions (UDFs) with write triggers, RBAC enforcement, and
-// durability simulation (write-ahead log + recovery) for the apiserver
-// profile.
+// durability simulation for the apiserver profile (in-memory state that
+// survives restart, or a journaled persistence engine).
 //
 // One ObjectDe instance models one deployed exchange (the paper's
 // K-apiserver or K-redis). Stores are namespaces within it; a UDF executes
@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,7 +75,7 @@ struct WatchEvent {
   core::TraceContext ctx;
 };
 
-/// A coalesced window of watch events (see ObjectStore::watch_batch).
+/// A coalesced window of watch events (see ObjectStore::subscribe_batch).
 /// Events are in commit order; successive updates to the same key within
 /// the window are coalesced into the key's latest event. Payloads are
 /// shared snapshots (StateObject::data), so a batch moves zero-copy.
@@ -167,17 +168,19 @@ class ObjectStore {
             ListCallback done);
 
   /// Epoch commit: applies a whole batch of independent writes in one
-  /// client round trip through the parallel commit pipeline. The batch is
+  /// client round trip through the parallel commit pipeline (the same
+  /// pipeline put/patch/remove run as single-op epochs). The batch is
   /// partitioned by key shard, stamps (version + commit seq) are
   /// pre-assigned serially so every op's identity is a pure function of
   /// its position in the epoch, shards commit concurrently on the bound
   /// worker pool, and a serial epoch merge replays audit entries, lineage,
-  /// WAL appends, and watch/trigger notifications in exact submission
+  /// journal appends, and watch/trigger notifications in exact submission
   /// order. Observable behavior is byte-identical for every shard/worker
   /// configuration, and — on failure-free epochs — identical to issuing
-  /// the same ops through put/patch/remove one by one (failed ops leave
-  /// holes in the version/commit-seq domains that the per-op path would
-  /// not). See docs/ARCHITECTURE.md "Epoch commit pipeline".
+  /// the same ops through put/patch/remove one by one. An epoch consumes
+  /// stamps only through its last committed op, so a failed op leaves a
+  /// hole only when a later op of the same epoch commits. See
+  /// docs/ARCHITECTURE.md "Epoch commit pipeline".
   void put_epoch(const std::string& principal, std::vector<EpochWrite> writes,
                  EpochCallback done);
   std::vector<common::Result<std::uint64_t>> put_epoch_sync(
@@ -185,19 +188,24 @@ class ObjectStore {
 
   /// Registers a subscription: prefix + optional content filter +
   /// projection (compiled once through the fused query planner) + QoS,
-  /// delivering one event per matching commit. This is the unified watch
-  /// surface — `watch` and `watch_batch` are thin wrappers over it — and
-  /// every subscription is registered with the kernel's subscription
-  /// registry (id, contract, match/filter/delivery accounting). Fails on
-  /// permission denial or an unparsable filter. The filter runs *before*
-  /// enqueue — per shard inside the epoch pipeline's parallel phase — so a
-  /// rejected commit never costs a queue slot; the projection rewrites the
-  /// delivered payload (RBAC field filtering still applies afterwards).
+  /// delivering one event per matching commit after the profile's
+  /// watch-notify latency. Every subscription is registered with the
+  /// kernel's subscription registry (id, contract, match/filter/delivery
+  /// accounting). Fails on permission denial or an unparsable filter. The
+  /// filter runs *before* enqueue — per shard inside the epoch pipeline's
+  /// parallel phase — so a rejected commit never costs a queue slot; the
+  /// projection rewrites the delivered payload (RBAC field filtering still
+  /// applies afterwards).
   common::Result<std::uint64_t> subscribe(const std::string& principal,
                                           SubscriptionSpec spec,
                                           WatchCallback callback);
   /// Batched subscription: events coalesce for qos.window (virtual time)
-  /// after the first matching commit and arrive as one WatchBatch. QoS
+  /// after the first matching commit and arrive as one WatchBatch. Within
+  /// a window, successive updates to the same key coalesce into that key's
+  /// slot (modify-after-add stays added; delete always survives), and the
+  /// flush emits slots ordered by each key's *latest* commit — a delete
+  /// that followed a modify is never reordered before it or dropped.
+  /// window == 0 degenerates to one single-event batch per commit. QoS
   /// history_depth caps each delivered batch to the newest N slots
   /// (deterministic drops, counted in watch_events_dropped).
   common::Result<std::uint64_t> subscribe_batch(const std::string& principal,
@@ -209,26 +217,6 @@ class ObjectStore {
   /// drops it and counts the slots in watch_events_dropped. Either way no
   /// dangling coalesce slot survives the unsubscribe.
   void unsubscribe(std::uint64_t watch_id, bool drain);
-
-  /// Registers a watch on a key prefix (an unfiltered subscription).
-  /// Events are delivered after the profile's watch-notify latency.
-  /// Returns a watch id (0 on permission denial). RBAC field filtering
-  /// applies to delivered objects.
-  std::uint64_t watch(const std::string& principal, const std::string& prefix,
-                      WatchCallback callback);
-  /// Coalesced watch: instead of one delivery per commit, events buffer
-  /// for `window` (virtual time) after the first commit and arrive as a
-  /// single WatchBatch. Within a window, successive updates to the same
-  /// key coalesce into that key's slot (modify-after-add stays added;
-  /// delete always survives), and the flush emits slots ordered by each
-  /// key's *latest* commit — a delete that followed a modify is never
-  /// reordered before it or dropped. window == 0 degenerates to one
-  /// single-event batch per commit.
-  std::uint64_t watch_batch(const std::string& principal,
-                            const std::string& prefix, sim::SimTime window,
-                            WatchBatchCallback callback);
-  /// Equivalent to unsubscribe(watch_id, /*drain=*/false).
-  void unwatch(std::uint64_t watch_id);
 
   // Synchronous wrappers (drive the clock until the callback fires).
   common::Result<StateObject> get_sync(const std::string& principal,
@@ -275,6 +263,11 @@ class ObjectStore {
   ObjectStore(ObjectDe& de, std::string name, std::size_t shards)
       : de_(de), name_(std::move(name)), objects_(shards) {}
 
+  /// The client write path behind put/put_versioned/patch/remove: charges
+  /// one write round trip, then commits `write` as a single-op epoch.
+  void submit(const std::string& principal, EpochWrite write,
+              PutCallback done);
+
   ObjectDe& de_;
   std::string name_;
   ShardedMap<StateObject> objects_;
@@ -304,6 +297,9 @@ class UdfContext {
   friend class ObjectDe;
   UdfContext(ObjectDe& de, std::string principal)
       : de_(de), principal_(std::move(principal)) {}
+  /// Engine-latency single-op epoch on behalf of the UDF's owner.
+  common::Result<std::uint64_t> write(const std::string& store,
+                                      EpochWrite op);
   ObjectDe& de_;
   std::string principal_;
 };
@@ -371,22 +367,24 @@ class ObjectDe {
   };
 
   /// Atomically applies writes across stores of this DE (§5 "run-time
-  /// primitives such as transactions"): one client round trip,
-  /// all-or-nothing with respect to access control, field rules, and
-  /// version checks. Watch events and triggers fire only after the whole
-  /// transaction commits (so observers never see partial exchanges).
-  /// The callback receives the version of the last write.
+  /// primitives such as transactions"): one client round trip and one
+  /// atomic epoch, all-or-nothing with respect to access control, field
+  /// rules, and version checks. Watch events and triggers fire only after
+  /// the whole transaction commits (so observers never see partial
+  /// exchanges). The callback receives the version of the last write, or
+  /// the first failed op's error.
   void transact(const std::string& principal, std::vector<TxnOp> ops,
                 UdfCallback done);
   common::Result<common::Value> transact_sync(const std::string& principal,
                                               std::vector<TxnOp> ops);
 
-  /// Durability simulation: a durable DE (apiserver profile) replays its
-  /// write-ahead log on restart(); a non-durable one (redis) loses all
-  /// state. Watches and UDFs survive (they are client/config state).
-  /// With a persistence engine attached (enable_persistence) the in-memory
-  /// WAL is replaced by the on-disk journal: restart recovers from the
-  /// newest valid snapshot plus the journal suffix.
+  /// Durability simulation: a durable DE (apiserver profile) keeps its
+  /// exact state across restart() — objects, versions, timestamps, and
+  /// kernel sequences, since every acked commit is already in process
+  /// memory; a non-durable one (redis) loses all state. Watches and UDFs
+  /// survive (they are client/config state). With a persistence engine
+  /// attached (enable_persistence), restart recovers from the newest valid
+  /// snapshot plus the journal suffix.
   void restart();
 
   /// Attaches a file-backed persistence engine (owned by the caller, must
@@ -408,8 +406,8 @@ class ObjectDe {
   /// Availability simulation for chaos testing. While unavailable, every
   /// client operation fails with Unavailable at its scheduled execution
   /// time (in-flight operations fail too, like a real process dying).
-  /// `crash()` marks the DE down; `recover()` restarts it (WAL replay for
-  /// durable profiles, wipe for non-durable) and marks it up again.
+  /// `crash()` marks the DE down; `recover()` restarts it (see restart())
+  /// and marks it up again.
   void set_available(bool available) { kernel_.set_available(available); }
   [[nodiscard]] bool available() const { return kernel_.available(); }
   void crash() { kernel_.crash(); }
@@ -417,9 +415,9 @@ class ObjectDe {
 
   /// Chaos hook for the epoch pipeline: invoked after every epoch's
   /// parallel phase, before the serial merge. Returning true simulates the
-  /// process dying mid-epoch — the whole epoch rolls back (state restored,
-  /// no WAL entries, no notifications, every op fails Unavailable) and the
-  /// DE is marked crashed, so recovery replays a WAL that never saw a
+  /// process dying mid-epoch — the whole epoch rolls back (state and
+  /// stamps restored, no journal frame, no notifications, every op fails
+  /// Unavailable) and the DE is marked crashed, so recovery never sees a
   /// half-merged epoch.
   void set_epoch_fault_hook(std::function<bool()> hook) {
     epoch_fault_hook_ = std::move(hook);
@@ -467,7 +465,7 @@ class ObjectDe {
     std::string prefix;
     std::string principal;
     ObjectStore::WatchCallback callback;  // per-event mode
-    // Batched mode (watch_batch): callback is empty, batch_callback set.
+    // Batched mode (subscribe_batch): callback is empty, batch_callback set.
     ObjectStore::WatchBatchCallback batch_callback;
     sim::SimTime window = 0;
     bool batched = false;
@@ -495,7 +493,7 @@ class ObjectDe {
   /// Rollback bookkeeping for epoch shard tasks that stage batched watch
   /// events straight into a buffer's shard queue: everything past
   /// `base_events` is this epoch's, and `saved` holds the pre-epoch value
-  /// of every slot the epoch coalesced into, so a mid-epoch crash can
+  /// of every slot the epoch coalesced into, so a rolled-back epoch can
   /// restore the queue exactly.
   struct BatchStageUndo {
     std::size_t base_events = 0;
@@ -518,28 +516,6 @@ class ObjectDe {
     std::string udf_name;
   };
 
-  struct WalEntry {
-    std::string store;
-    std::string key;
-    // Shared snapshot of the committed payload (null => delete). Committed
-    // values are immutable behind shared_ptr<const Value>, so the WAL can
-    // reference them zero-copy instead of serializing per commit; replay
-    // copies the value back through commit_put.
-    std::shared_ptr<const common::Value> data;
-  };
-
-  /// Commits a write at engine level (no latency charging) and fires
-  /// watches/triggers. Returns the new version. When the provenance ring
-  /// is enabled, every commit also records a version-chain lineage entry
-  /// (op "write:<principal>", input = the key's previous version) so
-  /// lineage walks continue through service writes; integrator records
-  /// for the same version are recorded later and win reverse lookups.
-  common::Result<std::uint64_t> commit_put(
-      ObjectStore& store, const std::string& key, common::Value data,
-      bool merge, std::optional<std::uint64_t> expected,
-      const std::string& principal = "service");
-  common::Status commit_delete(ObjectStore& store, const std::string& key);
-
   /// Per-op scratch the epoch pipeline's parallel phase fills and the
   /// serial merge phase drains. Everything here is owned by exactly one
   /// shard task during the parallel phase (ops are partitioned by key
@@ -550,24 +526,27 @@ class ObjectDe {
     WatchEventType type = WatchEventType::kAdded;
     core::TraceContext ctx;    // stamped with the pre-assigned commit seq
     std::vector<AuditEntry> audit;  // buffered access decisions, op order
-    bool has_lineage = false;
-    core::LineageRecord lineage;
-    bool has_wal = false;
-    WalEntry wal;              // staged; spliced at merge (all-or-nothing)
+    std::optional<core::LineageRecord> lineage;
     /// Serialized journal record, encoded in Phase B straight from the
-    /// committed object's shared payload handle (zero-copy read); Phase C
-    /// concatenates them in global op order into one atomic frame.
+    /// committed object's shared payload handle (zero-copy read); the
+    /// journal append concatenates them in global op order into one atomic
+    /// frame.
     std::string persist_rec;
-    bool undo_existed = false; // rollback state for mid-epoch crashes
+    /// The next revision once ops 0..i of the epoch are through (put i
+    /// commits with rev_end - 1).
+    std::uint64_t rev_end = 0;
+    bool undo_existed = false; // rollback state (crash, atomic abort)
     StateObject undo_obj;
+    /// One watcher this commit notifies, in watcher-registration order.
     struct WatchHit {
       std::size_t watch_index = 0;
-      bool batched = false;
-      FieldRule fields;        // batched: RBAC filter applied at flush
+      /// Batched watcher: the event was already coalesced into the
+      /// watcher's buffer in Phase B; the merge only counts it and
+      /// schedules the flush.
+      bool staged = false;
+      bool coalesced = false;  // staged into an existing slot
+      WatchBuffer* buffer = nullptr;  // staged: the watcher's buffer
       WatchEvent event;        // per-event mode: RBAC-filtered, ready to ship
-      /// Batched fallback path: the (possibly projected) payload to
-      /// enqueue at merge time.
-      common::SharedValue payload;
     };
     std::vector<WatchHit> hits;
     /// Subscription-filter accounting, staged shard-locally and folded in
@@ -581,22 +560,31 @@ class ObjectDe {
     common::Error error;
   };
 
-  /// The three-phase epoch pipeline behind ObjectStore::put_epoch.
+  /// The three-phase epoch pipeline: every write of this DE commits
+  /// through it. `stores[i]` is op i's target store. In an atomic epoch
+  /// (transact) one failed op rolls every op back and all of them fail
+  /// with its error; otherwise ops fail independently.
   std::vector<common::Result<std::uint64_t>> commit_epoch(
-      ObjectStore& store, const std::string& principal,
-      const core::TraceContext& client_ctx, std::vector<EpochWrite> writes);
+      const std::string& principal, const core::TraceContext& client_ctx,
+      std::span<ObjectStore* const> stores, std::span<EpochWrite> writes,
+      bool atomic);
+  /// A single-op, non-atomic commit_epoch (consumes `write`).
+  common::Result<std::uint64_t> commit_one(ObjectStore& store,
+                                           const std::string& principal,
+                                           const core::TraceContext& ctx,
+                                           EpochWrite& write);
 
   /// Installs one subscription (the single watch-registration path behind
-  /// subscribe/subscribe_batch and the legacy wrappers): allocates the id,
-  /// registers the contract with the kernel's subscription registry, and
-  /// appends the Watch. Exactly one of the callbacks is set.
+  /// subscribe/subscribe_batch): allocates the id, registers the contract
+  /// with the kernel's subscription registry, and appends the Watch.
+  /// Exactly one of the callbacks is set.
   std::uint64_t add_subscription(
       ObjectStore& store, const std::string& principal,
       std::shared_ptr<const CompiledSubscription> sub,
       ObjectStore::WatchCallback callback,
       ObjectStore::WatchBatchCallback batch_callback);
   /// Emits one `sub.filter` span for a commit a subscription's predicate
-  /// rejected. Serial-phase only (per-op path, epoch Phase-C fold).
+  /// rejected. Serial-phase only (epoch Phase-C fold).
   void note_filtered(const Watch& w, const std::string& key);
   /// Opens the pending window's `sub.deliver` span when a batched
   /// subscription's flush gets scheduled (active subscriptions only).
@@ -608,33 +596,21 @@ class ObjectDe {
                                     std::uint64_t events,
                                     const WatchEvent* sample);
 
-  void fire_watches(const std::string& store_name, WatchEventType type,
-                    const StateObject& obj);
-  void enqueue_batched(Watch& w, WatchEventType type, const StateObject& obj,
-                       const Decision& d, std::uint64_t seq,
-                       const core::TraceContext& ctx);
-  /// The one coalescing rule set for batched watches, shared by the per-op
-  /// path (enqueue_batched) and the epoch pipeline's shard tasks so the
-  /// two cannot drift. Inserts or coalesces one event into a shard queue;
-  /// returns true when it coalesced into an existing slot. With `undo`,
-  /// the first overwrite of any pre-epoch slot saves the previous entry
-  /// for mid-epoch rollback.
+  /// The coalescing rule set for batched watches, run by the epoch
+  /// pipeline's shard tasks. Inserts or coalesces one event into a shard
+  /// queue; returns true when it coalesced into an existing slot. With
+  /// `undo`, the first overwrite of any pre-epoch slot saves the previous
+  /// entry for epoch rollback.
   static bool coalesce_into(ShardQueue& queue, WatchEvent&& event,
                             std::uint64_t seq, const FieldRule& fields,
                             BatchStageUndo* undo);
   /// Samples the notify latency and schedules one per-event delivery (with
-  /// the cancellation liveness check). Shared by the per-op and epoch
-  /// paths so delivery semantics cannot drift.
+  /// the cancellation liveness check).
   void schedule_event_delivery(const Watch& w, WatchEvent event);
   void flush_watch_batch(std::uint64_t watch_id);
+  /// Trigger fan-out for one commit, stamped with its causal context.
   void fire_triggers(const std::string& store_name, WatchEventType type,
-                     const StateObject& obj);
-  /// Trigger fan-out with an explicit causal context (the epoch merge
-  /// stamps pre-assigned seqs; the per-op path derives the context from
-  /// the kernel's current seq in fire_triggers).
-  void fire_triggers_with(const std::string& store_name, WatchEventType type,
-                          const StateObject& obj,
-                          const core::TraceContext& ctx);
+                     const StateObject& obj, const core::TraceContext& ctx);
 
   /// Engine-level reads used by UDFContext (charges engine latency
   /// synchronously on the clock).
@@ -668,28 +644,9 @@ class ObjectDe {
   std::vector<Watch> watches_;
   std::map<std::uint64_t, WatchBuffer> watch_buffers_;  // batched watches
   std::vector<Trigger> triggers_;
-  std::vector<WalEntry> wal_;
   persist::Engine* persist_ = nullptr;  // not owned; see enable_persistence
-  /// Journal records staged by commits inside a transaction; flushed as
-  /// one atomic frame before the transaction's notifications drain.
-  std::vector<std::string> txn_records_;
   core::Tracer* tracer_ = nullptr;          // epoch-pipeline span sink
   core::Metrics* epoch_metrics_ = nullptr;  // epoch-pipeline counter sink
-  bool recovering_ = false;
-  /// When set, watch/trigger notifications queue instead of firing
-  /// (transactions drain the queue after the full commit).
-  bool defer_notifications_ = false;
-  struct PendingNotification {
-    std::string store;
-    WatchEventType type;
-    StateObject object;
-    core::TraceContext ctx;  // ambient context captured at commit time
-  };
-  std::vector<PendingNotification> pending_notifications_;
-  /// Causal context of the commit currently executing (captured from the
-  /// kernel's ambient context at the client call, installed around
-  /// commit_put/commit_delete so fire_watches can stamp it onto events).
-  core::TraceContext commit_ctx_;
   std::function<bool()> epoch_fault_hook_;
   ObjectDeStats stats_;
 };

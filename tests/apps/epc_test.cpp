@@ -71,13 +71,15 @@ TEST(EpcKnactor, BearerOnlyAfterAuthorization) {
   core::Runtime runtime;
   auto app = build_epc_knactor_app(runtime);
   std::vector<std::string> seen_imsis;
-  app.bearer_store->watch("observer", "", [&](const de::WatchEvent& e) {
-    if (!e.object.data) return;
-    const Value* imsi = e.object.data->get("imsi");
-    if (imsi != nullptr && imsi->is_string()) {
-      seen_imsis.push_back(imsi->as_string());
-    }
-  });
+  auto sub = app.bearer_store->subscribe(
+      "observer", {}, [&](const de::WatchEvent& e) {
+        if (!e.object.data) return;
+        const Value* imsi = e.object.data->get("imsi");
+        if (imsi != nullptr && imsi->is_string()) {
+          seen_imsis.push_back(imsi->as_string());
+        }
+      });
+  ASSERT_TRUE(sub.ok());
   (void)app.attach_sync("001010000000666");  // blocked
   EXPECT_TRUE(seen_imsis.empty());
   app.reset_attach_state();

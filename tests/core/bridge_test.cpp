@@ -42,20 +42,24 @@ class BridgeTest : public ::testing::Test {
 /// A data-centric "service": watches its store for bridged requests and
 /// answers by patching the response field — it has no RPC code at all.
 void install_echo_reconciler(de::ObjectStore& store) {
-  store.watch("knactor:echo", "rpc/", [&store](const de::WatchEvent& event) {
-    if (event.type == de::WatchEventType::kDeleted || !event.object.data) {
-      return;
-    }
-    if (event.object.data->get("response") != nullptr) return;
-    const Value* text = event.object.data->get("text");
-    if (text == nullptr) return;
-    Value response = Value::object();
-    response.set("text", Value("echo: " + text->as_string()));
-    Value patch = Value::object();
-    patch.set("response", std::move(response));
-    store.patch("knactor:echo", event.object.key, std::move(patch),
-                [](Result<std::uint64_t>) {});
-  });
+  de::SubscriptionSpec spec;
+  spec.prefix = "rpc/";
+  auto sub = store.subscribe(
+      "knactor:echo", spec, [&store](const de::WatchEvent& event) {
+        if (event.type == de::WatchEventType::kDeleted || !event.object.data) {
+          return;
+        }
+        if (event.object.data->get("response") != nullptr) return;
+        const Value* text = event.object.data->get("text");
+        if (text == nullptr) return;
+        Value response = Value::object();
+        response.set("text", Value("echo: " + text->as_string()));
+        Value patch = Value::object();
+        patch.set("response", std::move(response));
+        store.patch("knactor:echo", event.object.key, std::move(patch),
+                    [](Result<std::uint64_t>) {});
+      });
+  ASSERT_TRUE(sub.ok());
 }
 
 TEST_F(BridgeTest, IngressExposesStoreAsRpcService) {

@@ -86,7 +86,10 @@ TEST(TraceContextTest, RootWriteAdoptsCommitSeqAsTraceId) {
   de::ObjectDe de{clock, de::ObjectDeProfile::instant()};
   de::ObjectStore& store = de.create_store("s");
   std::vector<de::WatchEvent> events;
-  store.watch("w", "", [&](const de::WatchEvent& e) { events.push_back(e); });
+  ASSERT_TRUE(store
+                  .subscribe("w", {},
+                             [&](const de::WatchEvent& e) { events.push_back(e); })
+                  .ok());
   (void)store.put_sync("me", "k", Value::object({{"a", 1}}));
   clock.run_all();
   ASSERT_FALSE(events.empty());
@@ -102,7 +105,10 @@ TEST(TraceContextTest, AmbientContextPropagatesThroughCommit) {
   de::ObjectDe de{clock, de::ObjectDeProfile::instant()};
   de::ObjectStore& store = de.create_store("s");
   std::vector<de::WatchEvent> events;
-  store.watch("w", "", [&](const de::WatchEvent& e) { events.push_back(e); });
+  ASSERT_TRUE(store
+                  .subscribe("w", {},
+                             [&](const de::WatchEvent& e) { events.push_back(e); })
+                  .ok());
   TraceContext ctx;
   ctx.trace_id = 42;
   ctx.parent_span = 7;

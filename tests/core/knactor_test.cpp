@@ -125,7 +125,7 @@ TEST_F(KnactorTest, ResyncAfterDeRestart) {
   kn.start();
   clock.run_all();
 
-  durable.restart();  // WAL recovery restores state, but no events fire
+  durable.restart();  // state survives the restart, but no events fire
   clock.run_all();
   EXPECT_TRUE(rec->events_.empty());
   auto replayed = kn.resync();

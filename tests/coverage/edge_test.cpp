@@ -136,11 +136,12 @@ TEST(ObjectEdge, WatchSurvivesDeRestart) {
   de::ObjectDe de(clock, de::ObjectDeProfile::apiserver());
   de::ObjectStore& store = de.create_store("s");
   int events = 0;
-  store.watch("w", "", [&](const de::WatchEvent&) { ++events; });
+  ASSERT_TRUE(
+      store.subscribe("w", {}, [&](const de::WatchEvent&) { ++events; }).ok());
   (void)store.put_sync("w", "k", Value::object({{"n", 1}}));
   clock.run_all();
   EXPECT_EQ(events, 1);
-  de.restart();  // recovery replays the WAL silently
+  de.restart();  // the durable state survives silently
   clock.run_all();
   EXPECT_EQ(events, 1);
   // New writes after recovery notify as usual.

@@ -59,7 +59,10 @@ TEST_F(AuditTest, RecordsDenials) {
 
 TEST_F(AuditTest, RecordsWatchRegistrations) {
   de_.enable_audit();
-  (void)store_->watch("observer", "prefix/", [](const WatchEvent&) {});
+  SubscriptionSpec spec;
+  spec.prefix = "prefix/";
+  ASSERT_TRUE(
+      store_->subscribe("observer", spec, [](const WatchEvent&) {}).ok());
   ASSERT_EQ(de_.audit_log().size(), 1u);
   EXPECT_EQ(de_.audit_log()[0].verb, Verb::kWatch);
   EXPECT_EQ(de_.audit_log()[0].key, "prefix/");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 namespace knactor::de {
 namespace {
 
@@ -124,10 +126,9 @@ TEST_F(ObjectDeTest, ListByPrefix) {
 TEST_F(ObjectDeTest, WatchReceivesAddModifyDelete) {
   ObjectStore& store = de_.create_store("s");
   std::vector<WatchEventType> events;
-  std::uint64_t id = store.watch("me", "", [&](const WatchEvent& e) {
-    events.push_back(e.type);
-  });
-  ASSERT_NE(id, 0u);
+  auto id = store.subscribe(
+      "me", {}, [&](const WatchEvent& e) { events.push_back(e.type); });
+  ASSERT_TRUE(id.ok());
   (void)store.put_sync("me", "k", Value::object({{"a", 1}}));
   (void)store.put_sync("me", "k", Value::object({{"a", 2}}));
   (void)store.remove_sync("me", "k");
@@ -141,7 +142,10 @@ TEST_F(ObjectDeTest, WatchReceivesAddModifyDelete) {
 TEST_F(ObjectDeTest, WatchPrefixFilters) {
   ObjectStore& store = de_.create_store("s");
   int events = 0;
-  store.watch("me", "order/", [&](const WatchEvent&) { ++events; });
+  SubscriptionSpec spec;
+  spec.prefix = "order/";
+  ASSERT_TRUE(
+      store.subscribe("me", spec, [&](const WatchEvent&) { ++events; }).ok());
   (void)store.put_sync("me", "order/1", Value::object({}));
   (void)store.put_sync("me", "cart/1", Value::object({}));
   clock_.run_all();
@@ -151,10 +155,11 @@ TEST_F(ObjectDeTest, WatchPrefixFilters) {
 TEST_F(ObjectDeTest, UnwatchStopsEvents) {
   ObjectStore& store = de_.create_store("s");
   int events = 0;
-  std::uint64_t id = store.watch("me", "", [&](const WatchEvent&) { ++events; });
+  auto id = store.subscribe("me", {}, [&](const WatchEvent&) { ++events; });
+  ASSERT_TRUE(id.ok());
   (void)store.put_sync("me", "a", Value::object({}));
   clock_.run_all();
-  store.unwatch(id);
+  store.unsubscribe(id.value(), /*drain=*/false);
   (void)store.put_sync("me", "b", Value::object({}));
   clock_.run_all();
   EXPECT_EQ(events, 1);
@@ -165,9 +170,11 @@ TEST_F(ObjectDeTest, UnwatchDropsInFlightEvents) {
   ObjectDe slow(clock_, ObjectDeProfile::redis());
   ObjectStore& store = slow.create_store("s");
   int events = 0;
-  std::uint64_t id = store.watch("me", "", [&](const WatchEvent&) { ++events; });
+  auto id = store.subscribe("me", {}, [&](const WatchEvent&) { ++events; });
+  ASSERT_TRUE(id.ok());
   (void)store.put_sync("me", "a", Value::object({}));
-  store.unwatch(id);  // before the notify latency elapses
+  // Before the notify latency elapses.
+  store.unsubscribe(id.value(), /*drain=*/false);
   clock_.run_all();
   EXPECT_EQ(events, 0);
 }
@@ -175,9 +182,12 @@ TEST_F(ObjectDeTest, UnwatchDropsInFlightEvents) {
 TEST_F(ObjectDeTest, WatchEventCarriesObject) {
   ObjectStore& store = de_.create_store("s");
   Value seen;
-  store.watch("me", "", [&](const WatchEvent& e) {
-    seen = e.object.data_copy();
-  });
+  ASSERT_TRUE(store
+                  .subscribe("me", {},
+                             [&](const WatchEvent& e) {
+                               seen = e.object.data_copy();
+                             })
+                  .ok());
   (void)store.put_sync("me", "k", Value::object({{"a", 42}}));
   clock_.run_all();
   EXPECT_EQ(seen.get("a")->as_int(), 42);
@@ -217,19 +227,47 @@ TEST_F(ObjectDeTest, RedisFasterThanApiserver) {
   EXPECT_GT(apiserver_time, 3 * redis_time);
 }
 
-TEST_F(ObjectDeTest, DurableRestartRecoversFromWal) {
+TEST_F(ObjectDeTest, DurableRestartKeepsExactState) {
   ObjectDe durable(clock_, ObjectDeProfile::apiserver());
   ObjectStore& store = durable.create_store("s");
   (void)store.put_sync("me", "a", Value::object({{"x", 1}}));
   (void)store.put_sync("me", "b", Value::object({{"x", 2}}));
   (void)store.remove_sync("me", "a");
   (void)store.put_sync("me", "b", Value::object({{"x", 3}}));
+  (void)store.put_sync("me", "c", Value::object({{"x", 4}}));
+  const StateObject b_before = *store.peek("b");
+  const StateObject c_before = *store.peek("c");
+  const std::uint64_t next_revision = durable.kernel().peek_next_revision();
+  const std::uint64_t commit_seq = durable.kernel().commit_seq();
 
   durable.restart();
   EXPECT_FALSE(store.get_sync("me", "a").ok());
-  auto b = store.get_sync("me", "b");
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(b.value().data->get("x")->as_int(), 3);
+  for (const StateObject* before : {&b_before, &c_before}) {
+    auto got = store.get_sync("me", before->key);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value().version, before->version);
+    EXPECT_EQ(got.value().created_at, before->created_at);
+    EXPECT_EQ(got.value().updated_at, before->updated_at);
+    EXPECT_EQ(*got.value().data, *before->data);
+  }
+
+  // A write guarded by the pre-restart version applies, with exactly the
+  // stamps it would have had without the restart.
+  std::uint64_t seq = 0;
+  ASSERT_TRUE(store
+                  .subscribe("me", {},
+                             [&](const WatchEvent& e) {
+                               seq = e.ctx.commit_seq;
+                             })
+                  .ok());
+  std::optional<common::Result<std::uint64_t>> written;
+  store.put_versioned("me", "b", Value::object({{"x", 5}}), b_before.version,
+                      [&](common::Result<std::uint64_t> r) { written = r; });
+  clock_.run_all();
+  ASSERT_TRUE(written.has_value());
+  ASSERT_TRUE(written->ok()) << written->error().to_string();
+  EXPECT_EQ(written->value(), next_revision);
+  EXPECT_EQ(seq, commit_seq + 1);
 }
 
 TEST_F(ObjectDeTest, NonDurableRestartLosesState) {

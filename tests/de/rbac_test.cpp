@@ -199,7 +199,9 @@ TEST(RbacEnforcement, WatchDeniedReturnsZero) {
   ObjectDe de(clock, ObjectDeProfile::instant());
   ObjectStore& store = de.create_store("s");
   de.rbac().set_enabled(true);
-  EXPECT_EQ(store.watch("nobody", "", [](const WatchEvent&) {}), 0u);
+  auto sub = store.subscribe("nobody", {}, [](const WatchEvent&) {});
+  ASSERT_FALSE(sub.ok());
+  EXPECT_EQ(sub.error().code, common::Error::Code::kPermissionDenied);
 }
 
 TEST(RbacEnforcement, ReadFilteringAppliesFieldRules) {
@@ -260,6 +262,42 @@ TEST(RbacEnforcement, UdfRunsAsOwnerPrincipal) {
   EXPECT_TRUE(de.call_udf_sync("caller", "write", Value::object({})).ok());
   // Unbound principal cannot invoke.
   EXPECT_FALSE(de.call_udf_sync("stranger", "write", Value::object({})).ok());
+}
+
+TEST(RbacEnforcement, UdfListAppliesOwnerFieldRules) {
+  sim::VirtualClock clock;
+  ObjectDe de(clock, ObjectDeProfile::instant());
+  ObjectStore& store = de.create_store("s");
+  Rbac& rbac = de.rbac();
+  Role partial = make_role("partial", "s", {Verb::kList});
+  partial.rules[0].fields.denied = {"private"};
+  ASSERT_TRUE(rbac.add_role(partial).ok());
+  ASSERT_TRUE(rbac.add_role(make_role("full", "*",
+                                      {Verb::kUpdate, Verb::kInvokeUdf}))
+                  .ok());
+  ASSERT_TRUE(rbac.bind("limited", "partial").ok());
+  ASSERT_TRUE(rbac.bind("caller", "full").ok());
+  ASSERT_TRUE(rbac.bind("owner", "full").ok());
+  rbac.set_enabled(true);
+  ASSERT_TRUE(store
+                  .put_sync("owner", "k",
+                            Value::object({{"public", 1}, {"private", 2}}))
+                  .ok());
+
+  // A UDF owned by the field-restricted principal lists the store: it must
+  // see exactly what that principal's own list would.
+  ASSERT_TRUE(de.register_udf("limited", "peek",
+                              [](UdfContext& ctx, const Value&)
+                                  -> common::Result<Value> {
+                                auto listed = ctx.list("s", "");
+                                if (!listed.ok()) return listed.error();
+                                return *listed.value().at(0).data;
+                              })
+                  .ok());
+  auto seen = de.call_udf_sync("caller", "peek", Value::object({}));
+  ASSERT_TRUE(seen.ok()) << seen.error().to_string();
+  EXPECT_NE(seen.value().get("public"), nullptr);
+  EXPECT_EQ(seen.value().get("private"), nullptr);
 }
 
 }  // namespace

@@ -117,9 +117,14 @@ TEST_F(RetentionTest, CollectionFiresWatchEvents) {
   manager_.set_policy("s", RetentionPolicy::ref_count());
   put("k");
   bool deleted = false;
-  store_->watch("me", "", [&](const WatchEvent& e) {
-    if (e.type == WatchEventType::kDeleted) deleted = true;
-  });
+  ASSERT_TRUE(store_
+                  ->subscribe("me", {},
+                              [&](const WatchEvent& e) {
+                                if (e.type == WatchEventType::kDeleted) {
+                                  deleted = true;
+                                }
+                              })
+                  .ok());
   manager_.claim("s", "k", "c");
   manager_.release("s", "k", "c", true);
   (void)manager_.sweep("me");
@@ -168,8 +173,8 @@ TEST_F(DurableRetentionTest, CollectedObjectsStayGoneAcrossRestart) {
   EXPECT_EQ(manager_.sweep("me"), 1u);
   EXPECT_EQ(store_->peek("done"), nullptr);
 
-  // WAL replay: the collected object must not be resurrected (its deletion
-  // is part of the write history) and the held object must survive.
+  // Durable restart: the collected object must not be resurrected (its
+  // deletion was acked) and the held object must survive.
   de_.restart();
   clock_.run_all();
   EXPECT_EQ(store_->peek("done"), nullptr);
@@ -198,7 +203,7 @@ TEST_F(DurableRetentionTest, SweepAgainstCrashedDeCollectsNothing) {
 
   de_.recover();
   clock_.run_all();
-  ASSERT_NE(store_->peek("done"), nullptr);  // recovered from the WAL
+  ASSERT_NE(store_->peek("done"), nullptr);  // survived the restart
   EXPECT_EQ(manager_.sweep("me"), 1u);
   EXPECT_EQ(store_->peek("done"), nullptr);
 }

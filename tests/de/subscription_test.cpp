@@ -171,29 +171,31 @@ TEST_F(SubscriptionTest, UnsubscribeDropCountsPendingSlots) {
   EXPECT_EQ(de_.stats().watch_events_dropped, 2u);
 }
 
-// The legacy wrapper keeps its historical drop semantics, and the race it
-// used to lose — unwatch between the flush being scheduled and firing —
-// now resolves to "no delivery, no dangling coalesce slot".
+// Unsubscribing without drain between the flush being scheduled and firing
+// resolves to "no delivery, no dangling coalesce slot".
 TEST_F(SubscriptionTest, UnwatchRacingPendingFlushIsDeterministic) {
-  std::uint64_t id = store_->watch_batch(
-      "svc", "", kWindow,
-      [this](const WatchBatch& b) { batches_.push_back(b); });
-  ASSERT_NE(id, 0u);
+  SubscriptionSpec spec;
+  spec.qos.window = kWindow;
+  auto id = store_->subscribe_batch(
+      "svc", spec, [this](const WatchBatch& b) { batches_.push_back(b); });
+  ASSERT_TRUE(id.ok());
   (void)store_->put_sync("svc", "a", obj(1));
-  store_->unwatch(id);
+  store_->unsubscribe(id.value(), /*drain=*/false);
   clock_.run_all();
 
   EXPECT_TRUE(batches_.empty());
   EXPECT_EQ(de_.stats().watch_events_dropped, 1u);
   // Re-subscribing reuses nothing from the dead buffer.
-  std::uint64_t id2 = store_->watch_batch(
-      "svc", "", kWindow,
-      [this](const WatchBatch& b) { batches_.push_back(b); });
+  ASSERT_TRUE(store_
+                  ->subscribe_batch("svc", spec,
+                                    [this](const WatchBatch& b) {
+                                      batches_.push_back(b);
+                                    })
+                  .ok());
   (void)store_->put_sync("svc", "b", obj(2));
   clock_.run_all();
   ASSERT_EQ(batches_.size(), 1u);
   EXPECT_EQ(batches_[0].events.size(), 1u);
-  (void)id2;
 }
 
 TEST_F(SubscriptionTest, SubscribeDeniedByRbac) {

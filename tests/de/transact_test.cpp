@@ -79,9 +79,11 @@ TEST_F(TransactTest, WatchesFireAfterFullCommit) {
   // An observer of store `a` must already see store `b`'s write when its
   // event for `a` arrives (atomicity from the observer's perspective).
   bool b_was_visible = false;
-  a_->watch("me", "", [&](const WatchEvent&) {
-    b_was_visible = b_->peek("k2") != nullptr;
-  });
+  ASSERT_TRUE(a_->subscribe("me", {},
+                            [&](const WatchEvent&) {
+                              b_was_visible = b_->peek("k2") != nullptr;
+                            })
+                  .ok());
   std::vector<ObjectDe::TxnOp> ops;
   ops.push_back({"a", "k1", Value::object({{"x", 1}}), true, std::nullopt});
   ops.push_back({"b", "k2", Value::object({{"y", 2}}), true, std::nullopt});

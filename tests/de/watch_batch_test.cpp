@@ -1,4 +1,4 @@
-// Coalesced watch delivery (ObjectStore::watch_batch): a window of commits
+// Coalesced watch delivery (ObjectStore::subscribe_batch): a window of commits
 // arrives as one WatchBatch, per-key updates coalesce, and — the ordering
 // regression this suite pins down — a delete that follows a modify of the
 // same key within one window is neither reordered before other keys'
@@ -22,6 +22,17 @@ class WatchBatchTest : public ::testing::Test {
     store_ = &de_.create_store("things");
   }
 
+  // Subscribes a batched watcher on `prefix` that records every batch.
+  common::Result<std::uint64_t> subscribe_batches(std::string prefix,
+                                                  sim::SimTime window) {
+    SubscriptionSpec spec;
+    spec.prefix = std::move(prefix);
+    spec.qos.window = window;
+    return store_->subscribe_batch(
+        "svc", std::move(spec),
+        [this](const WatchBatch& b) { batches_.push_back(b); });
+  }
+
   Value obj(int n) {
     Value v = Value::object();
     v.set("n", Value(static_cast<std::int64_t>(n)));
@@ -37,10 +48,7 @@ class WatchBatchTest : public ::testing::Test {
 constexpr sim::SimTime kWindow = 10 * sim::kMillisecond;
 
 TEST_F(WatchBatchTest, BurstArrivesAsOneBatch) {
-  std::uint64_t id = store_->watch_batch(
-      "svc", "", kWindow,
-      [this](const WatchBatch& b) { batches_.push_back(b); });
-  ASSERT_NE(id, 0u);
+  ASSERT_TRUE(subscribe_batches("", kWindow).ok());
   (void)store_->put_sync("svc", "a", obj(1));
   (void)store_->put_sync("svc", "b", obj(2));
   (void)store_->put_sync("svc", "c", obj(3));
@@ -56,8 +64,7 @@ TEST_F(WatchBatchTest, BurstArrivesAsOneBatch) {
 }
 
 TEST_F(WatchBatchTest, SameKeyCoalescesToLatestPayload) {
-  store_->watch_batch("svc", "", kWindow,
-                      [this](const WatchBatch& b) { batches_.push_back(b); });
+  ASSERT_TRUE(subscribe_batches("", kWindow).ok());
   (void)store_->put_sync("svc", "k", obj(1));
   (void)store_->put_sync("svc", "k", obj(2));
   (void)store_->put_sync("svc", "k", obj(3));
@@ -80,8 +87,7 @@ TEST_F(WatchBatchTest, DeleteAfterModifySurvivesInOrder) {
   (void)store_->put_sync("svc", "victim", obj(0));
   clock_.run_all();
 
-  store_->watch_batch("svc", "", kWindow,
-                      [this](const WatchBatch& b) { batches_.push_back(b); });
+  ASSERT_TRUE(subscribe_batches("", kWindow).ok());
   (void)store_->put_sync("svc", "victim", obj(1));   // modify
   (void)store_->put_sync("svc", "other", obj(2));    // unrelated commit
   ASSERT_TRUE(store_->remove_sync("svc", "victim").ok());
@@ -100,8 +106,7 @@ TEST_F(WatchBatchTest, DeleteAfterModifySurvivesInOrder) {
 TEST_F(WatchBatchTest, DeleteThenRecreateNetsToModified) {
   (void)store_->put_sync("svc", "k", obj(1));
   clock_.run_all();
-  store_->watch_batch("svc", "", kWindow,
-                      [this](const WatchBatch& b) { batches_.push_back(b); });
+  ASSERT_TRUE(subscribe_batches("", kWindow).ok());
   ASSERT_TRUE(store_->remove_sync("svc", "k").ok());
   (void)store_->put_sync("svc", "k", obj(2));
   clock_.run_all();
@@ -115,8 +120,7 @@ TEST_F(WatchBatchTest, DeleteThenRecreateNetsToModified) {
 }
 
 TEST_F(WatchBatchTest, ZeroWindowDeliversPerCommitBatches) {
-  store_->watch_batch("svc", "", 0,
-                      [this](const WatchBatch& b) { batches_.push_back(b); });
+  ASSERT_TRUE(subscribe_batches("", 0).ok());
   (void)store_->put_sync("svc", "a", obj(1));
   clock_.run_all();
   (void)store_->put_sync("svc", "b", obj(2));
@@ -128,8 +132,7 @@ TEST_F(WatchBatchTest, ZeroWindowDeliversPerCommitBatches) {
 }
 
 TEST_F(WatchBatchTest, SeparateWindowsSeparateBatches) {
-  store_->watch_batch("svc", "", kWindow,
-                      [this](const WatchBatch& b) { batches_.push_back(b); });
+  ASSERT_TRUE(subscribe_batches("", kWindow).ok());
   (void)store_->put_sync("svc", "a", obj(1));
   clock_.run_all();  // flush window 1
   (void)store_->put_sync("svc", "a", obj(2));
@@ -141,18 +144,16 @@ TEST_F(WatchBatchTest, SeparateWindowsSeparateBatches) {
 }
 
 TEST_F(WatchBatchTest, UnwatchDropsBufferedEvents) {
-  std::uint64_t id = store_->watch_batch(
-      "svc", "", kWindow,
-      [this](const WatchBatch& b) { batches_.push_back(b); });
+  auto id = subscribe_batches("", kWindow);
+  ASSERT_TRUE(id.ok());
   (void)store_->put_sync("svc", "a", obj(1));
-  store_->unwatch(id);
+  store_->unsubscribe(id.value(), /*drain=*/false);
   clock_.run_all();
   EXPECT_TRUE(batches_.empty());
 }
 
 TEST_F(WatchBatchTest, PrefixFilters) {
-  store_->watch_batch("svc", "order/", kWindow,
-                      [this](const WatchBatch& b) { batches_.push_back(b); });
+  ASSERT_TRUE(subscribe_batches("order/", kWindow).ok());
   (void)store_->put_sync("svc", "order/1", obj(1));
   (void)store_->put_sync("svc", "draft/1", obj(2));
   clock_.run_all();
@@ -162,8 +163,7 @@ TEST_F(WatchBatchTest, PrefixFilters) {
 }
 
 TEST_F(WatchBatchTest, PayloadIsSharedZeroCopy) {
-  store_->watch_batch("svc", "", kWindow,
-                      [this](const WatchBatch& b) { batches_.push_back(b); });
+  ASSERT_TRUE(subscribe_batches("", kWindow).ok());
   (void)store_->put_sync("svc", "a", obj(1));
   clock_.run_all();
   ASSERT_EQ(batches_.size(), 1u);
@@ -175,9 +175,11 @@ TEST_F(WatchBatchTest, PayloadIsSharedZeroCopy) {
 
 TEST_F(WatchBatchTest, BatchAndPerEventWatchesCoexist) {
   std::vector<WatchEvent> singles;
-  store_->watch("svc", "", [&](const WatchEvent& e) { singles.push_back(e); });
-  store_->watch_batch("svc", "", kWindow,
-                      [this](const WatchBatch& b) { batches_.push_back(b); });
+  ASSERT_TRUE(store_
+                  ->subscribe("svc", {},
+                              [&](const WatchEvent& e) { singles.push_back(e); })
+                  .ok());
+  ASSERT_TRUE(subscribe_batches("", kWindow).ok());
   (void)store_->put_sync("svc", "a", obj(1));
   (void)store_->put_sync("svc", "a", obj(2));
   clock_.run_all();
@@ -187,8 +189,7 @@ TEST_F(WatchBatchTest, BatchAndPerEventWatchesCoexist) {
 }
 
 TEST_F(WatchBatchTest, TransactionCommitsArriveInOneBatch) {
-  store_->watch_batch("svc", "", kWindow,
-                      [this](const WatchBatch& b) { batches_.push_back(b); });
+  ASSERT_TRUE(subscribe_batches("", kWindow).ok());
   std::vector<ObjectDe::TxnOp> ops;
   for (int i = 0; i < 3; ++i) {
     ObjectDe::TxnOp op;
@@ -201,6 +202,26 @@ TEST_F(WatchBatchTest, TransactionCommitsArriveInOneBatch) {
   clock_.run_all();
   ASSERT_EQ(batches_.size(), 1u);
   EXPECT_EQ(batches_[0].events.size(), 3u);
+}
+
+TEST_F(WatchBatchTest, ReshardingKeepsPendingWindow) {
+  ASSERT_TRUE(subscribe_batches("", kWindow).ok());
+  (void)store_->put_sync("svc", "a", obj(1));
+  (void)store_->put_sync("svc", "b", obj(2));
+  (void)store_->put_sync("svc", "c", obj(3));
+  // The pending window moves to the new shard layout; later commits keep
+  // coalescing into it and the flush order is unchanged.
+  de_.set_shards(4);
+  (void)store_->put_sync("svc", "a", obj(4));
+  (void)store_->put_sync("svc", "d", obj(5));
+  clock_.run_all();
+  ASSERT_EQ(batches_.size(), 1u);
+  EXPECT_EQ(batches_[0].commits, 5u);
+  std::vector<std::string> keys;
+  for (const auto& e : batches_[0].events) keys.push_back(e.object.key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"b", "c", "a", "d"}));
+  EXPECT_EQ(batches_[0].events[2].object.data->get("n")->as_int(), 4);
+  EXPECT_EQ(batches_[0].events[2].type, WatchEventType::kAdded);
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ using common::Value;
 
 // The knactor composition exchanges through the Object DE, not the wire, so
 // its chaos surface is the crash windows: the DE itself (durable profile,
-// WAL recovery) and the three pipeline knactors. The integrator retries
+// state kept across restart) and the three pipeline knactors. The integrator retries
 // failed passes; reconcilers are resynced at heal time (the Kubernetes
 // re-list pattern) — no other recovery logic exists anywhere.
 struct RetailTrialResult {
@@ -65,7 +65,7 @@ RetailTrialResult run_retail_trial(std::uint64_t seed, bool inject,
                                    bool filtered_sub = false) {
   core::Runtime runtime;
   apps::RetailKnactorOptions options;
-  options.de_profile = de::ObjectDeProfile::apiserver();  // durable: WAL
+  options.de_profile = de::ObjectDeProfile::apiserver();  // durable
   options.shipment_processing = sim::LatencyModel::constant_ms(10.0);
   options.payment_processing = sim::LatencyModel::constant_ms(1.0);
   options.integrator_retry = sim::RetryPolicy::standard(5);
@@ -258,7 +258,7 @@ TEST(ChaosRetailSharded, ShardedRunsAreBitIdenticalToSerialUnderChaos) {
   // Shard-aware scheduler satellite: the same seeded fault corpus, run with
   // 8 shards on 4 workers, must produce byte-identical fault schedules and
   // converged fingerprints to the 1-shard serial trial — chaos recovery
-  // (WAL replay, retries, resync) included.
+  // (durable restart, retries, resync) included.
   const int kSeeds = 40;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto serial = run_retail_trial(seed, /*inject=*/true,
@@ -378,24 +378,31 @@ TEST(ChaosRetailEpoch, FaultFreeEpochTrialMatchesOracle) {
 
 // ---------------------------------------------------------------------------
 // Mid-epoch crash atomicity: a worker dying between the parallel commit and
-// the serial merge must not leak a half-merged epoch anywhere — state, WAL,
-// audit, lineage, watches, or triggers.
+// the serial merge must not leak a half-merged epoch anywhere — state,
+// stamps, audit, lineage, watches, or triggers.
 // ---------------------------------------------------------------------------
 
 TEST(ChaosEpochAtomicity, MidEpochCrashLeaksNothing) {
   sim::VirtualClock clock;
-  de::ObjectDe de(clock, de::ObjectDeProfile::apiserver());  // durable: WAL
+  de::ObjectDe de(clock, de::ObjectDeProfile::apiserver());  // durable
   de.enable_audit(1024);
   de.kernel().enable_provenance(1024);
   de.set_shards(8);
   de::ObjectStore& store = de.create_store("orders");
 
   int watch_events = 0;
-  (void)store.watch("observer", "",
-                    [&](const de::WatchEvent&) { ++watch_events; });
+  ASSERT_TRUE(store
+                  .subscribe("observer", {},
+                             [&](const de::WatchEvent&) { ++watch_events; })
+                  .ok());
   std::vector<de::WatchBatch> batches;
-  (void)store.watch_batch("observer", "", 200 * sim::kMillisecond,
-                          [&](const de::WatchBatch& b) { batches.push_back(b); });
+  de::SubscriptionSpec windowed;
+  windowed.qos.window = 200 * sim::kMillisecond;
+  ASSERT_TRUE(store
+                  .subscribe_batch(
+                      "observer", windowed,
+                      [&](const de::WatchBatch& b) { batches.push_back(b); })
+                  .ok());
 
   // Baseline state committed through a healthy epoch.
   ASSERT_TRUE(store.put_sync("writer", "a", Value::object({{"v", 1}})).ok());
@@ -457,8 +464,8 @@ TEST(ChaosEpochAtomicity, MidEpochCrashLeaksNothing) {
   EXPECT_EQ(de.audit_log().size(), audit_before);
   EXPECT_EQ(de.kernel().provenance().records().size(), lineage_before);
 
-  // Recovery replays the WAL — which never saw the half-merged epoch, so
-  // the replayed state is exactly the pre-epoch state.
+  // Recovery keeps the rolled-back state, which is exactly the pre-epoch
+  // state.
   de.recover();
   while (clock.step()) {
   }
@@ -581,7 +588,7 @@ RideTrialResult run_ride_trial(std::uint64_t seed, bool inject,
                                std::size_t shards = 1, int workers = 1) {
   core::Runtime runtime;
   apps::RideHailingOptions options;
-  options.de_profile = de::ObjectDeProfile::apiserver();  // durable: WAL
+  options.de_profile = de::ObjectDeProfile::apiserver();  // durable
   options.batch_window = 5 * sim::kMillisecond;
   options.integrator_retry = sim::RetryPolicy::standard(5);
   options.shards = shards;

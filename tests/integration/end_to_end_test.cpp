@@ -240,13 +240,15 @@ TEST(Integration, ConditionalCompositionVisibleAtAppLevel) {
   core::Runtime runtime;
   auto app = apps::build_retail_knactor_app(runtime, fast_options());
   std::vector<std::string> observed_methods;
-  app.shipping_store->watch("observer", "", [&](const de::WatchEvent& e) {
-    if (!e.object.data) return;
-    const Value* method = e.object.data->get("method");
-    if (method != nullptr && method->is_string()) {
-      observed_methods.push_back(method->as_string());
-    }
-  });
+  auto sub = app.shipping_store->subscribe(
+      "observer", {}, [&](const de::WatchEvent& e) {
+        if (!e.object.data) return;
+        const Value* method = e.object.data->get("method");
+        if (method != nullptr && method->is_string()) {
+          observed_methods.push_back(method->as_string());
+        }
+      });
+  ASSERT_TRUE(sub.ok());
   ASSERT_TRUE(app.place_order_sync(apps::expensive_order()).ok());
   ASSERT_FALSE(observed_methods.empty());
   EXPECT_EQ(observed_methods.back(), "air");

@@ -10,7 +10,7 @@
 //   * ObjectDe differential — randomized CRUD workloads (100+ seeds)
 //     against shards {1,2,8} x workers {1,4}.
 //   * Chaos differential — the same equivalence with crash/recover windows
-//     and WAL replay in the middle of the workload.
+//     and a durable restart in the middle of the workload.
 //   * Runtime differential — the full retail composition (Cast integrator,
 //     batched watches) comparing state, stats, metrics, and trace shape.
 #include <gtest/gtest.h>
@@ -102,25 +102,34 @@ Observation run_object_workload(std::uint32_t seed, const ShardConfig& config,
   de::ObjectStore& inventory = de.create_store("inventory");
 
   Observation obs;
-  (void)orders.watch("observer", "", [&](const de::WatchEvent& e) {
-    obs.watch_log += event_char(e.type);
-    obs.watch_log += e.object.key;
-    obs.watch_log += ':';
-    obs.watch_log += std::to_string(e.object.version);
-    obs.watch_log += ' ';
-  });
-  (void)orders.watch_batch(
-      "observer", "", 5 * sim::kMillisecond, [&](const de::WatchBatch& b) {
-        obs.batch_log += "[c" + std::to_string(b.commits) + "|";
-        for (const auto& e : b.events) {
-          obs.batch_log += event_char(e.type);
-          obs.batch_log += e.object.key;
-          obs.batch_log += ':';
-          obs.batch_log += std::to_string(e.object.version);
-          obs.batch_log += ' ';
-        }
-        obs.batch_log += "] ";
-      });
+  EXPECT_TRUE(orders
+                  .subscribe("observer", {},
+                             [&](const de::WatchEvent& e) {
+                               obs.watch_log += event_char(e.type);
+                               obs.watch_log += e.object.key;
+                               obs.watch_log += ':';
+                               obs.watch_log +=
+                                   std::to_string(e.object.version);
+                               obs.watch_log += ' ';
+                             })
+                  .ok());
+  de::SubscriptionSpec windowed;
+  windowed.qos.window = 5 * sim::kMillisecond;
+  EXPECT_TRUE(orders
+                  .subscribe_batch(
+                      "observer", windowed,
+                      [&](const de::WatchBatch& b) {
+                        obs.batch_log += "[c" + std::to_string(b.commits) + "|";
+                        for (const auto& e : b.events) {
+                          obs.batch_log += event_char(e.type);
+                          obs.batch_log += e.object.key;
+                          obs.batch_log += ':';
+                          obs.batch_log += std::to_string(e.object.version);
+                          obs.batch_log += ' ';
+                        }
+                        obs.batch_log += "] ";
+                      })
+                  .ok());
 
   // Filtered + projected subscription: the predicate runs per shard inside
   // the parallel commit phase, so its accept/reject decisions and the
@@ -165,7 +174,7 @@ Observation run_object_workload(std::uint32_t seed, const ShardConfig& config,
 
   if (with_chaos) {
     // One crash window mid-workload: in-flight ops fail with Unavailable,
-    // recovery replays the WAL. Identical in every configuration.
+    // recovery keeps the durable state. Identical in every configuration.
     sim::SimTime down = 20 * sim::kMillisecond +
                         static_cast<sim::SimTime>(rng() % 40) * sim::kMillisecond;
     sim::SimTime up = down + 15 * sim::kMillisecond;

@@ -31,13 +31,13 @@ bool in_sync(const Value& current, const Value& desired) {
 }
 
 /// Name resolution for one (mapping, target object) instance of a pass,
-/// without copies: aliases resolve into the pass's working snapshot, and
+/// without copies: aliases resolve into the persistent alias views, and
 /// `it` (the fan-out driver key) and `this` (the target object) are served
 /// from members. `this` shadows `it`, which shadows an alias of that name.
+template <typename Views>
 class InstanceEnv : public expr::Env {
  public:
-  explicit InstanceEnv(const std::map<std::string, Value>& working)
-      : working_(working) {}
+  explicit InstanceEnv(const Views& views) : views_(views) {}
 
   void bind(const Value* this_obj, const std::string* it_key) {
     this_ = this_obj;
@@ -48,15 +48,118 @@ class InstanceEnv : public expr::Env {
   [[nodiscard]] const Value* resolve(const std::string& name) const override {
     if (name == "this") return this_;
     if (has_it_ && name == "it") return &it_;
-    auto it = working_.find(name);
-    return it == working_.end() ? nullptr : &it->second;
+    auto it = views_.find(name);
+    return it == views_.end() ? nullptr : &it->second.value;
   }
 
  private:
-  const std::map<std::string, Value>& working_;
+  const Views& views_;
   const Value* this_ = nullptr;
   Value it_;
   bool has_it_ = false;
+};
+
+/// Classifies the alias reads of one mapping expression, mirroring how
+/// InstanceEnv and the evaluator resolve names:
+///   * a fixed key: `A.x`, `A["x"]`, `get(A, "x")` read `A[x]`;
+///   * keyed by `it`: `A[it]`, `get(A, it)` in a fan-out mapping;
+///   * a dynamic key: `get(Z, get(R, it).zoneKey)`, `A[expr]`, whose key
+///     the integrator records when it evaluates the instance;
+///   * the whole alias: a bare `A` anywhere else (`keys(A)`, a dynamic key
+///     inside a comprehension, where the key depends on the loop item).
+/// `this` is always the target object. A comprehension loop variable
+/// shadows `this`, `it` and alias names inside its body and filter, as
+/// LoopEnv does at run time.
+class ReadClassifier {
+ public:
+  ReadClassifier(const std::map<std::string, std::string>& aliases,
+                 bool fan_out)
+      : aliases_(aliases), fan_out_(fan_out) {}
+
+  void walk(const expr::Node& node) {
+    using expr::NodeKind;
+    switch (node.kind) {
+      case NodeKind::kName:
+        if (const std::string* alias = alias_of(node)) whole.insert(*alias);
+        return;
+      case NodeKind::kAttribute:
+        if (const std::string* alias = alias_of(*node.a)) {
+          keys.emplace(*alias, node.name);
+          return;
+        }
+        walk(*node.a);
+        return;
+      case NodeKind::kIndex:
+        if (const std::string* alias = alias_of(*node.a)) {
+          read_key(*alias, *node.b);
+          return;
+        }
+        walk(*node.a);
+        walk(*node.b);
+        return;
+      case NodeKind::kCall:
+        if (node.name == "get" &&
+            (node.args.size() == 2 || node.args.size() == 3)) {
+          if (const std::string* alias = alias_of(*node.args[0])) {
+            read_key(*alias, *node.args[1]);
+            if (node.args.size() == 3) walk(*node.args[2]);
+            return;
+          }
+        }
+        break;
+      case NodeKind::kListComp:
+        walk(*node.a);
+        shadow_.push_back(node.name);
+        walk(*node.b);
+        if (node.c) walk(*node.c);
+        shadow_.pop_back();
+        return;
+      default:
+        break;
+    }
+    for (const expr::Node* child : {node.a.get(), node.b.get(), node.c.get()}) {
+      if (child != nullptr) walk(*child);
+    }
+    for (const auto& arg : node.args) walk(*arg);
+  }
+
+  std::set<std::pair<std::string, std::string>> keys;
+  std::set<std::string> it_keyed;
+  std::vector<std::pair<std::string, const expr::Node*>> dynamic;
+  std::set<std::string> whole;
+
+ private:
+  [[nodiscard]] bool shadowed(const std::string& name) const {
+    return std::find(shadow_.begin(), shadow_.end(), name) != shadow_.end();
+  }
+  /// The alias a name node resolves to, or nullptr.
+  [[nodiscard]] const std::string* alias_of(const expr::Node& node) const {
+    if (node.kind != expr::NodeKind::kName || shadowed(node.name) ||
+        node.name == "this" || (fan_out_ && node.name == "it")) {
+      return nullptr;
+    }
+    auto it = aliases_.find(node.name);
+    return it == aliases_.end() ? nullptr : &it->first;
+  }
+  void read_key(const std::string& alias, const expr::Node& key) {
+    if (key.kind == expr::NodeKind::kLiteral && key.literal.is_string()) {
+      keys.emplace(alias, key.literal.as_string());
+    } else if (key.kind == expr::NodeKind::kName && key.name == "it" &&
+               fan_out_ && !shadowed("it")) {
+      it_keyed.insert(alias);
+    } else {
+      if (shadow_.empty()) {
+        dynamic.emplace_back(alias, &key);
+      } else {
+        whole.insert(alias);
+      }
+      walk(key);
+    }
+  }
+
+  const std::map<std::string, std::string>& aliases_;
+  bool fan_out_;
+  std::vector<std::string> shadow_;
 };
 
 }  // namespace
@@ -153,6 +256,7 @@ Status CastIntegrator::reconfigure(const Value& config) {
     remove_watches();
   }
   dxg_ = std::move(next);
+  resync_ = true;
   ++stats_.reconfigurations;
   if (was_pushdown) {
     KN_TRY(enable_pushdown());
@@ -251,57 +355,226 @@ void CastIntegrator::schedule_poll() {
   });
 }
 
-Value CastIntegrator::build_alias_value(
-    const std::vector<de::StateObject>& objects) {
-  Value out = Value::object();
-  for (const auto& obj : objects) {
-    out.set(obj.key, obj.data_copy());
+void CastIntegrator::AliasView::mark_dirty(const std::string& key) {
+  dirty_keys.insert(key);
+  if (key == kDefaultObject) default_dirty = true;
+}
+
+void CastIntegrator::refresh_views(Listing& listing) {
+  bool resync = resync_ || listing.failed ||
+                listing.objects.size() != views_.size();
+  auto vit = views_.begin();
+  for (const auto& [alias, objects] : listing.objects) {
+    if (resync) break;
+    resync = alias != (vit++)->first;
   }
-  // Default object's fields are visible at top level (so "P.id" resolves
-  // when P's store keeps a single default object with field "id").
-  const Value* def = out.get(kDefaultObject);
-  if (def != nullptr && def->is_object()) {
-    Value def_copy = *def;
-    for (const auto& [k, v] : def_copy.as_object()) {
-      if (out.get(k) == nullptr) out.set(k, v);
+  const std::uint64_t generation =
+      expr::FunctionRegistry::currency_rates_generation();
+  if (resync) {
+    // Diffing against empty views copies every object in list order, and
+    // the fresh views hold no memos.
+    views_.clear();
+    for (const auto& [alias, objects] : listing.objects) views_[alias];
+  } else if (generation != rates_generation_) {
+    // The rate table is an input of every instance: drop every memo.
+    for (auto& plan : plans_) plan.memo = Memo{};
+    for (auto& [alias, view] : views_) {
+      for (auto& [key, entry] : view.objects) entry.memos.clear();
     }
   }
-  return out;
+  rates_generation_ = generation;
+  vit = views_.begin();
+  for (auto& [alias, objects] : listing.objects) {
+    diff_alias((vit++)->second, objects);
+  }
+  if (resync) {
+    plan_mappings();
+    // A failed list leaves its alias empty for this pass; the next pass
+    // rebuilds from a complete listing.
+    resync_ = listing.failed;
+  }
+}
+
+void CastIntegrator::diff_alias(AliasView& view,
+                                std::vector<de::StateObject>& objects) {
+  // Keys the previous pass wrote into `value` are stale whether or not
+  // their commit succeeded: re-copy them from the listing.
+  const std::set<std::string> written = std::move(view.written);
+  view.written.clear();
+  view.dirty_keys.clear();
+  view.default_dirty = false;
+  const bool had_default = view.objects.count(kDefaultObject) != 0;
+  bool removed = false;        // keys leave `value`
+  bool out_of_order = false;  // an appended key is not `value`'s last
+  auto& value = view.value.as_object();
+  auto it = view.objects.begin();
+  auto remove_before = [&](const std::string* key) {
+    while (it != view.objects.end() && (key == nullptr || it->first < *key)) {
+      view.mark_dirty(it->first);
+      it = view.objects.erase(it);
+      removed = true;
+    }
+  };
+  for (auto& obj : objects) {
+    remove_before(&obj.key);
+    if (it != view.objects.end() && it->first == obj.key) {
+      // The view holds the old handle, so an unchanged address means
+      // unchanged content (versions can be re-issued; handles cannot).
+      if (it->second.data != obj.data || written.count(obj.key) != 0) {
+        view.mark_dirty(obj.key);
+        value.set(obj.key, obj.data_copy());
+        it->second.data = std::move(obj.data);
+      }
+      it->second.version = obj.version;
+      ++it;
+      continue;
+    }
+    // Added. `value` appends it, or overwrites in place the copy the pass
+    // created; either is list order only for the greatest key, with no
+    // merged default fields or other created keys after it.
+    view.mark_dirty(obj.key);
+    value.set(obj.key, obj.data_copy());
+    if (it != view.objects.end() || had_default || !written.empty()) {
+      out_of_order = true;
+    }
+    view.objects.emplace_hint(
+        it, std::move(obj.key),
+        AliasView::Entry{std::move(obj.data), obj.version, {}});
+  }
+  remove_before(nullptr);
+  for (const auto& key : written) {
+    // Created by the pass but not listed (its commit failed), or a merged
+    // default field the pass overwrote (the default object is dirty too).
+    if (view.objects.count(key) == 0) {
+      view.mark_dirty(key);
+      removed = true;
+    }
+  }
+  const bool has_default = view.objects.count(kDefaultObject) != 0;
+  // Only whole-alias reads observe `value`'s order; the default merge must
+  // be recomputed when the default object or the keys it yields to change.
+  if (view.default_dirty || (view.ordered && (out_of_order || removed)) ||
+      ((had_default || has_default) && removed)) {
+    relayout(view);
+  } else if (removed) {
+    for (const auto& key : view.dirty_keys) {
+      if (view.objects.count(key) == 0) value.erase(key);
+    }
+  }
+}
+
+void CastIntegrator::relayout(AliasView& view) {
+  Value::Object& old = view.value.as_object();
+  Value::Object next;
+  for (const auto& [key, entry] : view.objects) {
+    Value* copy = old.find(key);
+    next.set(key, copy != nullptr ? std::move(*copy) : Value(nullptr));
+  }
+  // The default object's fields are visible at top level (so "P.id"
+  // resolves when P's store keeps a single default object with field
+  // "id"), unless an object of that name shadows them.
+  const Value* def = next.find(kDefaultObject);
+  if (def != nullptr && def->is_object()) {
+    Value fields = *def;
+    for (auto& [k, v] : fields.as_object()) {
+      if (!next.contains(k)) next.set(k, std::move(v));
+    }
+  }
+  view.value = Value(std::move(next));
+}
+
+void CastIntegrator::plan_mappings() {
+  auto view_of = [this](const std::string& alias) -> AliasView* {
+    auto it = views_.find(alias);
+    return it == views_.end() ? nullptr : &it->second;
+  };
+  plans_.clear();
+  plans_.reserve(dxg_.mappings().size());
+  for (const auto& mapping : dxg_.mappings()) {
+    ReadClassifier reads(dxg_.inputs(), mapping.fan_out);
+    reads.walk(*mapping.compiled);
+    MappingPlan plan;
+    plan.target = view_of(mapping.target_alias);
+    for (const auto& [alias, key] : reads.keys) {
+      if (const AliasView* view = view_of(alias)) plan.keys.emplace_back(view, key);
+    }
+    for (const auto& alias : reads.it_keyed) {
+      if (const AliasView* view = view_of(alias)) plan.it_keyed.push_back(view);
+    }
+    for (const auto& [alias, key] : reads.dynamic) {
+      if (const AliasView* view = view_of(alias)) {
+        plan.dynamic.emplace_back(view, key);
+      }
+    }
+    for (const auto& alias : reads.whole) {
+      if (AliasView* view = view_of(alias)) {
+        view->ordered = true;
+        plan.whole.push_back(view);
+      }
+    }
+    plans_.push_back(std::move(plan));
+  }
+}
+
+bool CastIntegrator::instance_dirty(const MappingPlan& plan,
+                                    const std::string& target_object,
+                                    const Memo& memo) const {
+  // The target is always read: `this`, and the in-sync comparison.
+  if (plan.target != nullptr && plan.target->key_dirty(target_object)) {
+    return true;
+  }
+  for (const AliasView* view : plan.whole) {
+    if (view->dirty()) return true;
+  }
+  for (const auto& [view, key] : plan.keys) {
+    if (view->key_dirty(key)) return true;
+  }
+  // Fan-out instances are keyed by their driver key, which `it` is bound to.
+  for (const AliasView* view : plan.it_keyed) {
+    if (view->key_dirty(target_object)) return true;
+  }
+  for (std::size_t i = 0; i < plan.dynamic.size(); ++i) {
+    const AliasView* view = plan.dynamic[i].first;
+    const Value& key = memo.dynamic_keys[i];
+    if (key.is_string() ? view->key_dirty(key.as_string()) : view->dirty()) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void CastIntegrator::add_input(const std::string& alias,
                                const std::string& key,
-                               const Snapshot& snapshot,
-                               std::vector<LineageRef>& out) {
+                               std::vector<LineageRef>& out,
+                               InputSet& seen) const {
   auto sit = stores_.find(alias);
-  if (sit == stores_.end()) return;
-  const std::string& store = sit->second->name();
-  for (const auto& existing : out) {
-    if (existing.store == store && existing.key == key) return;
-  }
+  auto vit = views_.find(alias);
+  if (sit == stores_.end() || vit == views_.end()) return;
+  const auto& objects = vit->second.objects;
   LineageRef ref;
-  ref.store = store;
+  auto def = objects.find(kDefaultObject);
+  if (auto obj = objects.find(key); obj != objects.end()) {
+    ref.version = obj->second.version;
+    ref.data = obj->second.data ? obj->second.data
+                                : std::make_shared<const Value>();
+  } else if (def != objects.end() && def->second.data &&
+             def->second.data->get(key) != nullptr) {
+    // A default-object field the merge exposed under this name.
+    ref.data = std::make_shared<const Value>(*def->second.data->get(key));
+  } else {
+    return;  // `value[key]` resolved to nothing before the pass
+  }
+  ref.store = sit->second->name();
   ref.key = key;
-  if (auto vit = snapshot.versions.find(alias);
-      vit != snapshot.versions.end()) {
-    if (auto kv = vit->second.find(key); kv != vit->second.end()) {
-      ref.version = kv->second;
-    }
-  }
-  if (auto valit = snapshot.values.find(alias);
-      valit != snapshot.values.end()) {
-    const Value* obj = valit->second.get(key);
-    if (obj != nullptr) ref.data = std::make_shared<const Value>(*obj);
-  }
-  out.push_back(std::move(ref));
+  if (seen.emplace(ref.store, key).second) out.push_back(std::move(ref));
 }
 
 void CastIntegrator::resolve_inputs(const DxgMapping& mapping,
                                     const std::string* it_key,
-                                    const Snapshot& snapshot,
-                                    std::vector<LineageRef>& out) {
+                                    std::vector<LineageRef>& out,
+                                    InputSet& seen) const {
   auto add = [&](const std::string& alias, const std::string& key) {
-    add_input(alias, key, snapshot, out);
+    add_input(alias, key, out, seen);
   };
   for (const auto& ref : mapping.refs) {
     auto dot = ref.find('.');
@@ -311,12 +584,9 @@ void CastIntegrator::resolve_inputs(const DxgMapping& mapping,
       add(alias, *it_key);
       continue;
     }
-    auto kit = snapshot.keys.find(alias);
-    if (kit == snapshot.keys.end()) continue;
-    const auto& keys = kit->second;
-    auto has = [&keys](const std::string& k) {
-      return std::find(keys.begin(), keys.end(), k) != keys.end();
-    };
+    auto vit = views_.find(alias);
+    if (vit == views_.end()) continue;
+    const auto& objects = vit->second.objects;
     // "ALIAS.x.y": x is the object key when such an object exists;
     // otherwise the ref reads through the default object's top-level
     // merge. A ref that can't be pinned contributes every object of the
@@ -327,12 +597,12 @@ void CastIntegrator::resolve_inputs(const DxgMapping& mapping,
       auto dot2 = rest.find('.');
       first = dot2 == std::string::npos ? rest : rest.substr(0, dot2);
     }
-    if (!first.empty() && has(first)) {
+    if (!first.empty() && objects.count(first) != 0) {
       add(alias, first);
-    } else if (has(kDefaultObject)) {
+    } else if (objects.count(kDefaultObject) != 0) {
       add(alias, kDefaultObject);
     } else {
-      for (const auto& k : keys) add(alias, k);
+      for (const auto& [key, entry] : objects) add(alias, key);
     }
   }
 }
@@ -382,33 +652,58 @@ void CastIntegrator::record_lineage(const std::string& alias,
   ring.record(std::move(rec));
 }
 
-CastIntegrator::PatchSet CastIntegrator::evaluate(const Snapshot& snapshot) {
+CastIntegrator::PatchSet CastIntegrator::evaluate() {
   PatchSet result;
   const bool lineage = de_.kernel().provenance().enabled();
   const auto& functions = expr::FunctionRegistry::builtins();
-  // Work on a mutable copy so later mappings see earlier mappings' writes
-  // within the same pass (operation ordering via state dependencies).
-  std::map<std::string, Value> working = snapshot.values;
-  InstanceEnv env(working);
+  // Later mappings see earlier mappings' writes within the same pass
+  // (operation ordering via state dependencies): writes land in the views
+  // in place and mark their keys dirty for later readers.
+  InstanceEnv env(views_);
   const Value empty_object = Value::object();
+  std::map<std::pair<std::string, std::string>, std::size_t> group_of;
+  std::vector<InputSet> seen;  // parallel to result.inputs
 
   // Evaluates one (mapping, target object key) instance; `it_key` is bound
-  // for fan-out instances. Evaluation borrows from `working`, which is only
-  // mutated after the instance's result has been compared and copied out.
-  auto apply_one = [&](const DxgMapping& mapping,
-                       const std::string& target_object,
+  // for fan-out instances. Evaluation borrows from the views, which are
+  // only mutated after the instance's result has been compared and copied
+  // out.
+  auto apply_one = [&](const DxgMapping& mapping, const MappingPlan& plan,
+                       Memo& memo, const std::string& target_object,
                        const std::string* it_key) {
+    if (memo.outcome != Outcome::kNone &&
+        !instance_dirty(plan, target_object, memo)) {
+      ++stats_.instances_skipped;
+      if (memo.outcome == Outcome::kNotReady) ++result.not_ready;
+      if (memo.outcome == Outcome::kError) {
+        ++result.errors;
+        ++stats_.eval_errors;
+      }
+      return;
+    }
+    ++stats_.instances_evaluated;
     // `this` = the target object's current value.
     const Value* target_obj = &empty_object;
-    auto wit = working.find(mapping.target_alias);
-    if (wit != working.end()) {
-      const Value* obj = wit->second.get(target_object);
+    auto tit = views_.find(mapping.target_alias);
+    if (tit != views_.end()) {
+      const Value* obj = tit->second.value.get(target_object);
       if (obj != nullptr && obj->is_object()) target_obj = obj;
     }
     env.bind(target_obj, it_key);
 
+    // A memoized outcome records which key each dynamic read resolved to
+    // (a pure re-evaluation of the key expression, before any write).
+    auto remember = [&](Outcome outcome) {
+      memo.outcome = outcome;
+      memo.dynamic_keys.clear();
+      for (const auto& [view, key] : plan.dynamic) {
+        auto resolved = expr::evaluate(*key, env, functions);
+        memo.dynamic_keys.push_back(resolved.ok() ? resolved.take() : Value());
+      }
+    };
     auto evaluated = expr::evaluate(*mapping.compiled, env, functions);
     if (!evaluated.ok()) {
+      remember(Outcome::kError);
       ++result.errors;
       ++stats_.eval_errors;
       KN_DEBUG << "cast " << name_ << ": " << mapping.target_path() << ": "
@@ -417,67 +712,81 @@ CastIntegrator::PatchSet CastIntegrator::evaluate(const Snapshot& snapshot) {
     }
     Value desired = evaluated.take();
     if (desired.is_null()) {
+      remember(Outcome::kNotReady);
       ++result.not_ready;
       return;
     }
     const Value* current = target_obj->get(mapping.field);
-    if (current != nullptr && in_sync(*current, desired)) return;
-
-    // Record the patch, grouped by (alias, object).
-    auto key = std::make_pair(mapping.target_alias, target_object);
-    std::size_t gi = result.patches.size();
-    for (std::size_t i = 0; i < result.patches.size(); ++i) {
-      if (result.patches[i].first == key) {
-        gi = i;
-        break;
-      }
+    if (current != nullptr && in_sync(*current, desired)) {
+      remember(Outcome::kInSync);
+      return;
     }
-    if (gi == result.patches.size()) {
-      result.patches.emplace_back(key, Value::object());
+    // A patched instance re-evaluates next pass: its target is written.
+    memo.outcome = Outcome::kNone;
+
+    // Record the patch, grouped by (alias, object) in first-appearance
+    // order (write order is observable).
+    auto [group, fresh] = group_of.try_emplace(
+        std::make_pair(mapping.target_alias, target_object),
+        result.patches.size());
+    if (fresh) {
+      result.patches.emplace_back(group->first, Value::object());
       if (lineage) {
         result.inputs.emplace_back();
+        seen.emplace_back();
         // The target's own pre-state is always an input: the committed
         // output is the merge of this patch over it, so replaying the
         // inputs alone must be able to rebuild the record byte-for-byte.
-        auto vit = snapshot.values.find(mapping.target_alias);
-        if (vit != snapshot.values.end() &&
-            vit->second.get(target_object) != nullptr) {
-          add_input(mapping.target_alias, target_object, snapshot,
-                    result.inputs.back());
-        }
+        add_input(mapping.target_alias, target_object, result.inputs.back(),
+                  seen.back());
       }
     }
+    const std::size_t gi = group->second;
     result.patches[gi].second.set(mapping.field, desired);
-    if (lineage) resolve_inputs(mapping, it_key, snapshot, result.inputs[gi]);
+    if (lineage) resolve_inputs(mapping, it_key, result.inputs[gi], seen[gi]);
 
-    // Reflect the write into the working snapshot for later mappings.
-    auto& alias_value = working[mapping.target_alias];
-    if (!alias_value.is_object()) alias_value = Value::object();
+    // Reflect the write into the view for later instances of this pass.
+    AliasView& view =
+        tit != views_.end() ? tit->second : views_[mapping.target_alias];
+    Value& alias_value = view.value;
     Value* obj = alias_value.get(target_object);
     if (obj == nullptr || !obj->is_object()) {
       alias_value.set(target_object, Value::object());
       obj = alias_value.get(target_object);
     }
-    obj->set(mapping.field, desired);
+    view.written.insert(target_object);
+    view.mark_dirty(target_object);
     if (target_object == kDefaultObject) {
       // Keep the top-level merge view coherent.
       if (alias_value.get(mapping.field) == nullptr ||
           !alias_value.get(mapping.field)->is_object()) {
         alias_value.set(mapping.field, desired);
+        view.written.insert(mapping.field);
+        view.mark_dirty(mapping.field);
       }
+      obj = alias_value.get(target_object);
     }
+    obj->set(mapping.field, std::move(desired));
   };
 
-  for (const auto& mapping : dxg_.mappings()) {
+  const auto& mappings = dxg_.mappings();
+  for (std::size_t mi = 0; mi < mappings.size(); ++mi) {
+    const DxgMapping& mapping = mappings[mi];
+    MappingPlan& plan = plans_[mi];
     if (!mapping.fan_out) {
-      apply_one(mapping, mapping.target_object, nullptr);
+      apply_one(mapping, plan, plan.memo, mapping.target_object, nullptr);
       continue;
     }
-    auto kit = snapshot.keys.find(mapping.driver_alias);
-    if (kit == snapshot.keys.end()) continue;
-    for (const std::string& driver_key : kit->second) {
-      if (!common::starts_with(driver_key, mapping.driver_prefix)) continue;
-      apply_one(mapping, driver_key, &driver_key);
+    auto vit = views_.find(mapping.driver_alias);
+    if (vit == views_.end()) continue;
+    auto& objects = vit->second.objects;
+    for (auto it = objects.lower_bound(mapping.driver_prefix);
+         it != objects.end() &&
+         common::starts_with(it->first, mapping.driver_prefix);
+         ++it) {
+      auto& memos = it->second.memos;
+      if (memos.size() != plans_.size()) memos.resize(plans_.size());
+      apply_one(mapping, plan, memos[mi], it->first, &it->first);
     }
   }
   return result;
@@ -506,8 +815,10 @@ void CastIntegrator::run_pass_async(int rounds_left) {
     tracer_->annotate(snap_span, "stage", "C-I");
   }
 
-  // Gather a snapshot of every aliased store via async lists.
-  auto snapshot = std::make_shared<Snapshot>();
+  // List every aliased store via async lists (the paper's C-I stage: every
+  // pass issues the same reads, so virtual time does not depend on what
+  // the views already hold).
+  auto listing = std::make_shared<Listing>();
   auto remaining = std::make_shared<std::size_t>(0);
   std::vector<std::pair<std::string, de::ObjectStore*>> targets;
   for (const auto& [alias, store_id] : dxg_.inputs()) {
@@ -516,7 +827,7 @@ void CastIntegrator::run_pass_async(int rounds_left) {
   }
   *remaining = targets.size();
 
-  auto finish_snapshot = [this, snapshot, rounds_left, span, snap_span,
+  auto finish_snapshot = [this, listing, rounds_left, span, snap_span,
                           trigger]() {
     std::uint64_t compute_span = 0;
     if (tracer_ != nullptr) {
@@ -527,9 +838,12 @@ void CastIntegrator::run_pass_async(int rounds_left) {
     // Charge integrator compute, then evaluate + write.
     de_.clock().schedule_after(
         options_.compute.sample(rng_),
-        [this, snapshot, rounds_left, span, compute_span, trigger]() {
+        [this, listing, rounds_left, span, compute_span, trigger]() {
           ++stats_.passes;
-          PatchSet ps = evaluate(*snapshot);
+          const bool list_failed = listing->failed;
+          refresh_views(*listing);
+          listing->objects.clear();
+          PatchSet ps = evaluate();
           stats_.fields_skipped_not_ready += ps.not_ready;
           std::uint64_t write_span = 0;
           if (tracer_ != nullptr) {
@@ -549,7 +863,7 @@ void CastIntegrator::run_pass_async(int rounds_left) {
           auto writes_left = std::make_shared<std::size_t>(ps.patches.size());
           auto wrote = std::make_shared<std::size_t>(0);
           auto write_failed = std::make_shared<bool>(false);
-          auto complete = [this, writes_left, wrote, write_failed, snapshot,
+          auto complete = [this, writes_left, wrote, write_failed, list_failed,
                            rounds_left, span, write_span]() {
             if (*writes_left > 0) return;
             pass_in_flight_ = false;
@@ -557,7 +871,7 @@ void CastIntegrator::run_pass_async(int rounds_left) {
               if (write_span != 0) tracer_->end(write_span);
               if (span != 0) tracer_->end(span);
             }
-            const bool failed = snapshot->failed || *write_failed;
+            const bool failed = list_failed || *write_failed;
             if (failed) {
               ++stats_.failed_passes;
               if (options_.metrics != nullptr) {
@@ -764,19 +1078,13 @@ void CastIntegrator::run_pass_async(int rounds_left) {
   for (auto& [alias, store] : targets) {
     std::string alias_copy = alias;
     store->list(principal(), "",
-                [snapshot, remaining, alias_copy, finish_snapshot](
+                [listing, remaining, alias_copy, finish_snapshot](
                     Result<std::vector<de::StateObject>> r) {
+                  auto& objects = listing->objects[alias_copy];
                   if (r.ok()) {
-                    snapshot->values[alias_copy] = build_alias_value(r.value());
-                    auto& keys = snapshot->keys[alias_copy];
-                    auto& versions = snapshot->versions[alias_copy];
-                    for (const auto& obj : r.value()) {
-                      keys.push_back(obj.key);
-                      versions[obj.key] = obj.version;
-                    }
+                    objects = r.take();
                   } else {
-                    snapshot->values[alias_copy] = Value::object();
-                    snapshot->failed = true;
+                    listing->failed = true;  // the alias reads as empty
                   }
                   if (--*remaining == 0) finish_snapshot();
                 });
@@ -843,8 +1151,8 @@ Status CastIntegrator::enable_pushdown() {
             if (span != 0) self->tracer_->end(span);
           }
         };
-        // Snapshot via engine-level lists.
-        Snapshot snapshot;
+        // List via engine-level lists.
+        Listing listing;
         for (const auto& [alias, store_id] : self->dxg_.inputs()) {
           auto it = alias_to_store.find(alias);
           if (it == alias_to_store.end()) continue;
@@ -853,13 +1161,7 @@ Status CastIntegrator::enable_pushdown() {
             close_spans(snap_span);
             return objs.error();
           }
-          snapshot.values[alias] = build_alias_value(objs.value());
-          auto& keys = snapshot.keys[alias];
-          auto& versions = snapshot.versions[alias];
-          for (const auto& obj : objs.value()) {
-            keys.push_back(obj.key);
-            versions[obj.key] = obj.version;
-          }
+          listing.objects[alias] = objs.take();
         }
         std::uint64_t compute_span = 0;
         if (self->tracer_ != nullptr) {
@@ -869,7 +1171,8 @@ Status CastIntegrator::enable_pushdown() {
         }
         // Function execution overhead inside the engine.
         ctx.charge(self->options_.compute.sample(self->rng_));
-        PatchSet ps = self->evaluate(snapshot);
+        self->refresh_views(listing);
+        PatchSet ps = self->evaluate();
         self->stats_.fields_skipped_not_ready += ps.not_ready;
         ++self->stats_.passes;
         std::uint64_t write_span = 0;
@@ -923,6 +1226,7 @@ Status CastIntegrator::enable_pushdown() {
     KN_TRY(de_.add_trigger(store_name, "", udf_name_));
   }
   pushdown_ = true;
+  resync_ = true;
   remove_watches();
   return Status::success();
 }
@@ -933,6 +1237,7 @@ void CastIntegrator::disable_pushdown() {
     de_.remove_trigger(store->name(), udf_name_);
   }
   pushdown_ = false;
+  resync_ = true;
   if (running_ && options_.poll_interval == 0) install_watches();
 }
 

@@ -13,12 +13,24 @@
 //     run at engine latency inside the DE (Table 2 "K-redis-udf").
 //
 // Run-time reconfiguration (§3.3): `reconfigure` atomically swaps the DXG.
+//
+// Passes are incremental. The integrator keeps a persistent view of every
+// aliased store, diffs each pass's list result against it by payload
+// handle, re-copies only the objects that changed, and re-evaluates only
+// the mapping instances whose reads changed; every other instance replays
+// its memoized outcome (in sync, not ready, or error). A full rebuild runs
+// only to resync: on the first pass, after a failed list, and on
+// reconfiguration or a push-down toggle (docs/ARCHITECTURE.md, "Cast").
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/causality.h"
@@ -42,6 +54,10 @@ struct CastStats {
   std::uint64_t retries = 0;        // passes re-run by the retry policy
   std::uint64_t batches_consumed = 0;  // WatchBatch deliveries (batched mode)
   std::uint64_t batched_events = 0;    // events carried by those batches
+  /// Mapping instances evaluated / replayed from their memoized outcome
+  /// because none of their reads changed since the previous pass.
+  std::uint64_t instances_evaluated = 0;
+  std::uint64_t instances_skipped = 0;
 };
 
 class CastIntegrator : public Integrator {
@@ -135,53 +151,117 @@ class CastIntegrator : public Integrator {
   [[nodiscard]] const Dxg& dxg() const { return dxg_; }
 
  private:
-  /// Reads a snapshot of every aliased store (client round trips), then
-  /// evaluates and writes. Invoked from watch events / polling.
+  /// Lists every aliased store (client round trips), then evaluates and
+  /// writes. Invoked from watch events / polling.
   void run_pass_async(int rounds_left);
-  /// Pure evaluation over a snapshot: returns per-target patches.
-  /// Exposed to both the client-side pass and the compiled UDF.
+  /// Evaluation result: per-target patches.
   struct PatchSet {
-    // (alias, object key) -> fields to patch
+    // (alias, object key) -> fields to patch, in first-appearance order
     std::vector<std::pair<std::pair<std::string, std::string>, common::Value>>
         patches;
     /// Parallel to `patches` when lineage is enabled (empty otherwise):
-    /// the deduplicated set of snapshot records each patch was computed
+    /// the deduplicated set of pre-pass records each patch was computed
     /// from, resolved from the contributing mappings' refs.
     std::vector<std::vector<LineageRef>> inputs;
     std::size_t not_ready = 0;
     std::size_t errors = 0;
   };
-  /// Per-pass view of the aliased stores: expression environment values
-  /// plus the raw object-key lists (fan-out iterates these) and, when
-  /// lineage is enabled, the per-key versions the snapshot read.
-  struct Snapshot {
-    std::map<std::string, common::Value> values;
-    std::map<std::string, std::vector<std::string>> keys;
-    std::map<std::string, std::map<std::string, std::uint64_t>> versions;
+  /// One pass's list results (the C-I stage), by alias.
+  struct Listing {
+    std::map<std::string, std::vector<de::StateObject>> objects;
     bool failed = false;  // at least one alias list errored
   };
-  PatchSet evaluate(const Snapshot& snapshot);
-  /// Resolves a mapping instance's refs against a snapshot into the
-  /// (store, key, version, payload) records it read. Conservative: a ref
-  /// whose key can't be pinned statically contributes every key of its
-  /// alias (lineage completeness beats minimality — the differential test
+  enum class Outcome : std::uint8_t { kNone, kInSync, kNotReady, kError };
+  /// One instance's memoized outcome, plus the key each of the mapping's
+  /// dynamic reads resolved to when it was evaluated (non-string: unknown).
+  struct Memo {
+    Outcome outcome = Outcome::kNone;
+    std::vector<common::Value> dynamic_keys;  // parallel to plan.dynamic
+  };
+  /// The persistent view of one aliased store. `objects` holds, in list
+  /// (key) order, the payload handle each copy in `value` was made from;
+  /// `value` is what expressions read: objects by key, with the default
+  /// object's fields merged at top level. A pass writes its patches into
+  /// `value` in place, so `objects` keeps the pre-pass handles (lineage
+  /// inputs) until the next diff.
+  struct AliasView {
+    struct Entry {
+      common::SharedValue data;
+      std::uint64_t version = 0;
+      /// Memos of the fan-out instances this key drives, by mapping index.
+      std::vector<Memo> memos;
+    };
+    std::map<std::string, Entry> objects;
+    common::Value value = common::Value::object();
+    /// Keys added, removed or changed (handle identity) by the last diff,
+    /// plus every key written since: by the previous pass (its commit may
+    /// have failed, so the diff re-copies it) or earlier in this one.
+    std::unordered_set<std::string> dirty_keys;
+    bool default_dirty = false;  // dirty_keys holds the default object
+    /// Keys this pass has written into `value`.
+    std::set<std::string> written;
+    /// Some mapping reads the alias whole (keys(A), ...), so `value` must
+    /// keep list order; otherwise an added key may simply be appended.
+    bool ordered = false;
+
+    [[nodiscard]] bool dirty() const { return !dirty_keys.empty(); }
+    /// Whether a read of `value[key]` may differ from the last pass: the
+    /// key itself or the default object it falls back to changed.
+    [[nodiscard]] bool key_dirty(const std::string& key) const {
+      return dirty() && (default_dirty || dirty_keys.count(key) != 0);
+    }
+    void mark_dirty(const std::string& key);
+  };
+  /// One mapping's alias reads, classified once per DXG.
+  struct MappingPlan {
+    const AliasView* target = nullptr;
+    std::vector<std::pair<const AliasView*, std::string>> keys;  // A.x
+    std::vector<const AliasView*> it_keyed;                      // A[it]
+    /// `get(A, <expr>)` / `A[<expr>]` outside a comprehension: the key is
+    /// recorded per instance when it is evaluated. The key expression's
+    /// own reads are classified too, so the recorded key holds until the
+    /// instance is dirty for another reason.
+    std::vector<std::pair<const AliasView*, const expr::Node*>> dynamic;
+    std::vector<const AliasView*> whole;  // keys(A), a bare A, ...
+    Memo memo;  // the single instance of a non-fan-out mapping
+  };
+  /// Per-patch-group lineage dedup: (store, key) already recorded.
+  using InputSet = std::set<std::pair<std::string, std::string>>;
+
+  /// Brings the views up to date with a pass's list results: a diff when
+  /// possible, a full rebuild (dropping every memo) when a resync is due.
+  void refresh_views(Listing& listing);
+  /// Applies one alias's list result to its view: re-copies added and
+  /// changed objects, drops removed ones, and records their keys.
+  static void diff_alias(AliasView& view,
+                         std::vector<de::StateObject>& objects);
+  /// Rebuilds `view.value` in list order by moving each object's copy,
+  /// then merges the default object's fields at top level.
+  static void relayout(AliasView& view);
+  /// Classifies every mapping's reads against the current views.
+  void plan_mappings();
+  /// Whether any read of this instance may have changed since its memo.
+  bool instance_dirty(const MappingPlan& plan, const std::string& target_object,
+                      const Memo& memo) const;
+  /// Evaluates the DXG over the views: dirty instances are evaluated,
+  /// clean ones replay their memo. Shared by the client-side pass and the
+  /// compiled UDF.
+  PatchSet evaluate();
+  /// Resolves a mapping instance's refs into the (store, key, version,
+  /// payload) records it read before the pass. Conservative: a ref whose
+  /// key can't be pinned statically contributes every key of its alias
+  /// (lineage completeness beats minimality — the differential test
   /// replays exactly this set).
   void resolve_inputs(const DxgMapping& mapping, const std::string* it_key,
-                      const Snapshot& snapshot, std::vector<LineageRef>& out);
-  /// Appends one (store, key) snapshot record to `out` (dedup by store+key;
-  /// version and payload resolved from the snapshot).
+                      std::vector<LineageRef>& out, InputSet& seen) const;
+  /// Appends the (store, key) record `value[key]` resolved to before the
+  /// pass, if any, to `out`, once per `seen`.
   void add_input(const std::string& alias, const std::string& key,
-                 const Snapshot& snapshot, std::vector<LineageRef>& out);
+                 std::vector<LineageRef>& out, InputSet& seen) const;
   /// Records one derived-write lineage entry on the DE's provenance ring.
   void record_lineage(const std::string& alias, const std::string& object,
                       std::uint64_t version, std::vector<LineageRef> inputs,
                       const TraceContext& ctx, std::uint64_t span_id);
-
-  /// Builds the expression environment value for one alias from a list of
-  /// that store's objects (objects keyed by name; default object's fields
-  /// merged at top level).
-  static common::Value build_alias_value(
-      const std::vector<de::StateObject>& objects);
 
   void install_watches();
   void remove_watches();
@@ -209,6 +289,10 @@ class CastIntegrator : public Integrator {
   std::vector<std::pair<de::ObjectStore*, std::uint64_t>> watches_;
   sim::Rng rng_{0xCA57};
   CastStats stats_;
+  std::map<std::string, AliasView> views_;
+  std::vector<MappingPlan> plans_;  // parallel to dxg_.mappings()
+  bool resync_ = true;              // next refresh rebuilds every view
+  std::uint64_t rates_generation_ = 0;
 };
 
 }  // namespace knactor::core

@@ -26,6 +26,10 @@ std::map<std::string, double>& currency_rates() {
   return rates;
 }
 
+/// Bumped by every set_currency_rates: the table is the only input a
+/// builtin reads besides its arguments.
+std::uint64_t rates_generation = 0;
+
 Error arity_error(const std::string& fn, std::size_t want, std::size_t got) {
   return Error::eval(fn + "() takes " + std::to_string(want) +
                      " argument(s), got " + std::to_string(got));
@@ -409,6 +413,11 @@ std::vector<std::string> FunctionRegistry::names() const {
 
 void FunctionRegistry::set_currency_rates(std::map<std::string, double> rates) {
   currency_rates() = std::move(rates);
+  ++rates_generation;
+}
+
+std::uint64_t FunctionRegistry::currency_rates_generation() {
+  return rates_generation;
 }
 
 const FunctionRegistry& FunctionRegistry::builtins() {

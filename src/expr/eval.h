@@ -110,6 +110,10 @@ class FunctionRegistry {
   /// Replaces the conversion-rate table used by currency_convert.
   /// Rates map currency code -> units per USD.
   static void set_currency_rates(std::map<std::string, double> rates);
+  /// Counts set_currency_rates calls. The rate table is the only state a
+  /// builtin reads besides its arguments, so a caller that memoizes
+  /// results (the Cast integrator) invalidates them when this changes.
+  static std::uint64_t currency_rates_generation();
 
  private:
   std::map<std::string, Function> functions_;

@@ -1,6 +1,12 @@
 #include "core/cast.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <set>
+
+#include "de/persist/engine.h"
 
 namespace knactor::core {
 namespace {
@@ -439,6 +445,327 @@ DXG:
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value(), 0u);
   EXPECT_EQ(cast->stats().fields_written, 3u * kItems);
+}
+
+// ---------------------------------------------------------------------------
+// Incremental passes: a persistent view per alias, and re-evaluation of only
+// the mapping instances whose reads changed.
+// ---------------------------------------------------------------------------
+
+class CastIncremental : public CastTest {
+ protected:
+  CastIncremental() { zones_ = &de_.create_store("zone-store"); }
+
+  std::unique_ptr<CastIntegrator> make_cast3(const std::string& spec) {
+    auto dxg = Dxg::parse(spec);
+    EXPECT_TRUE(dxg.ok()) << (dxg.ok() ? "" : dxg.error().to_string());
+    return std::make_unique<CastIntegrator>(
+        "test", de_, dxg.take(),
+        std::map<std::string, de::ObjectStore*>{
+            {"A", src_}, {"B", dst_}, {"Z", zones_}},
+        default_options(), nullptr, nullptr);
+  }
+
+  static std::uint64_t evaluated(const CastIntegrator& cast) {
+    return cast.stats().instances_evaluated;
+  }
+
+  /// Runs passes until one writes nothing.
+  static void converge(CastIntegrator& cast) {
+    for (int i = 0; i < 8; ++i) {
+      auto written = cast.run_pass_sync();
+      ASSERT_TRUE(written.ok());
+      if (written.value() == 0) return;
+    }
+    FAIL() << "did not converge";
+  }
+
+  de::ObjectStore* zones_ = nullptr;
+};
+
+constexpr const char* kRideSpec = R"(Input:
+  A: rides
+  B: quotes
+  Z: zones
+DXG:
+  B.*:
+    $for: A ride/
+    fare: get(A, it).fare
+    quoted: 'get(A, it).fare * get(Z, get(A, it).zone).surge'
+)";
+
+void put_rides(de::ObjectStore& rides, de::ObjectStore& zones, int n) {
+  for (int z = 0; z < 2; ++z) {
+    (void)zones.put_sync("svc", "zone/" + std::to_string(z),
+                         Value::object({{"surge", 1.0}}));
+  }
+  for (int i = 0; i < n; ++i) {
+    (void)rides.put_sync(
+        "svc", "ride/" + std::to_string(i),
+        Value::object({{"fare", 10 + i},
+                       {"zone", Value("zone/" + std::to_string(i % 2))}}));
+  }
+}
+
+TEST_F(CastIncremental, OneRideChangeEvaluatesPerMappingNotPerRide) {
+  constexpr int kRides = 500;
+  put_rides(*src_, *zones_, kRides);
+  auto cast = make_cast3(kRideSpec);
+  converge(*cast);
+  ASSERT_EQ(dst_->size(), static_cast<std::size_t>(kRides));
+  const std::uint64_t before = evaluated(*cast);
+  const std::uint64_t skipped_before = cast->stats().instances_skipped;
+
+  (void)src_->patch_sync("svc", "ride/7", Value::object({{"fare", 1000}}));
+  converge(*cast);
+  EXPECT_EQ(dst_->peek("ride/7")->data->get("fare")->as_int(), 1000);
+  EXPECT_DOUBLE_EQ(dst_->peek("ride/7")->data->get("quoted")->as_number(),
+                   1000.0);
+  // Two mappings, re-evaluated once for the source change and once for
+  // their own write: O(mappings), not O(rides).
+  EXPECT_LE(evaluated(*cast) - before, 4u);
+  EXPECT_GE(cast->stats().instances_skipped - skipped_before,
+            2u * (2u * kRides - 2u));
+}
+
+TEST_F(CastIncremental, ZoneChangesRequoteEveryDependentRide) {
+  constexpr int kRides = 40;
+  put_rides(*src_, *zones_, kRides);
+  auto cast = make_cast3(std::string(kRideSpec) +
+                         "    zones: len(keys(Z))\n");
+  converge(*cast);
+
+  // get(Z, get(A, it).zone) reads the key its instance resolved: a surge
+  // in zone/0 re-quotes exactly the rides in zone/0.
+  std::uint64_t before = evaluated(*cast);
+  (void)zones_->patch_sync("svc", "zone/0", Value::object({{"surge", 2.0}}));
+  converge(*cast);
+  // 20 quotes and, through keys(Z), all 40 `zones` re-evaluated; then the
+  // 3 instances of each of the 20 written rides re-checked against their
+  // own write.
+  EXPECT_EQ(evaluated(*cast) - before, 20u + kRides + 3u * 20u);
+  for (int i = 0; i < kRides; ++i) {
+    const double fare = 10 + i;
+    const double surge = i % 2 == 0 ? 2.0 : 1.0;
+    EXPECT_DOUBLE_EQ(dst_->peek("ride/" + std::to_string(i))
+                         ->data->get("quoted")
+                         ->as_number(),
+                     fare * surge)
+        << i;
+  }
+
+  // keys(Z) reads the whole alias: a new zone re-evaluates every ride's
+  // `zones` and nothing else.
+  before = evaluated(*cast);
+  (void)zones_->put_sync("svc", "zone/2", Value::object({{"surge", 3.0}}));
+  converge(*cast);
+  EXPECT_EQ(evaluated(*cast) - before, kRides + 3u * kRides);
+  for (int i = 0; i < kRides; ++i) {
+    EXPECT_EQ(dst_->peek("ride/" + std::to_string(i))
+                  ->data->get("zones")
+                  ->as_int(),
+              3)
+        << i;
+  }
+}
+
+TEST_F(CastIncremental, FailedPatchLeavesInstanceDirty) {
+  (void)dst_->put_sync("svc", "state", Value::object({{"copied", 1}}));
+  (void)src_->put_sync("svc", "state", Value::object({{"value", 2}}));
+  auto role = [](std::string name, std::set<de::Verb> verbs) {
+    return de::Role{std::move(name),
+                    {de::PolicyRule{"*", "", std::move(verbs), {}, {}}}};
+  };
+  const std::set<de::Verb> read = {de::Verb::kGet, de::Verb::kList,
+                                   de::Verb::kWatch};
+  std::set<de::Verb> all = read;
+  all.insert({de::Verb::kCreate, de::Verb::kUpdate, de::Verb::kDelete});
+  ASSERT_TRUE(de_.rbac().add_role(role("all", all)).ok());
+  ASSERT_TRUE(de_.rbac().add_role(role("reader", read)).ok());
+  ASSERT_TRUE(de_.rbac().bind("svc", "all").ok());
+  auto cast = make_cast(kSimpleSpec);
+  ASSERT_TRUE(de_.rbac().bind(cast->principal(), "reader").ok());
+  de_.rbac().set_enabled(true);
+
+  // The pass writes copied=2 into its view, but the patch is denied.
+  auto denied = cast->run_pass_sync();
+  ASSERT_TRUE(denied.ok());
+  EXPECT_EQ(denied.value(), 0u);
+  EXPECT_EQ(cast->stats().failed_passes, 1u);
+  EXPECT_EQ(dst_->peek("state")->data->get("copied")->as_int(), 1);
+
+  // The next pass re-reads the key it wrote instead of trusting its view.
+  ASSERT_TRUE(de_.rbac().bind(cast->principal(), "all").ok());
+  auto written = cast->run_pass_sync();
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(written.value(), 1u);
+  EXPECT_EQ(dst_->peek("state")->data->get("copied")->as_int(), 2);
+}
+
+TEST_F(CastIncremental, RecreatedKeyWithReissuedVersionIsSeen) {
+  // The DE journals every commit; recovery from a journal that lost its
+  // tail rolls the version counter back, so the next write re-issues a
+  // version the integrator has already seen, with different content.
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "kn_cast_reissue_" +
+                          std::to_string(static_cast<long>(::getpid()));
+  fs::remove_all(dir);
+  de::persist::Engine engine(de::persist::EngineOptions{dir, 0});
+  ASSERT_TRUE(de_.enable_persistence(&engine).ok());
+  auto cast = make_cast(
+      "Input:\n  A: src\n  B: dst\nDXG:\n  B.*:\n    $for: A item/\n"
+      "    out: get(A, it).v\n");
+
+  // Delete and re-create between two passes.
+  (void)src_->put_sync("svc", "item/0", Value::object({{"v", 1}}));
+  converge(*cast);
+  (void)src_->remove_sync("svc", "item/0");
+  (void)src_->put_sync("svc", "item/0", Value::object({{"v", 2}}));
+  converge(*cast);
+  EXPECT_EQ(dst_->peek("item/0")->data->get("out")->as_int(), 2);
+
+  // item/1 and its in-sync target land after the journal's durable prefix.
+  const std::string journal = engine.journal_path(engine.generation());
+  const auto durable_bytes = fs::file_size(journal);
+  auto populate = [&](int v) {
+    auto src = src_->put_sync("svc", "item/1", Value::object({{"v", v}}));
+    auto dst = dst_->put_sync("svc", "item/1", Value::object({{"out", 1}}));
+    EXPECT_TRUE(src.ok() && dst.ok());
+    return std::make_pair(src.value(), dst.value());
+  };
+  const auto first = populate(1);
+  converge(*cast);
+  EXPECT_EQ(dst_->peek("item/1")->data->get("out")->as_int(), 1);
+  fs::resize_file(journal, durable_bytes);
+  de_.restart();
+  ASSERT_EQ(src_->peek("item/1"), nullptr);
+  // Same keys, same versions; only the source's content differs. The view
+  // diffs by payload handle, so the change is still seen.
+  ASSERT_EQ(populate(3), first);
+  converge(*cast);
+  EXPECT_EQ(dst_->peek("item/1")->data->get("out")->as_int(), 3);
+  fs::remove_all(dir);
+}
+
+TEST_F(CastIncremental, ReconfigureAndPushdownTogglesResync) {
+  for (int i = 0; i < 10; ++i) {
+    (void)src_->put_sync("svc", "item/" + std::to_string(i),
+                         Value::object({{"v", i}}));
+  }
+  constexpr const char* kSpec =
+      "Input:\n  A: src\n  B: dst\nDXG:\n  B.*:\n    $for: A item/\n"
+      "    out: get(A, it).v\n";
+  auto cast = make_cast(kSpec);
+  converge(*cast);
+  // A quiet pass replays every memo.
+  std::uint64_t before = evaluated(*cast);
+  ASSERT_TRUE(cast->run_pass_sync().ok());
+  EXPECT_EQ(evaluated(*cast), before);
+
+  // Each resync drops every memo: the next pass evaluates all 10.
+  ASSERT_TRUE(cast->reconfigure_yaml(kSpec).ok());
+  before = evaluated(*cast);
+  ASSERT_TRUE(cast->run_pass_sync().ok());
+  EXPECT_EQ(evaluated(*cast) - before, 10u);
+
+  ASSERT_TRUE(cast->enable_pushdown().ok());
+  before = evaluated(*cast);
+  ASSERT_TRUE(cast->run_pass_sync().ok());
+  EXPECT_EQ(evaluated(*cast) - before, 10u);
+  before = evaluated(*cast);
+  ASSERT_TRUE(cast->run_pass_sync().ok());  // UDF passes are incremental too
+  EXPECT_EQ(evaluated(*cast), before);
+
+  cast->disable_pushdown();
+  before = evaluated(*cast);
+  ASSERT_TRUE(cast->run_pass_sync().ok());
+  EXPECT_EQ(evaluated(*cast) - before, 10u);
+}
+
+TEST_F(CastIncremental, SetCurrencyRatesInvalidatesMemos) {
+  const std::map<std::string, double> defaults = {
+      {"USD", 1.0},  {"EUR", 0.92}, {"GBP", 0.79}, {"JPY", 157.0},
+      {"CAD", 1.37}, {"CHF", 0.90}, {"CNY", 7.25}, {"AUD", 1.50},
+  };
+  (void)src_->put_sync("svc", "state", Value::object({{"usd", 100}}));
+  auto cast = make_cast(
+      "Input:\n  A: src\n  B: dst\nDXG:\n  B:\n"
+      "    eur: currency_convert(A.usd, \"USD\", \"EUR\")\n");
+  converge(*cast);
+  EXPECT_DOUBLE_EQ(dst_->peek("state")->data->get("eur")->as_number(), 92.0);
+  auto rates = defaults;
+  rates["EUR"] = 0.5;
+  expr::FunctionRegistry::set_currency_rates(rates);
+  converge(*cast);
+  expr::FunctionRegistry::set_currency_rates(defaults);
+  EXPECT_DOUBLE_EQ(dst_->peek("state")->data->get("eur")->as_number(), 50.0);
+}
+
+TEST_F(CastIncremental, ComprehensionVariablesShadowAliasesAndIt) {
+  // Inside the comprehension `it` is the loop item, so get(A, it) is a
+  // dynamic-key read of A (every key), not the instance's own key; and the
+  // loop variable named A is an item, not the alias.
+  (void)zones_->put_sync("svc", "peers",
+                         Value::object({{"of", Value::array({"item/1",
+                                                             "item/2"})}}));
+  for (int i = 0; i < 3; ++i) {
+    (void)src_->put_sync(
+        "svc", "item/" + std::to_string(i),
+        Value::object({{"v", i}, {"tags", Value::array({"x", "y"})}}));
+  }
+  auto cast = make_cast3(R"(Input:
+  A: src
+  B: dst
+  Z: zones
+DXG:
+  B.*:
+    $for: A item/
+    peer_sum: 'sum([get(A, it).v for it in Z.peers.of])'
+    tags: '[A for A in get(A, it).tags]'
+)");
+  converge(*cast);
+  EXPECT_EQ(dst_->peek("item/0")->data->get("peer_sum")->as_int(), 3);
+  EXPECT_EQ(dst_->peek("item/0")->data->get("tags")->as_array().size(), 2u);
+
+  (void)src_->patch_sync("svc", "item/2", Value::object({{"v", 10}}));
+  (void)src_->patch_sync("svc", "item/0",
+                         Value::object({{"tags", Value::array({"z"})}}));
+  converge(*cast);
+  EXPECT_EQ(dst_->peek("item/0")->data->get("peer_sum")->as_int(), 11);
+  EXPECT_EQ(dst_->peek("item/1")->data->get("peer_sum")->as_int(), 11);
+  EXPECT_EQ(dst_->peek("item/0")->data->get("tags")->as_array(),
+            Value::array({"z"}).as_array());
+}
+
+TEST_F(CastIncremental, NotReadyAndErrorOutcomesKeepTheirCounters) {
+  for (int i = 0; i < 5; ++i) {
+    (void)src_->put_sync("svc", "item/" + std::to_string(i),
+                         Value::object({{"v", i}}));
+  }
+  auto cast = make_cast(
+      "Input:\n  A: src\n  B: dst\nDXG:\n  B.*:\n    $for: A item/\n"
+      "    out: get(A, it).v\n    later: get(A, it).missing\n"
+      "    bad: get(A, it).v + \"str\"\n");
+  converge(*cast);
+  // Every quiet pass replays 5 not-ready and 5 error outcomes, exactly as
+  // a full re-evaluation would count them.
+  for (int pass = 0; pass < 3; ++pass) {
+    const CastStats before = cast->stats();
+    ASSERT_TRUE(cast->run_pass_sync().ok());
+    const CastStats& after = cast->stats();
+    EXPECT_EQ(after.fields_skipped_not_ready - before.fields_skipped_not_ready,
+              5u);
+    EXPECT_EQ(after.eval_errors - before.eval_errors, 5u);
+    EXPECT_EQ(after.instances_evaluated, before.instances_evaluated);
+    EXPECT_EQ(after.instances_skipped - before.instances_skipped, 15u);
+  }
+  // The dependency arrives: only its instance re-evaluates.
+  (void)src_->patch_sync("svc", "item/3", Value::object({{"missing", 7}}));
+  const CastStats before = cast->stats();
+  converge(*cast);
+  EXPECT_EQ(dst_->peek("item/3")->data->get("later")->as_int(), 7);
+  EXPECT_LE(cast->stats().instances_evaluated - before.instances_evaluated,
+            6u);
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 //   --smoke   1x scales only (the ctest `bench`-label invocation)
 //   --out     where to write the JSON report (default BENCH_hotpath.json)
 //   --check   validate an existing report: well-formed JSON with the
-//             expected sections; exits non-zero otherwise
+//             expected sections and the machine fields
+//             (hardware_concurrency, scaling_workers); exits non-zero
+//             otherwise
 //   --section run one section standalone (retail | shards | home | stages |
 //             scaling | commit_seq) and skip the JSON report unless --out
 //             is given explicitly; gates attached to the section still
@@ -939,6 +941,14 @@ int check_report(const std::string& path) {
     return 1;
   }
   const Value& report = parsed.value();
+  for (const char* key : {"hardware_concurrency", "scaling_workers"}) {
+    const Value* field = report.get(key);
+    if (field == nullptr || !field->is_int()) {
+      std::fprintf(stderr, "bench_hotpath: %s: missing integer field '%s'\n",
+                   path.c_str(), key);
+      return 1;
+    }
+  }
   for (const char* key :
        {"retail", "retail_shards", "smart_home", "stage_attribution",
         "scaling", "fanout"}) {
@@ -1047,6 +1057,14 @@ int main(int argc, char** argv) {
                   {"1x", 500}, {"10x", 5000}, {"100x", 50000}};
 
   Value report = Value::object();
+  // The machine the wall-clock rows were measured on: its core count, and
+  // the pool size the multi-shard `scaling` rows run with (at most 4).
+  const unsigned cores = std::thread::hardware_concurrency();
+  const int scaling_workers =
+      static_cast<int>(std::min(4u, std::max(1u, cores)));
+  report.set("hardware_concurrency", Value(static_cast<std::int64_t>(cores)));
+  report.set("scaling_workers",
+             Value(static_cast<std::int64_t>(scaling_workers)));
   Value retail = Value::array();
   double retail_100x_speedup = 0;
   // Incremental Cast passes: at 100x, at most this share of the mapping
@@ -1194,8 +1212,6 @@ int main(int argc, char** argv) {
     // Single-core CI boxes show ±25% run-to-run wall noise; best-of-5
     // keeps the gate comparing steady-state machinery, not scheduler luck.
     const int repeats = smoke ? 1 : 5;
-    const int scaling_workers = static_cast<int>(std::min<unsigned>(
-        4, std::max(1u, std::thread::hardware_concurrency())));
     ScalingRun legacy = run_commit_scaling_best(
         scaling_ops, epoch_size, 1, 1, /*use_epoch=*/false, repeats);
     scaling_converged = scaling_converged && legacy.converged;

@@ -501,7 +501,6 @@ RetailKnactorApp build_retail_knactor_app(core::Runtime& runtime,
   copts.compute = options.integrator_compute;
   copts.retry = options.integrator_retry;
   copts.batch_window = options.batch_window;
-  copts.epoch_commit = options.epoch_commit;
   copts.metrics = options.metrics != nullptr ? options.metrics
                                              : &runtime.metrics();
   auto integrator = std::make_unique<core::CastIntegrator>(

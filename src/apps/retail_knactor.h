@@ -39,10 +39,6 @@ struct RetailKnactorOptions {
   /// Server-side watch-batch window for the Cast integrator (0 = one pass
   /// per watch event; see CastIntegrator::Options::batch_window).
   sim::SimTime batch_window = 0;
-  /// Commit each integrator pass's writes through the DE's epoch pipeline
-  /// (one put_epoch per target store; see
-  /// CastIntegrator::Options::epoch_commit).
-  bool epoch_commit = false;
   /// Optional counters sink passed through to the integrator.
   core::Metrics* metrics = nullptr;
   /// Key-space shards for the runtime's DEs (deterministic: observable

@@ -172,7 +172,6 @@ RideHailingApp build_ride_hailing_app(core::Runtime& runtime,
   core::CastIntegrator::Options copts;
   copts.compute = sim::LatencyModel::constant_ms(0.02);
   copts.batch_window = options.batch_window;
-  copts.epoch_commit = options.epoch_commit;
   copts.retry = options.integrator_retry;
   auto cast = std::make_unique<core::CastIntegrator>(
       "ride-match", de, dxg.take(),

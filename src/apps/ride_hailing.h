@@ -36,8 +36,6 @@ struct RideHailingOptions {
   /// Server-side watch-batch window for the Cast integrator (0 = a pass
   /// per event). The open-loop bench sets this to amortize convergence.
   sim::SimTime batch_window = 0;
-  /// Commit integrator passes through the epoch pipeline.
-  bool epoch_commit = false;
   /// Exchange-pass retry policy (chaos resilience; off by default).
   sim::RetryPolicy integrator_retry;
   /// Key-space shards / workers (deterministic; docs/ARCHITECTURE.md).

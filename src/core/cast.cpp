@@ -314,21 +314,7 @@ void CastIntegrator::install_watches() {
         principal(), std::move(spec), [this](const de::WatchEvent& event) {
           if (!running_ || pushdown_) return;
           trigger_ctx_ = event.ctx;
-          if (options_.debounce <= 0) {
-            run_pass_async(options_.max_rounds_per_event);
-            return;
-          }
-          // Debounce: the first event of a burst arms one delayed pass;
-          // later events within the window ride along (the pass runs
-          // under the latest event's trace).
-          if (debounce_pending_) return;
-          debounce_pending_ = true;
-          de_.clock().schedule_after(options_.debounce, [this]() {
-            debounce_pending_ = false;
-            if (running_ && !pushdown_) {
-              run_pass_async(options_.max_rounds_per_event);
-            }
-          });
+          run_pass_async(options_.max_rounds_per_event);
         });
     if (!sub.ok()) {
       KN_WARN << "cast " << name_ << ": subscribe denied on store '"
@@ -914,129 +900,6 @@ void CastIntegrator::run_pass_async(int rounds_left) {
             return;
           }
           const bool lineage = !ps.inputs.empty();
-          if (options_.atomic_writes) {
-            *writes_left = 1;
-            std::vector<de::ObjectDe::TxnOp> ops;
-            auto targets = std::make_shared<
-                std::vector<std::pair<std::string, std::string>>>();
-            auto inputs = std::make_shared<
-                std::vector<std::vector<LineageRef>>>();
-            std::size_t n = 0;
-            for (std::size_t pi = 0; pi < ps.patches.size(); ++pi) {
-              auto& [key, fields] = ps.patches[pi];
-              const auto& [alias, object] = key;
-              de::ObjectDe::TxnOp op;
-              op.store = stores_[alias]->name();
-              op.key = object;
-              n += fields.is_object() ? fields.as_object().size() : 0;
-              op.data = std::move(fields);
-              op.merge = true;
-              ops.push_back(std::move(op));
-              if (lineage) {
-                targets->emplace_back(alias, object);
-                inputs->push_back(std::move(ps.inputs[pi]));
-              }
-            }
-            de_.kernel().set_trace_context(write_ctx);
-            de_.transact(principal(), std::move(ops),
-                         [this, writes_left, wrote, write_failed, complete, n,
-                          targets, inputs, write_ctx, span](Result<Value> r) {
-                           --*writes_left;
-                           if (r.ok()) {
-                             *wrote += n;
-                             stats_.fields_written += n;
-                             for (std::size_t i = 0; i < targets->size(); ++i) {
-                               record_lineage((*targets)[i].first,
-                                              (*targets)[i].second, 0,
-                                              std::move((*inputs)[i]),
-                                              write_ctx, span);
-                             }
-                           } else {
-                             ++stats_.eval_errors;
-                             *write_failed = true;
-                             KN_DEBUG << "cast " << name_
-                                      << ": transaction failed: "
-                                      << r.error().to_string();
-                           }
-                           complete();
-                         });
-            de_.kernel().clear_trace_context();
-            return;
-          }
-          if (options_.epoch_commit) {
-            // Epoch mode: group the pass's patches per target store
-            // (first-appearance order) and commit each group as one epoch
-            // — one write round trip per store, shard-parallel commit work
-            // behind the DE's deterministic merge. Results map back to the
-            // same per-patch bookkeeping as the per-patch path.
-            struct EpochGroup {
-              de::ObjectStore* store = nullptr;
-              std::vector<de::EpochWrite> writes;
-              std::vector<std::string> aliases;
-              std::vector<std::string> objects;
-              std::vector<std::size_t> field_counts;
-              std::vector<std::vector<LineageRef>> inputs;
-            };
-            auto groups = std::make_shared<std::vector<EpochGroup>>();
-            std::map<std::string, std::size_t> group_of;
-            for (std::size_t pi = 0; pi < ps.patches.size(); ++pi) {
-              auto& [key, fields] = ps.patches[pi];
-              const std::string& alias = key.first;
-              const std::string& object = key.second;
-              auto [it, inserted] =
-                  group_of.emplace(alias, groups->size());
-              if (inserted) {
-                groups->push_back(EpochGroup{});
-                groups->back().store = stores_[alias];
-              }
-              EpochGroup& g = (*groups)[it->second];
-              g.field_counts.push_back(
-                  fields.is_object() ? fields.as_object().size() : 0);
-              de::EpochWrite w;
-              w.key = object;
-              w.data = std::move(fields);
-              w.merge = true;
-              g.writes.push_back(std::move(w));
-              g.aliases.push_back(alias);
-              g.objects.push_back(object);
-              g.inputs.push_back(lineage ? std::move(ps.inputs[pi])
-                                         : std::vector<LineageRef>{});
-            }
-            *writes_left = groups->size();
-            de_.kernel().set_trace_context(write_ctx);
-            for (std::size_t gi = 0; gi < groups->size(); ++gi) {
-              EpochGroup& g = (*groups)[gi];
-              auto writes = std::move(g.writes);
-              g.store->put_epoch(
-                  principal(), std::move(writes),
-                  [this, writes_left, wrote, write_failed, complete, groups,
-                   gi, lineage, write_ctx,
-                   span](std::vector<Result<std::uint64_t>> results) {
-                    EpochGroup& g = (*groups)[gi];
-                    for (std::size_t j = 0; j < results.size(); ++j) {
-                      if (results[j].ok()) {
-                        *wrote += g.field_counts[j];
-                        stats_.fields_written += g.field_counts[j];
-                        if (lineage) {
-                          record_lineage(g.aliases[j], g.objects[j],
-                                         results[j].value(),
-                                         std::move(g.inputs[j]), write_ctx,
-                                         span);
-                        }
-                      } else {
-                        ++stats_.eval_errors;
-                        *write_failed = true;
-                        KN_DEBUG << "cast " << name_ << ": epoch write failed: "
-                                 << results[j].error().to_string();
-                      }
-                    }
-                    --*writes_left;
-                    complete();
-                  });
-            }
-            de_.kernel().clear_trace_context();
-            return;
-          }
           de_.kernel().set_trace_context(write_ctx);
           for (std::size_t pi = 0; pi < ps.patches.size(); ++pi) {
             auto& [key, fields] = ps.patches[pi];
@@ -1059,7 +922,6 @@ void CastIntegrator::run_pass_async(int rounds_left) {
                                               std::move(in), write_ctx, span);
                              }
                            } else {
-                             ++stats_.eval_errors;
                              *write_failed = true;
                              KN_DEBUG << "cast " << name_ << ": write failed: "
                                       << r.error().to_string();

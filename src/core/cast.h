@@ -14,6 +14,12 @@
 //
 // Run-time reconfiguration (§3.3): `reconfigure` atomically swaps the DXG.
 //
+// Writes are per patch: a client-side pass issues one `patch` per target
+// object it changes, each committed by the DE as a single-op epoch, and
+// each succeeds or fails on its own. A failed write fails the pass (and
+// feeds the retry policy); passes are idempotent, so the next one re-derives
+// any patch that did not land.
+//
 // Passes are incremental. The integrator keeps a persistent view of every
 // aliased store, diffs each pass's list result against it by payload
 // handle, re-copies only the objects that changed, and re-evaluates only
@@ -74,33 +80,13 @@ class CastIntegrator : public Integrator {
     bool strict = false;
     /// Polling instead of watches; 0 = watch-driven.
     sim::SimTime poll_interval = 0;
-    /// Commit each pass's writes as one atomic transaction on the DE:
-    /// observers never see a partially-applied exchange, and multi-store
-    /// writes cost one round trip instead of one per store (§5
-    /// transactions).
-    bool atomic_writes = false;
-    /// Coalesce bursts of watch events: instead of a pass per event, wait
-    /// this long after the first event and run one pass for the burst
-    /// (trades propagation latency for fewer snapshot/evaluate cycles —
-    /// §3.3 "consolidate the state processing logic", applied in time).
-    sim::SimTime debounce = 0;
-    /// Server-side watch coalescing (tentpole of the hot-path batching
-    /// work): when > 0, watches register via ObjectStore::subscribe_batch
-    /// with this window — the DE buffers a burst of commits and delivers one
-    /// WatchBatch, and the integrator runs one pass per batch. Unlike
-    /// `debounce` (client-side: every event still crosses the wire), the
-    /// coalescing happens inside the DE, so one notification is delivered
-    /// per window regardless of burst size.
+    /// Server-side watch coalescing: when > 0, watches register via
+    /// ObjectStore::subscribe_batch with this window — the DE buffers a
+    /// burst of commits and delivers one WatchBatch, and the integrator runs
+    /// one pass per batch. The coalescing happens inside the DE, so one
+    /// notification crosses the wire per window regardless of burst size.
+    /// A DXG `Watch:` clause's `qos.window` overrides it per alias.
     sim::SimTime batch_window = 0;
-    /// Commit each pass's writes through the DE's epoch pipeline
-    /// (ObjectStore::put_epoch): the pass's patches are grouped per target
-    /// store and committed as one epoch each — one write round trip per
-    /// store instead of one per patch, with the commit work running
-    /// shard-parallel behind a deterministic merge. Unlike atomic_writes
-    /// (which takes precedence when both are set), an epoch is not
-    /// all-or-nothing: each patch succeeds or fails individually, exactly
-    /// like the per-patch path.
-    bool epoch_commit = false;
     /// Exchange-pass retry: when a pass's snapshot read or patch write
     /// fails (e.g. the DE is crashed), re-run the whole pass after backoff.
     /// Passes are idempotent (desired-state patches), so replays are safe.
@@ -278,7 +264,6 @@ class CastIntegrator : public Integrator {
   bool pushdown_ = false;
   bool pass_in_flight_ = false;
   bool rerun_requested_ = false;
-  bool debounce_pending_ = false;
   int pass_attempt_ = 0;  // consecutive failed passes (retry bookkeeping)
   sim::SimTime pass_first_attempt_ = 0;
   std::string udf_name_;

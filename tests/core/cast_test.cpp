@@ -224,24 +224,25 @@ TEST_F(CastTest, PollingModeRunsOnInterval) {
   cast->stop();
 }
 
-TEST_F(CastTest, DebounceCoalescesBursts) {
-  // Without debounce, a burst of N writes triggers ~N passes; with it, the
-  // burst collapses into one (plus the initial pass at start).
-  auto run_burst = [this](sim::SimTime debounce) -> std::uint64_t {
+TEST_F(CastTest, BatchWindowCoalescesBursts) {
+  // Without a batch window, a burst of N writes triggers ~N passes; with
+  // one, the DE delivers the burst as one batch and one pass consumes it
+  // (plus the initial pass at start).
+  auto run_burst = [](sim::SimTime window) -> std::uint64_t {
     sim::VirtualClock clock;
     de::ObjectDe de(clock, de::ObjectDeProfile::redis());
     de::ObjectStore& src = de.create_store("src-store");
     de::ObjectStore& dst = de.create_store("dst-store");
     auto dxg = Dxg::parse(kSimpleSpec);
     CastIntegrator::Options options;
-    options.debounce = debounce;
-    CastIntegrator cast("db", de, dxg.take(), {{"A", &src}, {"B", &dst}},
+    options.batch_window = window;
+    CastIntegrator cast("bw", de, dxg.take(), {{"A", &src}, {"B", &dst}},
                         options);
     EXPECT_TRUE(cast.start().ok());
     clock.run_all();
     std::uint64_t before = cast.stats().passes;
     // Burst: 10 writes spaced 2 ms apart (each would trigger its own pass
-    // without debouncing; a 50 ms window swallows the whole burst).
+    // without batching; a 50 ms window swallows the whole burst).
     for (int i = 0; i < 10; ++i) {
       clock.schedule_after(sim::from_ms(2.0 * i), [&src, i]() {
         src.put("svc", "state", Value::object({{"value", i}}),
@@ -263,9 +264,9 @@ TEST_F(CastTest, DebounceCoalescesBursts) {
   EXPECT_LT(with, without);
 }
 
-TEST_F(CastTest, DebouncedEventsStillPropagate) {
+TEST_F(CastTest, BatchedEventsStillPropagate) {
   CastIntegrator::Options options;
-  options.debounce = sim::from_ms(10.0);
+  options.batch_window = sim::from_ms(10.0);
   auto cast = make_cast(kSimpleSpec, options);
   ASSERT_TRUE(cast->start().ok());
   clock_.run_all();
@@ -592,6 +593,7 @@ TEST_F(CastIncremental, FailedPatchLeavesInstanceDirty) {
   ASSERT_TRUE(denied.ok());
   EXPECT_EQ(denied.value(), 0u);
   EXPECT_EQ(cast->stats().failed_passes, 1u);
+  EXPECT_EQ(cast->stats().eval_errors, 0u);  // a write failure, not an eval one
   EXPECT_EQ(dst_->peek("state")->data->get("copied")->as_int(), 1);
 
   // The next pass re-reads the key it wrote instead of trusting its view.

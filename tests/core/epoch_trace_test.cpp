@@ -2,17 +2,14 @@
 // Metrics::Delta sinks replace shared-state emission on the parallel
 // commit path. These tests pin the contract: merging buffers at the epoch
 // boundary yields the same span counts, stage attribution, and counter
-// totals as serial emission — for every shard/worker configuration, and
-// whether the Cast integrator writes per-patch or per-epoch.
+// totals as serial emission — for every shard/worker configuration.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 #include <vector>
 
-#include "apps/retail_knactor.h"
 #include "common/worker_pool.h"
-#include "core/runtime.h"
 #include "core/trace.h"
 #include "de/object.h"
 
@@ -219,27 +216,6 @@ TEST(EpochObservability, CrashedEpochLeaksNoSpansOrCounters) {
   EXPECT_TRUE(tracer.spans().empty());
   EXPECT_EQ(metrics.get("de.epoch.epochs"), 0u);
   EXPECT_EQ(metrics.get("de.epoch.committed"), 0u);
-}
-
-// Regression: switching the Cast integrator from per-patch writes to the
-// epoch pipeline must not change what the composition's traces report —
-// same span counts per name, same stage attribution (C-I / I / I-S), same
-// pass structure.
-TEST(EpochObservability, CastEpochCommitKeepsSpanCountsAndStages) {
-  auto run = [](bool epoch) {
-    core::Runtime rt;
-    apps::RetailKnactorOptions options;
-    options.epoch_commit = epoch;
-    options.metrics = &rt.metrics();
-    apps::RetailKnactorApp app = apps::build_retail_knactor_app(rt, options);
-    auto order = app.place_order_sync(apps::sample_order());
-    EXPECT_TRUE(order.ok());
-    return span_counts(rt.tracer().spans());
-  };
-  auto with_epoch = run(true);
-  auto without = run(false);
-  EXPECT_GT(without["stage:I-S"], 0);  // the write stage is actually traced
-  EXPECT_EQ(with_epoch, without);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "core/cast.h"
 #include "de/object.h"
 
 namespace knactor::de {
@@ -192,25 +191,6 @@ TEST_F(TransactTest, UpdateSyncRetriesThroughInterferingWriter) {
   // First attempt read n=0 but conflicted; retry read n=100 and wrote 101.
   EXPECT_GE(calls, 2);
   EXPECT_EQ(a_->peek("k")->data->get("n")->as_int(), 101);
-}
-
-TEST_F(TransactTest, CastAtomicWritesProduceSameState) {
-  // The retail-style multi-store pass with atomic_writes on: same result,
-  // all-at-once visibility.
-  core::CastIntegrator::Options options;
-  options.atomic_writes = true;
-  auto dxg = core::Dxg::parse(
-      "Input:\n  A: a\n  B: b\nDXG:\n"
-      "  B:\n    copied: A.value\n    doubled: A.value * 2\n");
-  core::CastIntegrator cast("atomic", de_, dxg.take(),
-                            {{"A", a_}, {"B", b_}}, options);
-  ASSERT_TRUE(cast.start().ok());
-  (void)a_->put_sync("svc", "state", Value::object({{"value", 21}}));
-  clock_.run_all();
-  ASSERT_NE(b_->peek("state"), nullptr);
-  EXPECT_EQ(b_->peek("state")->data->get("copied")->as_int(), 21);
-  EXPECT_EQ(b_->peek("state")->data->get("doubled")->as_int(), 42);
-  EXPECT_EQ(cast.stats().fields_written, 2u);
 }
 
 }  // namespace

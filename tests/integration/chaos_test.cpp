@@ -61,7 +61,6 @@ sim::FaultPlan retail_plan(std::uint64_t seed) {
 RetailTrialResult run_retail_trial(std::uint64_t seed, bool inject,
                                    sim::SimTime batch_window = 0,
                                    std::size_t shards = 1, int workers = 1,
-                                   bool epoch_commit = false,
                                    bool filtered_sub = false) {
   core::Runtime runtime;
   apps::RetailKnactorOptions options;
@@ -72,7 +71,6 @@ RetailTrialResult run_retail_trial(std::uint64_t seed, bool inject,
   options.batch_window = batch_window;  // coalesced watch delivery
   options.shards = shards;
   options.workers = workers;
-  options.epoch_commit = epoch_commit;  // integrator writes via put_epoch
   auto app = apps::build_retail_knactor_app(runtime, options);
 
   // Optional filtered subscription riding through the fault corpus: a
@@ -289,8 +287,7 @@ TEST(ChaosRetailFiltered, HundredSeedsConvergeWithFilteredSubscription) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto result = run_retail_trial(seed, /*inject=*/true,
                                    25 * sim::kMillisecond, /*shards=*/1,
-                                   /*workers=*/1, /*epoch_commit=*/false,
-                                   /*filtered_sub=*/true);
+                                   /*workers=*/1, /*filtered_sub=*/true);
     ASSERT_TRUE(result.converged)
         << "filtered seed " << seed << " diverged from oracle.\nSchedule:\n"
         << result.schedule << "Plan: " << retail_plan(seed).describe();
@@ -310,12 +307,10 @@ TEST(ChaosRetailFiltered, FilteredDeliveryLogBitIdenticalSerialVsSharded) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto serial = run_retail_trial(seed, /*inject=*/true,
                                    25 * sim::kMillisecond, /*shards=*/1,
-                                   /*workers=*/1, /*epoch_commit=*/false,
-                                   /*filtered_sub=*/true);
+                                   /*workers=*/1, /*filtered_sub=*/true);
     auto sharded = run_retail_trial(seed, /*inject=*/true,
                                     25 * sim::kMillisecond, /*shards=*/8,
-                                    /*workers=*/4, /*epoch_commit=*/false,
-                                    /*filtered_sub=*/true);
+                                    /*workers=*/4, /*filtered_sub=*/true);
     ASSERT_TRUE(sharded.converged)
         << "filtered sharded seed " << seed << " diverged.\nSchedule:\n"
         << sharded.schedule;
@@ -323,57 +318,6 @@ TEST(ChaosRetailFiltered, FilteredDeliveryLogBitIdenticalSerialVsSharded) {
     EXPECT_EQ(sharded.sub_filtered, serial.sub_filtered) << "seed " << seed;
     EXPECT_EQ(sharded.fingerprint, serial.fingerprint) << "seed " << seed;
   }
-}
-
-TEST(ChaosRetailEpoch, FortySeedsConvergeWithParallelCommitPipeline) {
-  // Parallel-commit-pipeline satellite: the integrator now writes each pass
-  // through put_epoch (grouped per store, committed shard-parallel behind
-  // the deterministic epoch merge) while the same seeded fault corpus
-  // crashes the DE and the pipeline knactors mid-run — including mid-epoch:
-  // an epoch that lands in a crash window fails whole (every op
-  // Unavailable) and the integrator's retry replays the pass. Every seed
-  // must still converge to the fault-free *per-patch* oracle: the epoch
-  // path changes how writes commit, never what state they converge to.
-  const int kSeeds = 40;
-  int completed_during_chaos = 0;
-  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    auto result = run_retail_trial(seed, /*inject=*/true,
-                                   25 * sim::kMillisecond, /*shards=*/8,
-                                   /*workers=*/4, /*epoch_commit=*/true);
-    ASSERT_TRUE(result.converged)
-        << "epoch seed " << seed << " diverged from oracle.\nSchedule:\n"
-        << result.schedule << "Plan: " << retail_plan(seed).describe();
-    if (result.completed) ++completed_during_chaos;
-  }
-  EXPECT_GT(completed_during_chaos, kSeeds / 2);
-}
-
-TEST(ChaosRetailEpoch, EpochTrialsAreBitIdenticalToSerialUnderChaos) {
-  // And the epoch pipeline keeps the shard-determinism contract under
-  // chaos: 8 shards / 4 workers replay the 1-shard serial epoch trial
-  // byte-for-byte (schedule, fingerprint, retry counts).
-  const int kSeeds = 12;
-  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    auto serial = run_retail_trial(seed, /*inject=*/true,
-                                   25 * sim::kMillisecond, /*shards=*/1,
-                                   /*workers=*/1, /*epoch_commit=*/true);
-    auto sharded = run_retail_trial(seed, /*inject=*/true,
-                                    25 * sim::kMillisecond, /*shards=*/8,
-                                    /*workers=*/4, /*epoch_commit=*/true);
-    EXPECT_EQ(sharded.schedule, serial.schedule) << "seed " << seed;
-    EXPECT_EQ(sharded.fingerprint, serial.fingerprint) << "seed " << seed;
-    EXPECT_EQ(sharded.completed, serial.completed) << "seed " << seed;
-    EXPECT_EQ(sharded.failed_passes, serial.failed_passes) << "seed " << seed;
-    EXPECT_EQ(sharded.cast_retries, serial.cast_retries) << "seed " << seed;
-  }
-}
-
-TEST(ChaosRetailEpoch, FaultFreeEpochTrialMatchesOracle) {
-  auto result = run_retail_trial(0, /*inject=*/false, 25 * sim::kMillisecond,
-                                 /*shards=*/8, /*workers=*/4,
-                                 /*epoch_commit=*/true);
-  EXPECT_TRUE(result.completed);
-  EXPECT_TRUE(result.converged);
 }
 
 // ---------------------------------------------------------------------------

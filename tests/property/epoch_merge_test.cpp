@@ -16,8 +16,9 @@
 //     only through its last committed op) is pinned case by case, and a
 //     fixed per-op script pins the delivery log of the per-op path that
 //     single-op epochs replaced.
-//   * Runtime differential — the retail composition with epoch_commit on,
-//     comparing state, metrics, traces, and stats across configs.
+//   * Runtime differential — the retail composition, whose integrator
+//     patches commit as single-op epochs, comparing state, metrics, and
+//     traces across configs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -1236,7 +1237,7 @@ TEST(EpochMerge, SingleOpEpochsReproducePerOpDeliveryLog) {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime differential: the retail composition with epoch_commit on.
+// Runtime differential: the retail composition across shard configs.
 // ---------------------------------------------------------------------------
 
 struct RuntimeObservation {
@@ -1246,11 +1247,10 @@ struct RuntimeObservation {
   std::string traces;
 };
 
-RuntimeObservation run_retail_epoch(const EpochConfig& config, double cost) {
+RuntimeObservation run_retail(const EpochConfig& config, double cost) {
   core::Runtime rt;
   apps::RetailKnactorOptions options;
   options.batch_window = 2 * sim::kMillisecond;
-  options.epoch_commit = true;
   options.metrics = &rt.metrics();
   options.shards = config.shards;
   options.workers = config.workers;
@@ -1275,12 +1275,12 @@ RuntimeObservation run_retail_epoch(const EpochConfig& config, double cost) {
   return obs;
 }
 
-TEST(EpochMerge, RetailEpochCommitMatchesSerialOracle) {
+TEST(EpochMerge, RetailMatchesSerialOracle) {
   for (double cost : {40.0, 900.0}) {
-    RuntimeObservation oracle = run_retail_epoch(kConfigs[0], cost);
+    RuntimeObservation oracle = run_retail(kConfigs[0], cost);
     ASSERT_FALSE(oracle.state.empty());
     for (std::size_t c = 1; c < std::size(kConfigs); ++c) {
-      RuntimeObservation got = run_retail_epoch(kConfigs[c], cost);
+      RuntimeObservation got = run_retail(kConfigs[c], cost);
       const std::string where =
           "cost " + std::to_string(cost) + " config " + config_name(kConfigs[c]);
       EXPECT_EQ(got.order, oracle.order) << where;
@@ -1289,26 +1289,6 @@ TEST(EpochMerge, RetailEpochCommitMatchesSerialOracle) {
       EXPECT_EQ(got.traces, oracle.traces) << where;
     }
   }
-}
-
-// The retail composition must converge to the same final state whether the
-// integrator writes per-patch or per-epoch (the two write paths are
-// equivalent on success).
-TEST(EpochMerge, RetailEpochCommitMatchesPerPatchState) {
-  auto run = [](bool epoch) {
-    core::Runtime rt;
-    apps::RetailKnactorOptions options;
-    options.epoch_commit = epoch;
-    apps::RetailKnactorApp app = apps::build_retail_knactor_app(rt, options);
-    auto order = app.place_order_sync(apps::sample_order());
-    std::string out = order.ok()
-                          ? chaos::canonical_fingerprint(order.value())
-                          : order.error().to_string();
-    return out + "|" + chaos::fingerprint_stores({app.checkout_store,
-                                                  app.shipping_store,
-                                                  app.payment_store});
-  };
-  EXPECT_EQ(run(true), run(false));
 }
 
 }  // namespace

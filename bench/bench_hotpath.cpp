@@ -9,9 +9,9 @@
 //   --smoke   1x scales only (the ctest `bench`-label invocation)
 //   --out     where to write the JSON report (default BENCH_hotpath.json)
 //   --check   validate an existing report: well-formed JSON with the
-//             expected sections and the machine fields
-//             (hardware_concurrency, scaling_workers); exits non-zero
-//             otherwise
+//             expected sections, the machine fields (hardware_concurrency,
+//             scaling_workers) and the fanout row's filtered.evaluated;
+//             exits non-zero otherwise
 //   --section run one section standalone (retail | shards | home | stages |
 //             scaling | commit_seq) and skip the JSON report unless --out
 //             is given explicitly; gates attached to the section still
@@ -173,13 +173,18 @@ RetailRun run_retail_best(std::size_t orders, SimTime batch_window,
 // subscriber, delivered volume = commits x subscribers. Filtered mode
 // gives each subscriber a content filter matching ~1% of orders (its
 // region bucket); the predicate runs pre-enqueue inside the commit
-// pipeline, so a rejected commit never costs a delivery. The gate is on
-// delivered-record volume, not wall time — the volume ratio is exact and
-// machine-independent.
+// pipeline, so a rejected commit never costs a delivery. Every filter is
+// an equality, so the store's subscription index runs the predicate only
+// for the subscribers whose bucket a commit hits. Three gates: delivered
+// volume (≥10x below broadcast) and predicate evaluations (exactly the
+// deliveries, since every candidate of a pure equality passes) are exact
+// and machine-independent; in full mode the filtered run's wall time must
+// also be ≥10x below the broadcast run's, measured in the same process.
 struct FanoutRun {
   double wall_ms = 0;
   std::uint64_t delivered = 0;  // watch events that reached a callback
   std::uint64_t filtered = 0;   // commits rejected pre-enqueue
+  std::uint64_t evaluated = 0;  // predicate evaluations (apply() calls)
 };
 
 FanoutRun run_fanout(std::size_t subscribers, std::size_t commits,
@@ -218,6 +223,9 @@ FanoutRun run_fanout(std::size_t subscribers, std::size_t commits,
   out.wall_ms = wall_ms_since(t0);
   out.delivered = delivered;
   out.filtered = de.stats().watch_events_filtered;
+  for (const auto& [id, info] : de.kernel().subscriptions()) {
+    out.evaluated += info.evaluated;
+  }
   return out;
 }
 
@@ -969,6 +977,18 @@ int check_report(const std::string& path) {
       return 1;
     }
   }
+  // The fanout row carries the subscription-index evaluation count.
+  const Value* fanout_filtered =
+      report.get("fanout")->as_array().front().get("filtered");
+  const Value* evaluated =
+      fanout_filtered != nullptr ? fanout_filtered->get("evaluated") : nullptr;
+  if (evaluated == nullptr || !evaluated->is_int()) {
+    std::fprintf(stderr,
+                 "bench_hotpath: %s: fanout row missing integer "
+                 "'filtered.evaluated'\n",
+                 path.c_str());
+    return 1;
+  }
   // The openloop section carries the latency-percentile contract: both
   // scenario subsections must be present, each with a non-empty knee sweep
   // whose rows all carry numeric offered/achieved rates and p50/p99/p999.
@@ -1251,9 +1271,14 @@ int main(int argc, char** argv) {
 
   // Subscriber fan-out: 10k subscribers at 1% selectivity over the retail
   // order stream. The content filter must cut delivered-record volume by
-  // at least 10x vs broadcast; the count is deterministic, so the gate
-  // applies in smoke mode too.
+  // at least 10x vs broadcast, and the subscription index must run the
+  // predicate exactly once per delivery; both counts are deterministic, so
+  // those gates apply in smoke mode too. In full mode the filtered wall
+  // time must also be ≥10x below broadcast.
   double fanout_volume_ratio = 0;
+  double fanout_wall_ratio = 0;
+  std::uint64_t fanout_evaluated = 0;
+  std::uint64_t fanout_delivered = 0;
   if (want("fanout")) {
     const std::size_t fan_subscribers = smoke ? 1000 : 10000;
     const std::size_t fan_commits = smoke ? 20 : 100;
@@ -1264,6 +1289,11 @@ int main(int argc, char** argv) {
             ? static_cast<double>(broadcast.delivered) /
                   static_cast<double>(selective.delivered)
             : 0;
+    fanout_wall_ratio = selective.wall_ms > 0
+                            ? broadcast.wall_ms / selective.wall_ms
+                            : 0;
+    fanout_evaluated = selective.evaluated;
+    fanout_delivered = selective.delivered;
     Value fanout = Value::array();
     Value row = Value::object();
     row.set("subscribers", Value(static_cast<std::int64_t>(fan_subscribers)));
@@ -1277,16 +1307,20 @@ int main(int argc, char** argv) {
     f.set("delivered", Value(static_cast<std::int64_t>(selective.delivered)));
     f.set("rejected_pre_enqueue",
           Value(static_cast<std::int64_t>(selective.filtered)));
+    f.set("evaluated", Value(static_cast<std::int64_t>(selective.evaluated)));
     row.set("filtered", std::move(f));
     row.set("volume_ratio", Value(fanout_volume_ratio));
+    row.set("wall_ratio", Value(fanout_wall_ratio));
     std::printf(
         "fanout %5zu subs %4zu commits: broadcast %8llu delivered "
-        "(%8.1fms)  filtered %8llu delivered (%8.1fms)  volume %.1fx\n",
+        "(%8.1fms)  filtered %8llu delivered %8llu evaluated (%8.1fms)  "
+        "volume %.1fx  wall %.1fx\n",
         fan_subscribers, fan_commits,
         static_cast<unsigned long long>(broadcast.delivered),
         broadcast.wall_ms,
         static_cast<unsigned long long>(selective.delivered),
-        selective.wall_ms, fanout_volume_ratio);
+        static_cast<unsigned long long>(selective.evaluated),
+        selective.wall_ms, fanout_volume_ratio, fanout_wall_ratio);
     fanout.as_array().push_back(std::move(row));
     report.set("fanout", std::move(fanout));
   }
@@ -1342,12 +1376,17 @@ int main(int argc, char** argv) {
   constexpr double kRequiredScalingSpeedup = 2.0;
   constexpr double kRequiredRecoverySpeedup = 5.0;
   constexpr double kRequiredFanoutRatio = 10.0;
+  constexpr double kRequiredFanoutWallRatio = 10.0;
   bool incremental_gate_ok =
       !want("retail") || smoke ||
       (retail_100x_share_unbatched <= kMaxEvaluatedShare &&
        retail_100x_share_batched <= kMaxEvaluatedShare);
   bool fanout_gate_ok =
       !want("fanout") || fanout_volume_ratio >= kRequiredFanoutRatio;
+  bool fanout_index_gate_ok =
+      !want("fanout") || fanout_evaluated == fanout_delivered;
+  bool fanout_wall_gate_ok = !want("fanout") || smoke ||
+                             fanout_wall_ratio >= kRequiredFanoutWallRatio;
   bool shard_gate_ok =
       shard_deterministic && (smoke || shard_worst_ratio <= kMaxShardRatio);
   bool scaling_gate_ok =
@@ -1378,12 +1417,19 @@ int main(int argc, char** argv) {
     gate.set("recovery_converged", Value(recovery_converged));
     gate.set("fanout_volume_ratio", Value(fanout_volume_ratio));
     gate.set("required_fanout_ratio", Value(kRequiredFanoutRatio));
+    gate.set("fanout_evaluated",
+             Value(static_cast<std::int64_t>(fanout_evaluated)));
+    gate.set("fanout_delivered",
+             Value(static_cast<std::int64_t>(fanout_delivered)));
+    gate.set("fanout_wall_ratio", Value(fanout_wall_ratio));
+    gate.set("required_fanout_wall_ratio", Value(kRequiredFanoutWallRatio));
     gate.set("openloop_ride_knee_rps", Value(openloop_ride_knee));
     gate.set("openloop_fleet_knee_rps", Value(openloop_fleet_knee));
     gate.set("openloop_ok", Value(openloop_ok));
     gate.set("pass", Value((smoke || retail_100x_speedup >= 2.0) &&
                            incremental_gate_ok && shard_gate_ok && scaling_gate_ok &&
                            recovery_gate_ok && fanout_gate_ok &&
+                           fanout_index_gate_ok && fanout_wall_gate_ok &&
                            openloop_ok));
     report.set("gate", std::move(gate));
   }
@@ -1443,6 +1489,22 @@ int main(int argc, char** argv) {
                  "bench_hotpath: FAIL: fanout volume ratio %.1fx < %.1fx "
                  "(filtered subscriptions vs broadcast)\n",
                  fanout_volume_ratio, kRequiredFanoutRatio);
+    return 1;
+  }
+  if (!fanout_index_gate_ok) {
+    std::fprintf(stderr,
+                 "bench_hotpath: FAIL: fanout evaluated %llu predicates for "
+                 "%llu deliveries (the equality index must run exactly one "
+                 "per delivery)\n",
+                 static_cast<unsigned long long>(fanout_evaluated),
+                 static_cast<unsigned long long>(fanout_delivered));
+    return 1;
+  }
+  if (!fanout_wall_gate_ok) {
+    std::fprintf(stderr,
+                 "bench_hotpath: FAIL: fanout filtered wall only %.1fx below "
+                 "broadcast (required %.1fx)\n",
+                 fanout_wall_ratio, kRequiredFanoutWallRatio);
     return 1;
   }
   if (want("openloop") && !openloop_ok) {

@@ -206,6 +206,10 @@ class Kernel {
     std::uint64_t filtered = 0;
     std::uint64_t delivered = 0;
     std::uint64_t dropped = 0;
+    /// Commits the compiled filter actually ran on (apply() calls): at
+    /// most `matched`, since an Object DE store's equality index rejects
+    /// commits that miss the filter's key without evaluating it.
+    std::uint64_t evaluated = 0;
     /// Fraction of evaluated commits the predicate let through.
     [[nodiscard]] double selectivity() const {
       if (matched == 0) return 1.0;

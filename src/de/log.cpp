@@ -348,34 +348,54 @@ Result<std::uint64_t> LogPool::subscribe(const std::string& principal,
   info.deadline = sub->qos().deadline;
   info.stage = sub->qos().stage_or_default();
   subscribers_.push_back(
-      Subscriber{id, principal, std::move(sub), std::move(callback)});
+      Subscriber{id, principal, std::move(sub), std::move(callback), &info});
   return id;
 }
 
 void LogPool::unsubscribe(std::uint64_t id) {
-  std::erase_if(subscribers_, [id](const auto& s) { return s.id == id; });
-  de_.kernel_.unregister_subscription(id);
+  // Only this pool's own ids: the registry is shared by every pool of the
+  // exchange, and its entries back the subscribers' cached info pointers.
+  if (std::erase_if(subscribers_, [id](const auto& s) { return s.id == id; })) {
+    de_.kernel_.unregister_subscription(id);
+  }
 }
 
 void LogPool::notify_subscribers(const LogRecord& rec) {
-  for (auto& s : subscribers_) {
-    Kernel::SubscriptionInfo* info = de_.kernel_.find_subscription(s.id);
-    if (info != nullptr) ++info->matched;
+  if (subscribers_.empty()) return;
+  // Callbacks run synchronously and may (un)subscribe, which reshapes
+  // subscribers_. So the walk re-finds its place by id after every
+  // subscriber (the vector is in ascending id order), stops at the newest
+  // subscriber present when it started, and invokes a copy of each
+  // callback so an unsubscribe from inside it cannot destroy it mid-call.
+  const std::uint64_t newest = subscribers_.back().id;
+  auto after = [this](std::uint64_t id) {
+    return std::upper_bound(
+        subscribers_.begin(), subscribers_.end(), id,
+        [](std::uint64_t v, const Subscriber& s) { return v < s.id; });
+  };
+  std::uint64_t last = 0;
+  for (auto it = subscribers_.begin();
+       it != subscribers_.end() && it->id <= newest; it = after(last)) {
+    const Subscriber& s = *it;
+    last = s.id;
+    ++s.info->matched;
     common::SharedValue payload = rec.data;
     if (s.sub->active()) {
+      ++s.info->evaluated;
       auto out = s.sub->apply(rec.data);
       if (!out.has_value()) {
         ++de_.stats_.records_filtered;
-        if (info != nullptr) ++info->filtered;
+        ++s.info->filtered;
         continue;
       }
       payload = std::move(*out);
     }
-    if (info != nullptr) ++info->delivered;
+    ++s.info->delivered;
     ++de_.stats_.sub_deliveries;
     LogRecord delivered = rec;
     delivered.data = std::move(payload);
-    s.callback(delivered);
+    auto callback = s.callback;  // copy: the callback may unsubscribe
+    callback(delivered);
   }
 }
 

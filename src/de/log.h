@@ -224,16 +224,21 @@ class LogPool {
     std::string principal;
     std::shared_ptr<const CompiledSubscription> sub;
     RecordCallback callback;
+    /// The kernel registry entry (a stable std::map node, unregistered
+    /// together with this subscriber's removal).
+    Kernel::SubscriptionInfo* info = nullptr;
   };
 
   /// Runs every subscriber's compiled pass over one freshly appended
-  /// record, at the append's commit point (serial, main loop).
+  /// record, at the append's commit point (serial, main loop). Callbacks
+  /// may (un)subscribe: a subscriber removed before its turn misses the
+  /// record, one added during the walk gets the records after it.
   void notify_subscribers(const LogRecord& rec);
 
   LogDe& de_;
   std::string name_;
   std::deque<LogRecord> records_;
-  std::vector<Subscriber> subscribers_;
+  std::vector<Subscriber> subscribers_;  // ascending id (registration order)
 };
 
 /// Executes a query pipeline over a batch of records (shared by LogPool

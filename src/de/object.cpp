@@ -265,6 +265,7 @@ void ObjectStore::unsubscribe(std::uint64_t watch_id, bool drain) {
   }
   std::erase_if(de_.watches_,
                 [watch_id](const auto& w) { return w.id == watch_id; });
+  de_.watch_index_stale_ = true;
   // A flush scheduled for a window we just drained or dropped finds no
   // buffer and no-ops — never a dangling coalesce slot, deterministically.
   de_.watch_buffers_.erase(watch_id);
@@ -740,6 +741,17 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
   if (n == 0) return results;
 
   // --- Phase A: serial prep ------------------------------------------------
+  // (Un)subscribe shifts watch positions, so it only marks the stores'
+  // equality indexes stale; they are rebuilt here, before any shard task
+  // reads them.
+  if (watch_index_stale_) {
+    for (auto& [name, store] : stores_) store->watch_index_.clear();
+    for (std::size_t w = 0; w < watches_.size(); ++w) {
+      stores_.at(watches_[w].store)
+          ->watch_index_.add(static_cast<std::uint32_t>(w), *watches_[w].sub);
+    }
+    watch_index_stale_ = false;
+  }
   const sim::SimTime now = clock().now();
   const std::size_t shard_count = shards_;
   std::vector<EpochOp> ops(n);
@@ -782,11 +794,13 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
     return false;
   };
   std::vector<EpochWatcher> watchers;
+  std::size_t active_watchers = 0;  // with a filter or projection
   for (std::size_t w = 0; w < watches_.size(); ++w) {
     const Watch& watch = watches_[w];
     if (!touches(watch.store)) continue;
     EpochWatcher& entry = watchers.emplace_back();
     entry.watch_index = w;
+    if (watch.sub->active()) ++active_watchers;
     if (!watch.batched) continue;
     WatchBuffer& buf = watch_buffers_[watch.id];
     if (buf.shards.empty()) buf.shards.resize(shard_count);
@@ -808,6 +822,9 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       tracer_ != nullptr ? shard_count : 0);
   std::vector<core::Metrics::Delta> metric_deltas(
       epoch_metrics_ != nullptr ? shard_count : 0);
+  // Per-shard scratch for the equality-index lookups.
+  std::vector<SubscriptionIndex::Probe> probes(
+      active_watchers > 0 ? shard_count : 0);
   auto process_op = [&](std::size_t i, std::size_t shard) {
     EpochWrite& w = writes[i];
     EpochOp& op = ops[i];
@@ -927,7 +944,15 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
     // buffer's shard queue right here (shard-local, so lock-free);
     // per-event watchers get a ready-to-ship event. Either way the op
     // records one WatchHit per watcher for the serial merge.
+    if (watchers.empty()) return;
     const std::string& key = op.obj.key;
+    SubscriptionIndex::Probe* probe = nullptr;  // set iff a watcher filters
+    if (active_watchers > 0) {
+      probe = &probes[shard];
+      store.watch_index_.probe(op.obj.data, *probe);
+      op.sub_matched.reserve(active_watchers);
+      op.sub_filtered.reserve(active_watchers);
+    }
     for (EpochWatcher& entry : watchers) {
       const std::size_t widx = entry.watch_index;
       const Watch& watch = watches_[widx];
@@ -941,12 +966,18 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       // Subscription content filter + projection: apply() is pure, so it
       // runs right here in the shard task. Accounting is staged on the op
       // (shard-local) and folded in Phase C, like every other counter.
+      // A commit that misses the subscription's equality key is rejected
+      // by the index without running the predicate.
       std::optional<common::SharedValue> projected;
-      if (watch.sub != nullptr && watch.sub->active()) {
-        op.sub_matched.push_back(static_cast<std::uint32_t>(widx));
-        projected = watch.sub->apply(op.obj.data);
+      if (watch.sub->active()) {
+        const auto position = static_cast<std::uint32_t>(widx);
+        op.sub_matched.push_back(position);
+        if (probe->must_apply(position)) {
+          op.sub_evaluated.push_back(position);
+          projected = watch.sub->apply(op.obj.data);
+        }
         if (!projected.has_value()) {
-          op.sub_filtered.push_back(static_cast<std::uint32_t>(widx));
+          op.sub_filtered.push_back(position);
           continue;  // rejected pre-enqueue: no slot, no RBAC filter, no hit
         }
       }
@@ -1124,15 +1155,14 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
     // Fold the shard-staged subscription accounting in global op order, and
     // emit the `sub.filter` spans here on the main loop — span count and
     // order stay independent of the shard/worker configuration.
-    for (std::uint32_t widx : op.sub_matched) {
-      if (auto* info = kernel_.find_subscription(watches_[widx].id)) {
-        ++info->matched;
-      }
+    for (std::uint32_t widx : op.sub_matched) ++watches_[widx].info->matched;
+    for (std::uint32_t widx : op.sub_evaluated) {
+      ++watches_[widx].info->evaluated;
     }
     stats_.watch_events_filtered += op.sub_filtered.size();
     for (std::uint32_t widx : op.sub_filtered) {
       const Watch& w = watches_[widx];
-      if (auto* info = kernel_.find_subscription(w.id)) ++info->filtered;
+      ++w.info->filtered;
       note_filtered(w, op.obj.key);
     }
     for (EpochOp::WatchHit& hit : op.hits) {
@@ -1184,7 +1214,9 @@ std::uint64_t ObjectDe::add_subscription(
   info.deadline = sub->qos().deadline;
   info.stage = sub->qos().stage_or_default();
   w.sub = std::move(sub);
+  w.info = &info;
   watches_.push_back(std::move(w));
+  watch_index_stale_ = true;
   return id;
 }
 
@@ -1216,14 +1248,11 @@ void ObjectDe::finish_subscription_delivery(const Watch& w,
                                             std::uint64_t events,
                                             const WatchEvent* sample) {
   if (w.sub == nullptr || !w.sub->active()) return;
-  Kernel::SubscriptionInfo* info = kernel_.find_subscription(w.id);
-  if (info != nullptr) info->delivered += events;
+  w.info->delivered += events;
   if (span_id != 0 && tracer_ != nullptr) {
-    if (info != nullptr) {
-      char sel[32];
-      std::snprintf(sel, sizeof sel, "%.4f", info->selectivity());
-      tracer_->annotate(span_id, "selectivity", sel);
-    }
+    char sel[32];
+    std::snprintf(sel, sizeof sel, "%.4f", w.info->selectivity());
+    tracer_->annotate(span_id, "selectivity", sel);
     tracer_->annotate(span_id, "events", std::to_string(events));
     tracer_->end(span_id);
   }
@@ -1397,9 +1426,7 @@ void ObjectDe::flush_watch_batch(std::uint64_t watch_id) {
           batch.events.begin(),
           batch.events.begin() + static_cast<std::ptrdiff_t>(dropped));
       stats_.watch_events_dropped += dropped;
-      if (auto* info = kernel_.find_subscription(watch_id)) {
-        info->dropped += dropped;
-      }
+      live->info->dropped += dropped;
     }
   }
   ++stats_.watch_batches;

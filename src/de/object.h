@@ -271,6 +271,10 @@ class ObjectStore {
   ObjectDe& de_;
   std::string name_;
   ShardedMap<StateObject> objects_;
+  /// Equality index over this store's watches (positions in
+  /// ObjectDe::watches_); rebuilt by the epoch pipeline's Phase A after any
+  /// (un)subscribe.
+  SubscriptionIndex watch_index_;
 };
 
 /// Engine-level view handed to UDFs: operations run inside the DE at
@@ -473,6 +477,9 @@ class ObjectDe {
     /// had no filter/projection). Immutable and thread-safe: Phase-B shard
     /// tasks call sub->apply() concurrently.
     std::shared_ptr<const CompiledSubscription> sub;
+    /// The kernel registry entry (a stable std::map node, unregistered
+    /// together with this watch's removal).
+    Kernel::SubscriptionInfo* info = nullptr;
   };
 
   /// Per-watch coalescing buffer for batched watches, partitioned into
@@ -550,11 +557,13 @@ class ObjectDe {
     };
     std::vector<WatchHit> hits;
     /// Subscription-filter accounting, staged shard-locally and folded in
-    /// the serial merge (watch indices whose predicate evaluated /
-    /// rejected this commit) — counters stay byte-identical across
-    /// shard/worker configurations.
+    /// the serial merge (indices of the active watches this commit
+    /// matched, of those that rejected it, and of those that ran apply()
+    /// on it) — counters stay byte-identical across shard/worker
+    /// configurations.
     std::vector<std::uint32_t> sub_matched;
     std::vector<std::uint32_t> sub_filtered;
+    std::vector<std::uint32_t> sub_evaluated;
     enum class Fail { kNone, kDenied, kInvalid, kConflict, kNotFound };
     Fail fail = Fail::kNone;
     common::Error error;
@@ -642,6 +651,9 @@ class ObjectDe {
   std::map<std::string, std::unique_ptr<ObjectStore>> stores_;
   std::map<std::string, std::pair<std::string, Udf>> udfs_;  // name -> (owner, fn)
   std::vector<Watch> watches_;
+  /// Set by (un)subscribe, which shift watch positions; the next epoch's
+  /// Phase A rebuilds every store's watch_index_ before any shard task.
+  bool watch_index_stale_ = false;
   std::map<std::uint64_t, WatchBuffer> watch_buffers_;  // batched watches
   std::vector<Trigger> triggers_;
   persist::Engine* persist_ = nullptr;  // not owned; see enable_persistence

@@ -1,12 +1,72 @@
 #include "de/subscription.h"
 
+#include <cmath>
 #include <utility>
 
 #include "common/cow.h"
 #include "de/log.h"
 #include "de/plan.h"
+#include "expr/ast.h"
 
 namespace knactor::de {
+
+namespace {
+
+bool indexable_literal(const expr::Node& node) {
+  if (node.kind != expr::NodeKind::kLiteral) return false;
+  const common::Value& v = node.literal;
+  if (v.is_double()) return !std::isnan(v.as_double());
+  return v.is_null() || v.is_bool() || v.is_int() || v.is_string();
+}
+
+/// -0.0 == 0.0 under `==`, so both key as 0.0.
+double number_key(const common::Value& v) {
+  const double number = v.as_number();
+  return number == 0 ? 0.0 : number;
+}
+
+bool field_name(const expr::Node& node) {
+  return node.kind == expr::NodeKind::kName && node.name != "this";
+}
+
+/// The index key of one conjunct, if it has an indexable form.
+std::optional<CompiledSubscription::IndexKey> conjunct_key(
+    const expr::Node& node) {
+  if (node.kind != expr::NodeKind::kBinary) return std::nullopt;
+  if (node.op == "==") {
+    const expr::Node* name = node.a.get();
+    const expr::Node* literal = node.b.get();
+    if (!field_name(*name)) std::swap(name, literal);
+    if (!field_name(*name) || !indexable_literal(*literal)) {
+      return std::nullopt;
+    }
+    return CompiledSubscription::IndexKey{name->name, {literal->literal}};
+  }
+  if (node.op == "in" && field_name(*node.a) &&
+      node.b->kind == expr::NodeKind::kList) {
+    CompiledSubscription::IndexKey key{node.a->name, {}};
+    for (const auto& item : node.b->args) {
+      if (!indexable_literal(*item)) return std::nullopt;
+      key.values.push_back(item->literal);
+    }
+    return key;
+  }
+  return std::nullopt;
+}
+
+/// The first indexable conjunct of the top-level `and` chain, left to
+/// right. Any conjunct that is false makes the whole chain fail (an `and`
+/// chain passes only when every conjunct is truthy), so one is enough.
+std::optional<CompiledSubscription::IndexKey> first_key(
+    const expr::Node& node) {
+  if (node.kind == expr::NodeKind::kBinary && node.op == "and") {
+    if (auto key = first_key(*node.a)) return key;
+    return first_key(*node.b);
+  }
+  return conjunct_key(node);
+}
+
+}  // namespace
 
 common::Result<std::shared_ptr<const CompiledSubscription>>
 CompiledSubscription::compile(SubscriptionSpec spec) {
@@ -19,6 +79,7 @@ CompiledSubscription::compile(SubscriptionSpec spec) {
           "subscription: bad filter '" + spec.filter + "': " +
           filter.error().to_string());
     }
+    sub->index_key_ = first_key(*filter.value().compiled);
     pipeline.push_back(filter.take());
     sub->has_filter_ = true;
   }
@@ -47,6 +108,97 @@ std::optional<common::SharedValue> CompiledSubscription::apply(
   // record (filter-only subscriptions deliver the committed payload
   // zero-copy); a projection clones exactly once.
   return out.value().front().share();
+}
+
+// ---------------------------------------------------------------------------
+// SubscriptionIndex
+// ---------------------------------------------------------------------------
+
+bool SubscriptionIndex::Probe::must_apply(std::uint32_t position) {
+  const auto& slots = index_->slots_;
+  if (position >= slots.size() || slots[position] < 0) return true;
+  std::span<const std::uint32_t>& hits =
+      hits_[static_cast<std::size_t>(slots[position])];
+  while (!hits.empty() && hits.front() < position) hits = hits.subspan(1);
+  return !hits.empty() && hits.front() == position;
+}
+
+void SubscriptionIndex::clear() {
+  fields_.clear();
+  slots_.clear();
+}
+
+void SubscriptionIndex::add(std::uint32_t position,
+                            const CompiledSubscription& sub) {
+  const CompiledSubscription::IndexKey* key = sub.index_key();
+  if (key == nullptr) return;  // scan set
+  std::size_t slot = 0;
+  while (slot < fields_.size() && fields_[slot].field != key->field) ++slot;
+  if (slot == fields_.size()) fields_.emplace_back().field = key->field;
+  if (slots_.size() <= position) slots_.resize(position + 1, -1);
+  slots_[position] = static_cast<std::int32_t>(slot);
+  for (const common::Value& value : key->values) {
+    Positions* positions = bucket(fields_[slot], value);
+    // `x in [1, 1.0]` names one bucket twice; positions arrive ascending.
+    if (positions->empty() || positions->back() != position) {
+      positions->push_back(position);
+    }
+  }
+}
+
+void SubscriptionIndex::probe(const common::SharedValue& payload,
+                              Probe& probe) const {
+  static const common::Value kNull;
+  probe.index_ = this;
+  probe.hits_.assign(fields_.size(), {});
+  for (std::size_t slot = 0; slot < fields_.size(); ++slot) {
+    // Same resolution as the filter's record environment: a missing field
+    // or a non-object payload reads null.
+    const common::Value* value =
+        payload != nullptr ? payload->get(fields_[slot].field) : nullptr;
+    const Positions* positions =
+        bucket(fields_[slot], value != nullptr ? *value : kNull);
+    if (positions != nullptr) probe.hits_[slot] = *positions;
+  }
+}
+
+// The normalisation behind both lookups; must agree with the filter
+// language's `==` (numbers by double value, everything else by type and
+// value).
+const SubscriptionIndex::Positions* SubscriptionIndex::bucket(
+    const FieldIndex& index, const common::Value& value) {
+  switch (value.type()) {
+    case common::Value::Type::kNull:
+      return &index.nulls;
+    case common::Value::Type::kBool:
+      return value.as_bool() ? &index.trues : &index.falses;
+    case common::Value::Type::kInt:
+    case common::Value::Type::kDouble: {
+      auto it = index.numbers.find(number_key(value));  // NaN finds nothing
+      return it == index.numbers.end() ? nullptr : &it->second;
+    }
+    case common::Value::Type::kString: {
+      auto it = index.strings.find(std::string_view(value.as_string()));
+      return it == index.strings.end() ? nullptr : &it->second;
+    }
+    default:
+      return nullptr;  // arrays and objects equal no scalar literal
+  }
+}
+
+SubscriptionIndex::Positions* SubscriptionIndex::bucket(
+    FieldIndex& index, const common::Value& value) {
+  switch (value.type()) {
+    case common::Value::Type::kNull:
+      return &index.nulls;
+    case common::Value::Type::kBool:
+      return value.as_bool() ? &index.trues : &index.falses;
+    case common::Value::Type::kInt:
+    case common::Value::Type::kDouble:
+      return &index.numbers[number_key(value)];
+    default:  // compile admits scalar literals only, never NaN
+      return &index.strings[value.as_string()];
+  }
 }
 
 }  // namespace knactor::de

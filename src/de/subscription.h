@@ -14,11 +14,22 @@
 // evaluate it concurrently per shard. Match/filter accounting is staged
 // per op and folded in the serial merge, which keeps N-shard/M-worker runs
 // byte-identical to the serial oracle (see docs/SUBSCRIPTIONS.md).
+//
+// Indexed matching: a filter whose top-level `and` chain holds an equality
+// conjunct (`field == literal`, `field in [literals]`) can only pass a
+// payload whose field holds one of those literals. A SubscriptionIndex
+// maps field -> value -> subscriptions, so the exchange calls `apply()`
+// only for the subscriptions a commit can satisfy plus the scan set (the
+// subscriptions the index cannot decide).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -87,6 +98,19 @@ class CompiledSubscription {
   [[nodiscard]] bool filtered() const { return has_filter_; }
   [[nodiscard]] bool projected() const { return has_project_; }
 
+  /// The first top-level conjunct of the filter of the form
+  /// `name == literal`, `literal == name` or `name in [literal, ...]`
+  /// (`name` a bare field other than `this`, every literal a scalar): the
+  /// predicate can only pass a payload whose `field` equals one of
+  /// `values`. Null when the filter has no such conjunct (scan set).
+  struct IndexKey {
+    std::string field;
+    std::vector<common::Value> values;
+  };
+  [[nodiscard]] const IndexKey* index_key() const {
+    return index_key_ ? &*index_key_ : nullptr;
+  }
+
   /// Runs the fused filter+project pass over one committed payload.
   /// Returns nullopt when the predicate rejects the record (an erroring
   /// predicate never matches — deterministically), otherwise the payload
@@ -100,8 +124,70 @@ class CompiledSubscription {
 
   SubscriptionSpec spec_;
   std::shared_ptr<const QueryPlan> plan_;
+  std::optional<IndexKey> index_key_;
   bool has_filter_ = false;
   bool has_project_ = false;
+};
+
+/// Equality index over one store's subscriptions: field -> normalised
+/// value -> positions (the subscriptions' indices in the exchange's watch
+/// list, ascending). Keys normalise exactly as the filter language's `==`
+/// compares: numbers (int or double) by their double value with -0.0
+/// folded to 0.0, so `1 == 1.0`; strings, bools and null by type and
+/// value. A missing field or a non-object payload looks up null; an array
+/// or object field value hits no bucket. Built serially, then read-only
+/// (Phase-B safe).
+class SubscriptionIndex {
+ public:
+  using Positions = std::vector<std::uint32_t>;
+
+  /// One payload's candidates. Ask `must_apply` in ascending position
+  /// order (the watch walk's registration order).
+  class Probe {
+   public:
+    /// True when the subscription at `position` must run apply(): it is
+    /// in the scan set, or the payload hit its index key. False means the
+    /// predicate cannot pass.
+    [[nodiscard]] bool must_apply(std::uint32_t position);
+
+   private:
+    friend class SubscriptionIndex;
+    const SubscriptionIndex* index_ = nullptr;
+    std::vector<std::span<const std::uint32_t>> hits_;  // per field slot
+  };
+
+  void clear();
+  /// Registers the subscription at `position`; positions must be added in
+  /// ascending order. Subscriptions without an index key join the scan set.
+  void add(std::uint32_t position, const CompiledSubscription& sub);
+  /// Fills `probe` with the candidates for `payload` (one lookup per
+  /// indexed field). `probe` is caller-owned scratch, reusable across
+  /// calls.
+  void probe(const common::SharedValue& payload, Probe& probe) const;
+
+ private:
+  struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  struct FieldIndex {
+    std::string field;
+    Positions nulls, falses, trues;
+    std::unordered_map<double, Positions> numbers;  // never NaN
+    std::unordered_map<std::string, Positions, StringHash, std::equal_to<>>
+        strings;
+  };
+  /// The bucket `value` keys into: looked up for a payload value (null
+  /// when no indexed literal can equal it), or created for a literal.
+  static const Positions* bucket(const FieldIndex& index,
+                                 const common::Value& value);
+  static Positions* bucket(FieldIndex& index, const common::Value& value);
+
+  std::vector<FieldIndex> fields_;
+  /// position -> field slot in fields_, or -1 (scan set / not indexed).
+  std::vector<std::int32_t> slots_;
 };
 
 }  // namespace knactor::de

@@ -87,8 +87,8 @@ TEST_F(SubscriptionTest, ProjectionRewritesDeliveredPayload) {
 }
 
 TEST_F(SubscriptionTest, ErroringPredicateNeverMatches) {
-  // `missing` is absent from every payload, so the comparison errors;
-  // an erroring predicate deterministically rejects the commit.
+  // `missing` is absent from every payload, so it resolves to null and the
+  // ordering yields null (falsy, not an error): the commit is rejected.
   auto id = store_->subscribe(
       "svc", filtered("missing > 5"),
       [this](const WatchEvent& e) { events_.push_back(e); });
@@ -98,6 +98,24 @@ TEST_F(SubscriptionTest, ErroringPredicateNeverMatches) {
 
   EXPECT_TRUE(events_.empty());
   EXPECT_EQ(de_.stats().watch_events_filtered, 1u);
+}
+
+TEST_F(SubscriptionTest, ErroringResidualNeverMatches) {
+  // Ordering a string against a number is an evaluation error; an erroring
+  // predicate deterministically rejects the commit, also as the residual
+  // conjunct of an indexed equality.
+  auto plain = store_->subscribe(
+      "svc", filtered("tag > 5"),
+      [this](const WatchEvent& e) { events_.push_back(e); });
+  auto indexed = store_->subscribe(
+      "svc", filtered("n == 9 and tag > 5"),
+      [this](const WatchEvent& e) { events_.push_back(e); });
+  ASSERT_TRUE(plain.ok() && indexed.ok());
+  (void)store_->put_sync("svc", "k", obj(9));
+  clock_.run_all();
+
+  EXPECT_TRUE(events_.empty());
+  EXPECT_EQ(de_.stats().watch_events_filtered, 2u);
 }
 
 TEST_F(SubscriptionTest, BadFilterFailsAtSubscribeTime) {
@@ -228,6 +246,93 @@ TEST_F(SubscriptionTest, RegistryListsContractAndUnregisters) {
   EXPECT_EQ(de_.kernel().find_subscription(id.value()), nullptr);
 }
 
+// Indexed matching: the first equality conjunct of the top-level `and`
+// chain becomes the subscription's index key; everything else scans.
+TEST(SubscriptionIndexKey, CompilesFromEqualityConjuncts) {
+  auto key_of = [](const std::string& filter) {
+    SubscriptionSpec spec;
+    spec.filter = filter;
+    auto sub = CompiledSubscription::compile(spec);
+    EXPECT_TRUE(sub.ok()) << filter;
+    const auto* key = sub.value()->index_key();
+    return key == nullptr ? std::string("scan")
+                          : key->field + "#" +
+                                std::to_string(key->values.size());
+  };
+  EXPECT_EQ(key_of("bucket == 3"), "bucket#1");
+  EXPECT_EQ(key_of("\"a\" == region"), "region#1");
+  EXPECT_EQ(key_of("tier in [1, 2.5, \"x\", True, None]"), "tier#5");
+  EXPECT_EQ(key_of("n > 2 and (k == 1 and m == 2)"), "k#1");
+  EXPECT_EQ(key_of("n > 2 and m == 2"), "m#1");
+  EXPECT_EQ(key_of(""), "scan");
+  EXPECT_EQ(key_of("n > 2"), "scan");
+  EXPECT_EQ(key_of("n == 1 or m == 2"), "scan");
+  EXPECT_EQ(key_of("n != 1"), "scan");
+  EXPECT_EQ(key_of("this == 1"), "scan");
+  EXPECT_EQ(key_of("a.b == 1"), "scan");
+  EXPECT_EQ(key_of("n == -1"), "scan");
+  EXPECT_EQ(key_of("n == m"), "scan");
+  EXPECT_EQ(key_of("n == [1]"), "scan");
+  EXPECT_EQ(key_of("n in [1, m]"), "scan");
+  EXPECT_EQ(key_of("len(n) == 1"), "scan");
+  EXPECT_EQ(key_of("not n == 1"), "scan");
+}
+
+TEST_F(SubscriptionTest, IndexedFilterSkipsEvaluationOnMiss) {
+  auto id = store_->subscribe(
+      "svc", filtered("n == 3"),
+      [this](const WatchEvent& e) { events_.push_back(e); });
+  ASSERT_TRUE(id.ok());
+  (void)store_->put_sync("svc", "a", obj(3));
+  (void)store_->put_sync("svc", "b", obj(4));
+  (void)store_->put_sync("svc", "c", Value("not an object"));
+  (void)store_->remove_sync("svc", "a");  // pre-delete payload: n == 3
+  clock_.run_all();
+
+  ASSERT_EQ(events_.size(), 2u);
+  EXPECT_EQ(events_[1].type, WatchEventType::kDeleted);
+  const auto* info = de_.kernel().find_subscription(id.value());
+  ASSERT_NE(info, nullptr);
+  EXPECT_EQ(info->matched, 4u);
+  EXPECT_EQ(info->filtered, 2u);
+  EXPECT_EQ(info->delivered, 2u);
+  EXPECT_EQ(info->evaluated, 2u);  // the misses never ran the predicate
+}
+
+TEST_F(SubscriptionTest, IndexKeysNormaliseLikeEquality) {
+  std::vector<std::string> got;
+  auto sub = [&](const std::string& filter) {
+    ASSERT_TRUE(store_
+                    ->subscribe("svc", filtered(filter),
+                                [&got, filter](const WatchEvent& e) {
+                                  got.push_back(filter + "@" + e.object.key);
+                                })
+                    .ok());
+  };
+  sub("v == 1");
+  sub("v == 0");
+  sub("v == True");
+  sub("v in [None, \"1\"]");
+  auto put = [&](const std::string& key, Value v) {
+    Value o = Value::object();
+    o.set("v", std::move(v));
+    (void)store_->put_sync("svc", key, std::move(o));
+  };
+  put("int", Value(1));
+  put("dbl", Value(1.0));
+  put("negzero", Value(-0.0));
+  put("bool", Value(true));
+  put("str", Value("1"));
+  put("arr", Value::array({1}));
+  (void)store_->put_sync("svc", "nofield", Value::object());
+  clock_.run_all();
+
+  EXPECT_EQ(got, (std::vector<std::string>{
+                     "v == 1@int", "v == 1@dbl", "v == 0@negzero",
+                     "v == True@bool", "v in [None, \"1\"]@str",
+                     "v in [None, \"1\"]@nofield"}));
+}
+
 // Log-pool subscriptions: the same compiled filter/projection surface on
 // the append path, delivering synchronously at commit.
 class LogSubscriptionTest : public ::testing::Test {
@@ -276,6 +381,63 @@ TEST_F(LogSubscriptionTest, UnsubscribeStopsDelivery) {
   (void)pool.append_sync("svc", record("b", 2.0));
   EXPECT_EQ(calls, 1u);
   EXPECT_EQ(de_.kernel().find_subscription(id.value()), nullptr);
+}
+
+// A callback that unsubscribes itself mid-walk must neither crash nor
+// skip the next subscriber; it misses every later record.
+TEST_F(LogSubscriptionTest, UnsubscribeInsideCallback) {
+  LogPool& pool = de_.create_pool("p");
+  std::size_t first_calls = 0;
+  std::size_t second_calls = 0;
+  std::uint64_t first_id = 0;
+  auto first = pool.subscribe("svc", SubscriptionSpec{},
+                              [&](const LogRecord&) {
+                                ++first_calls;
+                                pool.unsubscribe(first_id);
+                              });
+  ASSERT_TRUE(first.ok());
+  first_id = first.value();
+  ASSERT_TRUE(pool.subscribe("svc", SubscriptionSpec{},
+                             [&](const LogRecord&) { ++second_calls; })
+                  .ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(pool.append_batch_sync("svc", {record("a", 1.0)}).ok());
+  }
+  EXPECT_EQ(first_calls, 1u);
+  EXPECT_EQ(second_calls, 3u);
+  EXPECT_EQ(de_.kernel().find_subscription(first_id), nullptr);
+}
+
+// A subscriber added from inside a callback starts with the next record;
+// one removed before its turn misses the record in flight.
+TEST_F(LogSubscriptionTest, SubscribeInsideCallback) {
+  LogPool& pool = de_.create_pool("p");
+  std::vector<std::string> got;
+  std::uint64_t victim = 0;
+  bool added = false;
+  auto log_as = [&got](std::string who) {
+    return [&got, who](const LogRecord& r) {
+      got.push_back(who + ":" + r.data->get("device")->as_string());
+    };
+  };
+  auto first = pool.subscribe(
+      "svc", SubscriptionSpec{}, [&](const LogRecord& r) {
+        log_as("first")(r);
+        if (added) return;
+        added = true;
+        pool.unsubscribe(victim);
+        ASSERT_TRUE(pool.subscribe("svc", SubscriptionSpec{}, log_as("late"))
+                        .ok());
+      });
+  ASSERT_TRUE(first.ok());
+  auto second = pool.subscribe("svc", SubscriptionSpec{}, log_as("victim"));
+  ASSERT_TRUE(second.ok());
+  victim = second.value();
+  (void)pool.append_batch_sync("svc", {record("a", 1.0), record("b", 2.0)});
+  (void)pool.append_sync("svc", record("c", 3.0));
+
+  EXPECT_EQ(got, (std::vector<std::string>{"first:a", "first:b", "late:b",
+                                           "first:c", "late:c"}));
 }
 
 }  // namespace

@@ -58,6 +58,7 @@ struct Observation {
   std::string batch_log;  // batched-watch deliveries (boundaries + order)
   std::string sub_log;    // filtered+projected subscription deliveries
   std::string sub_batch_log;  // filtered batched subscription (QoS history)
+  std::string sub_index_log;  // equality-indexed subscription deliveries
   std::string stats;      // ObjectDeStats digest
   std::string lists;      // list() results, in result order
 };
@@ -147,6 +148,20 @@ Observation run_object_workload(std::uint32_t seed, const ShardConfig& config,
     obs.sub_log += qty != nullptr ? std::to_string(qty->as_int()) : "-";
     obs.sub_log += ' ';
   });
+  // Equality-indexed subscription (`qty in [...]` plus a residual): the
+  // store's index decides per shard which commits run the predicate, so
+  // its deliveries and counters ride the whole matrix too.
+  de::SubscriptionSpec index_spec;
+  index_spec.filter = "qty in [3, 7, 11, 30, 42] and op >= 0";
+  auto index_id = orders.subscribe(
+      "observer", index_spec, [&](const de::WatchEvent& e) {
+        obs.sub_index_log += event_char(e.type);
+        obs.sub_index_log += e.object.key;
+        obs.sub_index_log += ':';
+        obs.sub_index_log += std::to_string(e.object.version);
+        obs.sub_index_log += ' ';
+      });
+  EXPECT_TRUE(index_id.ok());
   // Filtered batched subscription with a KEEP_LAST history cap: coalesced
   // slots, QoS drops, and crash-rollback of the coalesce buffer must all
   // replay identically in every configuration.
@@ -227,6 +242,12 @@ Observation run_object_workload(std::uint32_t seed, const ShardConfig& config,
 
   obs.state = chaos::fingerprint_stores({&orders, &inventory});
   obs.stats = stats_digest(de.stats());
+  if (const auto* info = de.kernel().find_subscription(index_id.value())) {
+    obs.sub_index_log += "| m=" + std::to_string(info->matched) +
+                         " f=" + std::to_string(info->filtered) +
+                         " d=" + std::to_string(info->delivered) +
+                         " e=" + std::to_string(info->evaluated);
+  }
   return obs;
 }
 
@@ -234,6 +255,7 @@ class ShardDeterminism : public ::testing::Test {};
 
 TEST(ShardDeterminism, ObjectDeMatchesSerialOracleAcross100Seeds) {
   int seeds_with_filtered_deliveries = 0;
+  int seeds_with_indexed_deliveries = 0;
   for (std::uint32_t seed = 1; seed <= 100; ++seed) {
     Observation oracle = run_object_workload(seed, kConfigs[0], false);
     // The workload must actually exercise the surfaces under test.
@@ -242,6 +264,7 @@ TEST(ShardDeterminism, ObjectDeMatchesSerialOracleAcross100Seeds) {
     if (!oracle.sub_log.empty() && !oracle.sub_batch_log.empty()) {
       ++seeds_with_filtered_deliveries;
     }
+    if (!oracle.sub_index_log.starts_with("|")) ++seeds_with_indexed_deliveries;
     for (std::size_t c = 1; c < std::size(kConfigs); ++c) {
       Observation got = run_object_workload(seed, kConfigs[c], false);
       const std::string where =
@@ -251,6 +274,7 @@ TEST(ShardDeterminism, ObjectDeMatchesSerialOracleAcross100Seeds) {
       EXPECT_EQ(got.batch_log, oracle.batch_log) << where;
       EXPECT_EQ(got.sub_log, oracle.sub_log) << where;
       EXPECT_EQ(got.sub_batch_log, oracle.sub_batch_log) << where;
+      EXPECT_EQ(got.sub_index_log, oracle.sub_index_log) << where;
       EXPECT_EQ(got.stats, oracle.stats) << where;
       EXPECT_EQ(got.lists, oracle.lists) << where;
       if (got.state != oracle.state) return;  // one dump is enough
@@ -259,6 +283,7 @@ TEST(ShardDeterminism, ObjectDeMatchesSerialOracleAcross100Seeds) {
   // The corpus as a whole must exercise filtered delivery, even though an
   // individual seed's random workload may never satisfy the predicate.
   EXPECT_GT(seeds_with_filtered_deliveries, 50);
+  EXPECT_GT(seeds_with_indexed_deliveries, 25);
 }
 
 TEST(ShardDeterminism, ChaosConvergenceMatchesSerialOracle) {
@@ -273,6 +298,7 @@ TEST(ShardDeterminism, ChaosConvergenceMatchesSerialOracle) {
       EXPECT_EQ(got.batch_log, oracle.batch_log) << where;
       EXPECT_EQ(got.sub_log, oracle.sub_log) << where;
       EXPECT_EQ(got.sub_batch_log, oracle.sub_batch_log) << where;
+      EXPECT_EQ(got.sub_index_log, oracle.sub_index_log) << where;
       EXPECT_EQ(got.stats, oracle.stats) << where;
     }
   }

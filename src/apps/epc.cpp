@@ -188,7 +188,6 @@ EpcKnactorApp build_epc_knactor_app(core::Runtime& runtime,
   EpcKnactorApp app;
   app.runtime = &runtime;
   runtime.set_shards(options.shards);
-  runtime.set_workers(options.workers);
   de::ObjectDe& de = runtime.add_object_de("epc", options.de_profile);
   app.de = &de;
 

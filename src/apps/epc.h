@@ -34,10 +34,9 @@ struct EpcOptions {
   sim::LatencyModel hss_lookup = sim::LatencyModel::constant_ms(1.5);
   sim::LatencyModel bearer_setup = sim::LatencyModel::constant_ms(3.0);
   sim::LatencyModel ip_allocation = sim::LatencyModel::constant_ms(2.0);
-  /// Key-space shards / worker parallelism for the runtime's DEs
-  /// (deterministic; see docs/ARCHITECTURE.md).
+  /// Key-space shards for the runtime's DEs (deterministic; see
+  /// docs/ARCHITECTURE.md).
   std::size_t shards = 1;
-  int workers = 1;
 };
 
 /// The data-centric deployment.

@@ -34,7 +34,6 @@ FleetTelemetryApp build_fleet_telemetry_app(core::Runtime& runtime,
   app.options = options;
 
   runtime.set_shards(options.shards);
-  runtime.set_workers(options.workers);
   de::LogDe& lde = runtime.add_log_de("fleet", options.log_profile);
   app.log_de = &lde;
 

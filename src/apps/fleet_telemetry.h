@@ -34,8 +34,9 @@ struct FleetTelemetryOptions {
   bool push = false;
   /// Round retry policy (chaos resilience; off by default).
   sim::RetryPolicy sync_retry;
-  /// Key-space shards / workers (deterministic; docs/ARCHITECTURE.md).
+  /// Key-space shards (deterministic; docs/ARCHITECTURE.md).
   std::size_t shards = 1;
+  /// Ignored (there is no worker pool); kept only for perfbench.
   int workers = 1;
 };
 

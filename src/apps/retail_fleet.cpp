@@ -175,7 +175,6 @@ RetailFleetApp build_retail_fleet_app(core::Runtime& runtime,
   RetailFleetApp app;
   app.runtime = &runtime;
   runtime.set_shards(options.shards);
-  runtime.set_workers(options.workers);
   de::ObjectDe& de = runtime.add_object_de("fleet", options.de_profile);
   app.de = &de;
 

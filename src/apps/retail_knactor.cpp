@@ -365,7 +365,6 @@ RetailKnactorApp build_retail_knactor_app(core::Runtime& runtime,
   app.options = options;
 
   runtime.set_shards(options.shards);
-  runtime.set_workers(options.workers);
   de::ObjectDe& de = runtime.add_object_de("object", options.de_profile);
   app.de = &de;
 

@@ -44,8 +44,6 @@ struct RetailKnactorOptions {
   /// Key-space shards for the runtime's DEs (deterministic: observable
   /// behavior is identical for every value; see docs/ARCHITECTURE.md).
   std::size_t shards = 1;
-  /// Worker-pool parallelism for shard-local work.
-  int workers = 1;
 };
 
 /// Handles to the deployed app.

@@ -140,7 +140,6 @@ RideHailingApp build_ride_hailing_app(core::Runtime& runtime,
   app.options = options;
 
   runtime.set_shards(options.shards);
-  runtime.set_workers(options.workers);
   de::ObjectDe& de = runtime.add_object_de("ride", options.de_profile);
   app.de = &de;
 

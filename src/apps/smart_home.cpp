@@ -95,7 +95,6 @@ SmartHomeKnactorApp build_smart_home_knactor_app(core::Runtime& runtime,
   app.runtime = &runtime;
 
   runtime.set_shards(options.shards);
-  runtime.set_workers(options.workers);
   de::ObjectDe& ode = runtime.add_object_de("object", options.object_profile);
   de::LogDe& lde = runtime.add_log_de("log", options.log_profile);
   app.object_de = &ode;

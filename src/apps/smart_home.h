@@ -31,10 +31,9 @@ struct SmartHomeOptions {
   /// access-control example); disabled when from==to.
   sim::SimTime sleep_from = 0;
   sim::SimTime sleep_to = 0;
-  /// Key-space shards / worker parallelism for the runtime's DEs
-  /// (deterministic; see docs/ARCHITECTURE.md).
+  /// Key-space shards for the runtime's DEs (deterministic; see
+  /// docs/ARCHITECTURE.md).
   std::size_t shards = 1;
-  int workers = 1;
 };
 
 struct SmartHomeKnactorApp {

@@ -8,9 +8,9 @@ namespace knactor::common {
 
 namespace {
 
-// Atomic: shard workers read the level through the KN_* macros while the
-// main thread may reconfigure it. The sink stays mutex-guarded (write()
-// already serializes output through g_mutex).
+// Atomic: a host program's threads may read the level through the KN_*
+// macros while another thread reconfigures it. The sink stays mutex-guarded
+// (write() already serializes output through g_mutex).
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
 Log::Sink g_sink;
 std::mutex g_mutex;

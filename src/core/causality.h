@@ -17,7 +17,7 @@
 // Determinism contract: trace ids are derived from DE commit sequence
 // numbers and spans are only emitted from the main event loop, so the
 // full trace — ids, ordering, timing — is byte-identical across
-// shard/worker configurations (verified by tests/property/lineage_test.cpp
+// shard counts (verified by tests/property/lineage_test.cpp
 // and the shard suite).
 #pragma once
 

@@ -12,8 +12,7 @@ de::ObjectDe& Runtime::add_object_de(const std::string& name,
   if (it != object_des_.end()) return *it->second;
   auto de = std::make_unique<de::ObjectDe>(clock_, std::move(profile));
   de::ObjectDe& ref = *de;
-  ref.set_shards(shards_);
-  ref.set_worker_pool(&scheduler_.pool());
+  ref.set_shards(scheduler_.shards());
   ref.kernel().enable_provenance(lineage_capacity_);
   object_des_[name] = std::move(de);
   return ref;
@@ -30,18 +29,15 @@ de::LogDe& Runtime::add_log_de(const std::string& name,
   if (it != log_des_.end()) return *it->second;
   auto de = std::make_unique<de::LogDe>(clock_, std::move(profile));
   de::LogDe& ref = *de;
-  ref.set_worker_pool(&scheduler_.pool());
   ref.kernel().enable_provenance(lineage_capacity_);
   log_des_[name] = std::move(de);
   return ref;
 }
 
 void Runtime::set_shards(std::size_t n) {
-  if (n == 0) n = 1;
-  shards_ = n;
   scheduler_.set_shards(n);
   for (auto& [name, de] : object_des_) {
-    de->set_shards(n);
+    de->set_shards(scheduler_.shards());
   }
 }
 

@@ -52,15 +52,15 @@ class Runtime {
   [[nodiscard]] Tracer& tracer() { return tracer_; }
   [[nodiscard]] Metrics& metrics() { return metrics_; }
 
-  /// The shard-aware scheduler: configures how many shards each hosted
-  /// DE's key space partitions into and how many workers drive shard-local
-  /// work between merge barriers. Deterministic: observable behavior is
-  /// identical for every shards/workers setting (fixed seed).
+  /// The scheduler: holds how many shards each hosted DE's key space
+  /// partitions into. Deterministic: observable behavior is identical for
+  /// every shard count (fixed seed).
   [[nodiscard]] Scheduler& scheduler() { return scheduler_; }
   /// Re-partitions every hosted DE (current and future) into `n` shards.
   void set_shards(std::size_t n);
-  /// Sets worker-pool parallelism for shard-local work.
-  void set_workers(int n) { scheduler_.set_workers(n); }
+  /// Ignored (shard work always runs on the calling thread); kept only for
+  /// perfbench.
+  void set_workers(int /*n*/) {}
 
   /// Enables record-level lineage on every hosted DE (current and future):
   /// each DE kernel's provenance ring retains up to `capacity` derived-write
@@ -111,7 +111,6 @@ class Runtime {
   Tracer tracer_;
   Metrics metrics_;
   Scheduler scheduler_;
-  std::size_t shards_ = 1;
   std::size_t lineage_capacity_ = 0;  // 0 = lineage off
   de::SchemaRegistry schemas_;
   std::map<std::string, std::unique_ptr<de::ObjectDe>> object_des_;

@@ -1,56 +1,36 @@
-// Shard-aware deterministic scheduler: the runtime-level owner of the
-// shard/worker configuration. It holds the worker pool that every hosted
-// DE's kernel runs shard-local tasks on, and pushes the shard count into
-// each DE's key-space partitioning.
+// The runtime-level owner of the shard configuration: how many key-space
+// shards every hosted DE partitions into (Runtime::set_shards pushes it into
+// each DE).
 //
-// Determinism: the scheduler only ever executes batches of mutually
-// independent shard-local tasks between commit-seq merge barriers (see
-// de::Kernel::run_shard_tasks and docs/ARCHITECTURE.md). For a fixed seed,
-// the observable state, traces, and metrics of an N-shard/M-worker run are
-// byte-identical to the 1-shard serial run; only the scheduler's own
-// dispatch counters (below) vary with the configuration, which is why they
-// are not auto-exported into core::Metrics.
+// Determinism: shards are a deterministic partition, not a unit of
+// concurrency. Shard-local work runs on the calling thread in shard-index
+// order and is merged by DE-wide commit seq, so for a fixed seed the
+// observable state, traces, and metrics of an N-shard run are
+// byte-identical to the 1-shard run (see docs/ARCHITECTURE.md).
 #pragma once
 
 #include <cstddef>
-
-#include "common/worker_pool.h"
+#include <cstdint>
 
 namespace knactor::core {
 
 struct SchedulerStats {
   std::size_t shards = 1;
-  int workers = 1;
-  std::uint64_t barriers = 0;     // threaded barrier dispatches
-  std::uint64_t inline_runs = 0;  // batches executed inline
-  std::uint64_t tasks = 0;        // shard tasks executed
-  std::uint64_t epochs = 0;       // epoch dispatches (run_epoch)
-  std::uint64_t epoch_tasks = 0;  // shard tasks executed inside epochs
+  // Ignored: always 0 (there is no worker pool); kept only for perfbench.
+  std::uint64_t barriers = 0;
+  std::uint64_t inline_runs = 0;
+  std::uint64_t epoch_tasks = 0;
 };
 
 class Scheduler {
  public:
-  explicit Scheduler(int workers = 1, std::size_t shards = 1);
-
-  Scheduler(const Scheduler&) = delete;
-  Scheduler& operator=(const Scheduler&) = delete;
-
-  /// Total barrier parallelism (the driving thread participates; N workers
-  /// spawn N-1 OS threads). Clamped to >= 1.
-  void set_workers(int workers);
-  [[nodiscard]] int workers() const { return pool_.workers(); }
-
   /// Key-space partition count pushed into hosted DEs. Clamped to >= 1.
-  void set_shards(std::size_t shards);
+  void set_shards(std::size_t shards) { shards_ = shards == 0 ? 1 : shards; }
   [[nodiscard]] std::size_t shards() const { return shards_; }
 
-  /// The pool DE kernels bind to (Kernel::set_worker_pool).
-  [[nodiscard]] common::WorkerPool& pool() { return pool_; }
-
-  [[nodiscard]] SchedulerStats stats() const;
+  [[nodiscard]] SchedulerStats stats() const { return {.shards = shards_}; }
 
  private:
-  common::WorkerPool pool_;
   std::size_t shards_ = 1;
 };
 

@@ -5,7 +5,6 @@
 namespace knactor::core {
 
 std::uint64_t Tracer::begin(const std::string& name, std::uint64_t parent) {
-  std::lock_guard lock(mutex_);
   Span span;
   span.id = next_id_++;
   span.parent = parent;
@@ -18,16 +17,14 @@ std::uint64_t Tracer::begin(const std::string& name, std::uint64_t parent) {
 
 void Tracer::annotate(std::uint64_t span_id, const std::string& key,
                       const std::string& value) {
-  std::lock_guard lock(mutex_);
-  if (Span* span = find_locked(span_id)) span->attributes[key] = value;
+  if (Span* span = find(span_id)) span->attributes[key] = value;
 }
 
 void Tracer::end(std::uint64_t span_id) {
-  std::lock_guard lock(mutex_);
-  if (Span* span = find_locked(span_id)) span->end = clock_.now();
+  if (Span* span = find(span_id)) span->end = clock_.now();
 }
 
-Span* Tracer::find_locked(std::uint64_t span_id) {
+Span* Tracer::find(std::uint64_t span_id) {
   // begin() and merge() stamp ids from the one increasing counter and
   // append, and clear() does not reset it, so spans_ is sorted by id.
   auto it = std::lower_bound(
@@ -37,7 +34,6 @@ Span* Tracer::find_locked(std::uint64_t span_id) {
 }
 
 std::vector<Span> Tracer::by_name(const std::string& name) const {
-  std::lock_guard lock(mutex_);
   std::vector<Span> out;
   for (const auto& span : spans_) {
     if (span.name == name && span.end >= span.start) out.push_back(span);
@@ -47,7 +43,6 @@ std::vector<Span> Tracer::by_name(const std::string& name) const {
 
 std::vector<Span> Tracer::by_attribute(const std::string& key,
                                        const std::string& value) const {
-  std::lock_guard lock(mutex_);
   std::vector<Span> out;
   for (const auto& span : spans_) {
     if (span.end < span.start) continue;
@@ -60,7 +55,6 @@ std::vector<Span> Tracer::by_attribute(const std::string& key,
 }
 
 sim::SimTime Tracer::total_duration(const std::string& name) const {
-  std::lock_guard lock(mutex_);
   sim::SimTime total = 0;
   for (const auto& span : spans_) {
     if (span.name == name && span.end >= span.start) {

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -28,14 +27,9 @@ struct Span {
   [[nodiscard]] sim::SimTime duration() const { return end - start; }
 };
 
-/// Collects spans. Every accessor is safe to call at any time, including
-/// while shard workers are emitting spans: mutations are serialized by a
-/// mutex, and `spans()` returns a *snapshot copy* taken under that mutex
-/// — never a reference into the live vector. The snapshot is immutable
-/// and self-contained; spans opened or finished after the call do not
-/// appear in it. (Framework code that wants stable span ordering should
-/// still read between barriers, but that is a determinism concern, not a
-/// memory-safety one — see docs/OBSERVABILITY.md.)
+/// Collects spans. `spans()` returns a *snapshot copy* — never a reference
+/// into the live vector — so spans opened or finished after the call do not
+/// appear in it (see docs/OBSERVABILITY.md).
 class Tracer {
  public:
   explicit Tracer(sim::VirtualClock& clock) : clock_(clock) {}
@@ -47,10 +41,7 @@ class Tracer {
   void end(std::uint64_t span_id);
 
   /// Snapshot of all spans recorded so far, in emission order.
-  [[nodiscard]] std::vector<Span> spans() const {
-    std::lock_guard lock(mutex_);
-    return spans_;
-  }
+  [[nodiscard]] std::vector<Span> spans() const { return spans_; }
   /// All finished spans with the given name.
   [[nodiscard]] std::vector<Span> by_name(const std::string& name) const;
   /// All finished spans carrying attribute `key` == `value` (e.g.
@@ -59,25 +50,20 @@ class Tracer {
                                                const std::string& value) const;
   /// Sum of durations of finished spans with the given name.
   [[nodiscard]] sim::SimTime total_duration(const std::string& name) const;
-  void clear() {
-    std::lock_guard lock(mutex_);
-    spans_.clear();
-  }
+  void clear() { spans_.clear(); }
 
   class SpanBuffer;
-  /// Merges a worker-local span buffer: re-stamps every buffered span with
+  /// Merges a span buffer: re-stamps every buffered span with
   /// globally sequential ids (preserving the buffer's parent links) and
-  /// appends them in buffer order. Callers merge buffers in a
-  /// deterministic order (e.g. shard index at an epoch boundary), which
-  /// makes the resulting span log identical to a serial emission — same
-  /// count, same names, same stage attributes. The buffer is drained.
+  /// appends them in buffer order. The resulting span log is identical to
+  /// emitting the buffered spans directly — same count, same names, same
+  /// stage attributes. The buffer is drained.
   void merge(SpanBuffer& buffer);
 
-  /// A worker-local span sink: begin/annotate/end with zero shared-state
-  /// contention (no mutex, no shared id counter — ids are local until
-  /// merge re-stamps them). Workers emitting spans on the epoch hot path
-  /// fill one buffer each; the epoch merge folds them into the Tracer at
-  /// the boundary.
+  /// A detached span sink: begin/annotate/end without touching the Tracer
+  /// (ids are local until merge re-stamps them). The epoch pipeline fills
+  /// one buffer per epoch and folds it into the Tracer at the boundary, or
+  /// drops it when the epoch rolls back.
   class SpanBuffer {
    public:
     std::uint64_t begin(const std::string& name, sim::SimTime now,
@@ -113,17 +99,15 @@ class Tracer {
   };
 
  private:
-  /// The span with `span_id`, or nullptr; caller holds mutex_.
-  Span* find_locked(std::uint64_t span_id);
+  /// The span with `span_id`, or nullptr.
+  Span* find(std::uint64_t span_id);
 
   sim::VirtualClock& clock_;
-  mutable std::mutex mutex_;
   std::vector<Span> spans_;
   std::uint64_t next_id_ = 1;
 };
 
 inline void Tracer::merge(SpanBuffer& buffer) {
-  std::lock_guard lock(mutex_);
   // Local id -> global id, so parent links survive the re-stamp.
   std::map<std::uint64_t, std::uint64_t> remap;
   for (Span& span : buffer.spans_) {
@@ -173,33 +157,24 @@ class ScopedSpan {
   std::uint64_t id_ = 0;
 };
 
-/// Monotonic counters + gauges for framework internals. inc/get/clear are
-/// mutex-serialized (safe from shard workers); `all()` returns the map by
-/// reference and must only be read between barriers.
+/// Monotonic counters + gauges for framework internals.
 class Metrics {
  public:
   void inc(const std::string& name, std::uint64_t delta = 1) {
-    std::lock_guard lock(mutex_);
     counters_[name] += delta;
   }
   [[nodiscard]] std::uint64_t get(const std::string& name) const {
-    std::lock_guard lock(mutex_);
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
   }
   [[nodiscard]] const std::map<std::string, std::uint64_t>& all() const {
     return counters_;
   }
-  void clear() {
-    std::lock_guard lock(mutex_);
-    counters_.clear();
-  }
+  void clear() { counters_.clear(); }
 
-  /// A worker-local counter sink: inc() touches no shared state (no mutex
-  /// acquisition per bump). Workers on the epoch hot path fill one Delta
-  /// each; merge() folds them into the shared counters at the epoch
-  /// boundary under a single lock. Counter addition commutes, so any merge
-  /// order yields the same totals as serial inc() calls.
+  /// A detached counter sink: inc() touches no Metrics state. The epoch
+  /// pipeline fills one Delta per epoch; merge() folds it into the counters
+  /// at the epoch boundary, or the epoch drops it when it rolls back.
   class Delta {
    public:
     void inc(const std::string& name, std::uint64_t delta = 1) {
@@ -212,11 +187,8 @@ class Metrics {
     std::map<std::string, std::uint64_t> counters_;
   };
 
-  /// Folds a worker-local Delta into the shared counters (one lock for the
-  /// whole batch) and drains it.
+  /// Folds a Delta into the counters and drains it.
   void merge(Delta& delta) {
-    if (delta.counters_.empty()) return;
-    std::lock_guard lock(mutex_);
     for (const auto& [name, value] : delta.counters_) {
       counters_[name] += value;
     }
@@ -224,7 +196,6 @@ class Metrics {
   }
 
  private:
-  mutable std::mutex mutex_;
   std::map<std::string, std::uint64_t> counters_;
 };
 

@@ -12,7 +12,7 @@
 //
 // All output is deterministic given the same spans/ring (no wall-clock,
 // no pointers), which is what lets the lineage differential test require
-// byte-identical traces across shard/worker configurations.
+// byte-identical traces across shard counts.
 #pragma once
 
 #include <map>

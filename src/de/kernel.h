@@ -7,12 +7,11 @@
 // layer, not the operators, is where composition scales).
 //
 // The kernel also owns the shard machinery: a deterministic key hash
-// (`shard_of`), a string-keyed `ShardedMap`, and the barrier entry point
-// (`run_shard_tasks`) that executes shard-local work on the runtime's
-// worker pool. Determinism contract: shard tasks are pure per-shard
-// functions (no RNG draws, no shared counters); callers merge their
-// outputs by DE-wide commit sequence, which reproduces the single-shard
-// serial order exactly (see docs/ARCHITECTURE.md).
+// (`shard_of`) and a string-keyed `ShardedMap`. Shards are a deterministic
+// key-space partition, not a unit of concurrency: shard-local work runs on
+// the calling thread in shard-index order, and callers merge its outputs
+// by DE-wide commit sequence, which reproduces the single-shard serial
+// order exactly (see docs/ARCHITECTURE.md).
 #pragma once
 
 #include <algorithm>
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "common/value.h"
-#include "common/worker_pool.h"
 #include "core/causality.h"
 #include "de/rbac.h"
 #include "sim/clock.h"
@@ -184,9 +182,9 @@ class Kernel {
   // Every watch on a DE facade is a subscription (de/subscription.h); the
   // kernel owns the registry so tooling (knctl explain/trace, SLO gates)
   // sees one uniform surface across facades. Counters are bumped only from
-  // serial phases (the epoch pipeline's Phase-C merge, flush/delivery
-  // callbacks) — never from shard tasks — so their
-  // values are byte-identical across shard/worker configurations.
+  // the epoch pipeline's Phase-C merge and flush/delivery callbacks — never
+  // from Phase B's per-shard passes — so their values are byte-identical
+  // across shard counts.
 
   /// One registered subscription: the contract (filter text, projection,
   /// QoS) plus delivery accounting. `matched` counts commits that reached
@@ -238,8 +236,8 @@ class Kernel {
   // replaces one shared-counter bump per commit, and each op's stamp is a
   // pure function of its position in the epoch (base + index). Shards then
   // stamp their ops from disjoint slices of the reservation without ever
-  // touching the shared counters — the parallel run is byte-identical to
-  // the serial one by construction. Afterwards the facade hands back the
+  // touching the shared counters — the N-shard run is byte-identical to
+  // the 1-shard one by construction. Afterwards the facade hands back the
   // stamps past the epoch's last committed op (restore_sequences), so only
   // ops that fail between committed ops leave holes; both domains only need
   // to be strictly increasing, and the serial oracle runs the same
@@ -301,13 +299,11 @@ class Kernel {
     return d;
   }
 
-  /// Thread-safe access check for epoch shard tasks: consults the policy
-  /// engine (Rbac::check is const — safe to call from several shards at
-  /// once) and buffers the decision into a caller-owned sink instead of
-  /// pushing to the shared audit deque. `now` is captured serially before
-  /// the epoch is dispatched so shard tasks never read the clock. The
-  /// caller splices the sinks back in global commit order via
-  /// append_audit() at the epoch merge.
+  /// Access check for the epoch pipeline's Phase B: consults the policy
+  /// engine and buffers the decision into a caller-owned sink instead of
+  /// pushing to the shared audit deque. `now` is captured once in Phase A
+  /// so Phase B never reads the clock. The caller splices the sinks back
+  /// in global commit order via append_audit() at the epoch merge.
   Decision check_access_buffered(const std::string& principal,
                                  const std::string& resource,
                                  const std::string& key, Verb verb,
@@ -379,39 +375,6 @@ class Kernel {
     return collected;
   }
 
-  // --- shard execution ----------------------------------------------------
-
-  /// Binds the runtime's worker pool. Unbound kernels run shard tasks
-  /// inline (the serial oracle path).
-  void set_worker_pool(common::WorkerPool* pool) { pool_ = pool; }
-  [[nodiscard]] common::WorkerPool* worker_pool() const { return pool_; }
-
-  /// Barrier: runs independent shard-local tasks, on the pool when bound,
-  /// inline in index order otherwise. Returns only when all completed.
-  void run_shard_tasks(const std::vector<std::function<void()>>& tasks) {
-    if (pool_ != nullptr) {
-      pool_->run(tasks);
-      return;
-    }
-    for (const auto& task : tasks) task();
-  }
-
-  /// Epoch dispatch: per-shard ordered task queues with a single
-  /// synchronization point for the whole batch (WorkerPool::run_epoch).
-  /// Queue `i` is shard i's commits in epoch order; within a queue tasks
-  /// run sequentially, across queues concurrently. Unbound kernels run
-  /// inline in queue order (the serial oracle path).
-  void run_epoch_tasks(
-      const std::vector<std::vector<std::function<void()>>>& queues) {
-    if (pool_ != nullptr) {
-      pool_->run_epoch(queues);
-      return;
-    }
-    for (const auto& queue : queues) {
-      for (const auto& task : queue) task();
-    }
-  }
-
   // --- synchronous driving ------------------------------------------------
 
   /// Drives the clock until `done` reports true or the queue drains.
@@ -425,7 +388,6 @@ class Kernel {
   sim::Rng rng_;
   Rbac rbac_;
   Hooks hooks_;
-  common::WorkerPool* pool_ = nullptr;
   std::function<void()> restart_;
   bool available_ = true;
   std::uint64_t next_revision_ = 1;

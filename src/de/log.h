@@ -263,10 +263,6 @@ class LogDe {
 
   /// The shared DE substrate this facade runs on.
   [[nodiscard]] Kernel& kernel() { return kernel_; }
-  /// Binds the runtime's worker pool (nullptr = inline serial execution).
-  void set_worker_pool(common::WorkerPool* pool) {
-    kernel_.set_worker_pool(pool);
-  }
 
   /// Availability simulation for chaos testing. Log pools are not durable:
   /// recover() wipes all records (consumers re-sync from seq 0).

@@ -136,31 +136,20 @@ void ObjectStore::list(const std::string& principal, const std::string& prefix,
                                     name_));
       return;
     }
-    // Shard-parallel prefix scan: each shard collects and RBAC-filters its
-    // own matches (pure per-shard work), then the merge sorts by key —
-    // byte-identical to the 1-shard in-order scan.
-    const std::size_t shard_count = objects_.shard_count();
-    std::vector<std::vector<StateObject>> per_shard(shard_count);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(shard_count);
-    for (std::size_t i = 0; i < shard_count; ++i) {
-      tasks.push_back([this, i, &per_shard, &prefix, &d] {
-        std::vector<StateObject>& out = per_shard[i];
-        for (const auto& [key, obj] : objects_.shard(i)) {
-          if (!common::starts_with(key, prefix)) continue;
-          StateObject copy = obj;
-          if (!d.fields.unrestricted() && copy.data) {
-            copy.data = std::make_shared<const Value>(
-                Rbac::filter_fields(*copy.data, d.fields));
-          }
-          out.push_back(std::move(copy));
-        }
-      });
-    }
-    de_.kernel_.run_shard_tasks(tasks);
+    // Prefix scan shard by shard in index order (each RBAC-filtering its
+    // matches), then a sort by key — byte-identical to the 1-shard
+    // in-order scan.
     std::vector<StateObject> out;
-    for (auto& shard : per_shard) {
-      for (auto& obj : shard) out.push_back(std::move(obj));
+    for (std::size_t i = 0; i < objects_.shard_count(); ++i) {
+      for (const auto& [key, obj] : objects_.shard(i)) {
+        if (!common::starts_with(key, prefix)) continue;
+        StateObject copy = obj;
+        if (!d.fields.unrestricted() && copy.data) {
+          copy.data = std::make_shared<const Value>(
+              Rbac::filter_fields(*copy.data, d.fields));
+        }
+        out.push_back(std::move(copy));
+      }
     }
     std::sort(out.begin(), out.end(),
               [](const StateObject& a, const StateObject& b) {
@@ -703,19 +692,19 @@ void ObjectDe::maybe_auto_snapshot() {
 // Phase A (serial): one clock read, stamp pre-assignment (versions and
 //   commit seqs reserved up front — op i's stamps are base + index,
 //   independent of execution order), partition by key shard.
-// Phase B (parallel, one ordered queue per shard): RBAC with buffered
-//   audit, write validation, version check, merge compute, state insert,
-//   journal record encoding, lineage snapshot, watch matching + field
-//   filtering, batched-watch staging. No clock reads, no RNG draws, no
-//   shared-counter bumps — each op's scratch (EpochOp) is owned by exactly
-//   one shard task.
+// Phase B (per shard, shards in index order, each shard's ops in epoch
+//   order): RBAC with buffered audit, write validation, version check,
+//   merge compute, state insert, journal record encoding, lineage
+//   snapshot, watch matching + field filtering, batched-watch staging. No
+//   clock reads, no RNG draws, no shared-counter bumps — each op's
+//   effects are staged on its EpochOp for Phase C.
 // Stamp rule: the epoch then gives back the stamps past its last committed
 //   op, so a failed single op consumes nothing and only failures *between*
 //   committed ops leave holes.
 // Rollback: the chaos fault hook, a torn journal append, or a failed op in
 //   an atomic epoch rolls every op back, so neither state, stamps, journal,
 //   lineage, nor any notification of the epoch leaks.
-// Phase C (serial merge, global op order): audit splice, lineage records,
+// Phase C (merge, global op order): audit splice, lineage records,
 //   stats, then per op its watchers in registration order (per-event
 //   delivery or batched flush scheduling, each drawing from the RNG
 //   exactly where a serial commit would) and its trigger fan-out.
@@ -740,10 +729,10 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
   results.reserve(n);
   if (n == 0) return results;
 
-  // --- Phase A: serial prep ------------------------------------------------
+  // --- Phase A: prep ------------------------------------------------------
   // (Un)subscribe shifts watch positions, so it only marks the stores'
-  // equality indexes stale; they are rebuilt here, before any shard task
-  // reads them.
+  // equality indexes stale; they are rebuilt here, before Phase B reads
+  // them.
   if (watch_index_stale_) {
     for (auto& [name, store] : stores_) store->watch_index_.clear();
     for (std::size_t w = 0; w < watches_.size(); ++w) {
@@ -770,11 +759,10 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
   const std::uint64_t seq_base = kernel_.reserve_commit_seqs(n);
 
   // The watchers of every store the epoch touches, in registration order.
-  // Batched watchers commit straight into their buffers from the shard
-  // tasks: a buffer's shard queue `s` holds only shard-`s` keys and is
-  // touched by exactly one task, so no locks; the shared-counter side
-  // (`buf.commits`, coalesce stats, flush scheduling with its RNG draw)
-  // is staged as a WatchHit and folded serially in Phase C.
+  // Batched watchers commit straight into their buffers in Phase B: a
+  // buffer's shard queue `s` holds only shard-`s` keys; the shared-counter
+  // side (`buf.commits`, coalesce stats, flush scheduling with its RNG
+  // draw) is staged as a WatchHit and folded in Phase C.
   struct EpochWatcher {
     std::size_t watch_index = 0;
     WatchBuffer* buffer = nullptr;     // batched watchers only
@@ -813,18 +801,13 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
     }
   }
 
-  // --- Phase B: parallel per-shard commit ---------------------------------
-  // Worker-local observability sinks (one per shard): spans and counters
-  // are emitted with zero shared-state contention and folded into the
-  // shared Tracer/Metrics at the epoch boundary — or dropped whole if the
+  // --- Phase B: per-shard commit, shards in index order -------------------
+  // The epoch's observability sinks: spans and counters are folded into
+  // the Tracer/Metrics at the epoch boundary — or dropped whole if the
   // epoch rolls back.
-  std::vector<core::Tracer::SpanBuffer> span_buffers(
-      tracer_ != nullptr ? shard_count : 0);
-  std::vector<core::Metrics::Delta> metric_deltas(
-      epoch_metrics_ != nullptr ? shard_count : 0);
-  // Per-shard scratch for the equality-index lookups.
-  std::vector<SubscriptionIndex::Probe> probes(
-      active_watchers > 0 ? shard_count : 0);
+  core::Tracer::SpanBuffer spans;
+  core::Metrics::Delta delta;
+  SubscriptionIndex::Probe probe;  // scratch for the equality-index lookups
   auto process_op = [&](std::size_t i, std::size_t shard) {
     EpochWrite& w = writes[i];
     EpochOp& op = ops[i];
@@ -929,9 +912,9 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
         rec.time = now;
       }
       if (persist_ != nullptr) {
-        // Serialized in the shard task, reading straight through the
+        // Serialized in Phase B, reading straight through the
         // committed object's shared payload handle — no Value copy, and
-        // the serial merge is left with a pure concatenation.
+        // the merge is left with a pure concatenation.
         persist::encode_put(op.persist_rec, store.name_, op.obj.key,
                             op.obj.version, op.obj.created_at,
                             op.obj.updated_at, *op.obj.data);
@@ -941,15 +924,13 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
     op.committed = true;
     // Watch matching: prefix + RBAC (audited into the op's sink, in watcher
     // registration order). Batched watchers coalesce the event into their
-    // buffer's shard queue right here (shard-local, so lock-free);
-    // per-event watchers get a ready-to-ship event. Either way the op
-    // records one WatchHit per watcher for the serial merge.
+    // buffer's shard queue right here; per-event watchers get a
+    // ready-to-ship event. Either way the op records one WatchHit per
+    // watcher for the Phase-C merge.
     if (watchers.empty()) return;
     const std::string& key = op.obj.key;
-    SubscriptionIndex::Probe* probe = nullptr;  // set iff a watcher filters
     if (active_watchers > 0) {
-      probe = &probes[shard];
-      store.watch_index_.probe(op.obj.data, *probe);
+      store.watch_index_.probe(op.obj.data, probe);
       op.sub_matched.reserve(active_watchers);
       op.sub_filtered.reserve(active_watchers);
     }
@@ -964,15 +945,15 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
           watch.principal, store.name_, key, Verb::kWatch, now, &op.audit);
       if (!wd.allowed) continue;
       // Subscription content filter + projection: apply() is pure, so it
-      // runs right here in the shard task. Accounting is staged on the op
-      // (shard-local) and folded in Phase C, like every other counter.
+      // runs right here in Phase B. Accounting is staged on the op and
+      // folded in Phase C, like every other counter.
       // A commit that misses the subscription's equality key is rejected
       // by the index without running the predicate.
       std::optional<common::SharedValue> projected;
       if (watch.sub->active()) {
         const auto position = static_cast<std::uint32_t>(widx);
         op.sub_matched.push_back(position);
-        if (probe->must_apply(position)) {
+        if (probe.must_apply(position)) {
           op.sub_evaluated.push_back(position);
           projected = watch.sub->apply(op.obj.data);
         }
@@ -1001,43 +982,20 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       }
     }
   };
-  auto process = [&](std::size_t i, std::size_t shard,
-                     core::Tracer::SpanBuffer* spans,
-                     core::Metrics::Delta* delta) {
-    process_op(i, shard);
-    if (spans != nullptr) {
-      const std::uint64_t sid = spans->begin("de.epoch.op", now);
-      spans->annotate(sid, "stage", "S");
-      spans->annotate(sid, "store", stores[i]->name_);
-      spans->end(sid, now);
-    }
-    if (delta != nullptr) {
-      delta->inc(ops[i].committed ? "de.epoch.committed" : "de.epoch.failed");
-    }
-  };
-  auto run_shard = [&](std::size_t s) {
-    core::Tracer::SpanBuffer* spans =
-        span_buffers.empty() ? nullptr : &span_buffers[s];
-    core::Metrics::Delta* delta =
-        metric_deltas.empty() ? nullptr : &metric_deltas[s];
-    for (std::size_t i : shard_ops[s]) process(i, s, spans, delta);
-  };
-  std::size_t busy = 0;
-  std::size_t lone = 0;
   for (std::size_t s = 0; s < shard_count; ++s) {
-    if (shard_ops[s].empty()) continue;
-    ++busy;
-    lone = s;
-  }
-  if (busy == 1) {
-    run_shard(lone);  // a lone shard queue runs inline on any pool
-  } else {
-    std::vector<std::vector<std::function<void()>>> queues(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      if (shard_ops[s].empty()) continue;
-      queues[s].push_back([&run_shard, s] { run_shard(s); });
+    for (std::size_t i : shard_ops[s]) {
+      process_op(i, s);
+      if (tracer_ != nullptr) {
+        const std::uint64_t sid = spans.begin("de.epoch.op", now);
+        spans.annotate(sid, "stage", "S");
+        spans.annotate(sid, "store", stores[i]->name_);
+        spans.end(sid, now);
+      }
+      if (epoch_metrics_ != nullptr) {
+        delta.inc(ops[i].committed ? "de.epoch.committed"
+                                   : "de.epoch.failed");
+      }
     }
-    kernel_.run_epoch_tasks(queues);
   }
 
   // --- stamp rule, rollback, journal append -------------------------------
@@ -1099,7 +1057,7 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
           stores[i]->objects_.erase(ops[i].obj.key);
         }
       }
-      // Un-stage the watch events the shard tasks coalesced into batched
+      // Un-stage the watch events Phase B coalesced into batched
       // watchers' buffers: restore overwritten pre-epoch slots, then
       // truncate this epoch's appends and their slot-index entries.
       for (EpochWatcher& entry : watchers) {
@@ -1134,14 +1092,13 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
     return results;
   }
 
-  // --- Phase C: serial deterministic merge --------------------------------
-  // Fold the worker-local observability sinks first, in shard-index order
-  // (a rolled-back epoch never reaches this point — its buffers are
-  // dropped with the stack frame).
-  for (auto& buffer : span_buffers) tracer_->merge(buffer);
+  // --- Phase C: deterministic merge ---------------------------------------
+  // Fold the epoch's observability sinks first (a rolled-back epoch never
+  // reaches this point — its buffers are dropped with the stack frame).
+  if (tracer_ != nullptr) tracer_->merge(spans);
   if (epoch_metrics_ != nullptr) {
     epoch_metrics_->inc("de.epoch.epochs");
-    for (auto& delta : metric_deltas) epoch_metrics_->merge(delta);
+    epoch_metrics_->merge(delta);
   }
   for (std::size_t i = 0; i < n; ++i) {
     EpochOp& op = ops[i];
@@ -1152,9 +1109,9 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       continue;
     }
     if (op.lineage) kernel_.provenance().record(std::move(*op.lineage));
-    // Fold the shard-staged subscription accounting in global op order, and
-    // emit the `sub.filter` spans here on the main loop — span count and
-    // order stay independent of the shard/worker configuration.
+    // Fold the staged subscription accounting in global op order, and emit
+    // the `sub.filter` spans here — span count and order stay independent
+    // of the shard count.
     for (std::uint32_t widx : op.sub_matched) ++watches_[widx].info->matched;
     for (std::uint32_t widx : op.sub_evaluated) {
       ++watches_[widx].info->evaluated;
@@ -1372,29 +1329,22 @@ void ObjectDe::flush_watch_batch(std::uint64_t watch_id) {
   }
 
   // Revision-window barrier: each shard's commit queue sorts itself by
-  // DE-wide commit seq and applies RBAC field filtering — pure shard-local
-  // work that runs on the worker pool.
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(buf.shards.size());
+  // DE-wide commit seq and applies RBAC field filtering.
   for (auto& queue : buf.shards) {
-    if (queue.events.empty()) continue;
-    tasks.push_back([&queue] {
-      std::stable_sort(queue.events.begin(), queue.events.end(),
-                       [](const BufferedEvent& a, const BufferedEvent& b) {
-                         return a.seq < b.seq;
-                       });
-      for (BufferedEvent& be : queue.events) {
-        if (!be.fields.unrestricted() && be.event.object.data) {
-          be.event.object.data = std::make_shared<const Value>(
-              Rbac::filter_fields(*be.event.object.data, be.fields));
-        }
+    std::stable_sort(queue.events.begin(), queue.events.end(),
+                     [](const BufferedEvent& a, const BufferedEvent& b) {
+                       return a.seq < b.seq;
+                     });
+    for (BufferedEvent& be : queue.events) {
+      if (!be.fields.unrestricted() && be.event.object.data) {
+        be.event.object.data = std::make_shared<const Value>(
+            Rbac::filter_fields(*be.event.object.data, be.fields));
       }
-    });
+    }
   }
-  kernel_.run_shard_tasks(tasks);
 
   // Cross-shard stable merge by commit seq: reproduces the exact event
-  // order of the single-shard serial flush, for any shard/worker count.
+  // order of the single-shard flush, for any shard count.
   WatchBatch batch;
   batch.store = live->store;
   batch.commits = buf.commits;

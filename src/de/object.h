@@ -11,12 +11,12 @@
 // integrator push-down optimization (§3.3, Table 2 K-redis-udf row).
 //
 // ObjectDe is a typed facade over de::Kernel (commit sequencing, RBAC
-// enforcement + audit, availability, GC hooks, shard execution). The key
-// space of every store is hash-partitioned into N shards (set_shards);
-// shard-local work — batched-watch flush preparation, list scans — runs on
-// the runtime's worker pool between deterministic commit-seq merge
-// barriers, so an N-shard/N-worker run is observably identical to the
-// 1-shard serial run (see docs/ARCHITECTURE.md).
+// enforcement + audit, availability, GC hooks). The key space of every
+// store is hash-partitioned into N shards (set_shards); shard-local work —
+// epoch commits, batched-watch flush preparation, list scans — runs on the
+// calling thread in shard-index order and is merged by commit seq, so an
+// N-shard run is observably identical to the 1-shard run (see
+// docs/ARCHITECTURE.md).
 #pragma once
 
 #include <cstdint>
@@ -168,15 +168,14 @@ class ObjectStore {
             ListCallback done);
 
   /// Epoch commit: applies a whole batch of independent writes in one
-  /// client round trip through the parallel commit pipeline (the same
+  /// client round trip through the epoch commit pipeline (the same
   /// pipeline put/patch/remove run as single-op epochs). The batch is
   /// partitioned by key shard, stamps (version + commit seq) are
-  /// pre-assigned serially so every op's identity is a pure function of
-  /// its position in the epoch, shards commit concurrently on the bound
-  /// worker pool, and a serial epoch merge replays audit entries, lineage,
-  /// journal appends, and watch/trigger notifications in exact submission
-  /// order. Observable behavior is byte-identical for every shard/worker
-  /// configuration, and — on failure-free epochs — identical to issuing
+  /// pre-assigned so every op's identity is a pure function of its
+  /// position in the epoch, shards commit in shard-index order, and the
+  /// epoch merge replays audit entries, lineage, journal appends, and
+  /// watch/trigger notifications in exact submission order. Observable
+  /// behavior is byte-identical for every shard count, and — on failure-free epochs — identical to issuing
   /// the same ops through put/patch/remove one by one. An epoch consumes
   /// stamps only through its last committed op, so a failed op leaves a
   /// hole only when a later op of the same epoch commits. See
@@ -193,7 +192,7 @@ class ObjectStore {
   /// kernel's subscription registry (id, contract, match/filter/delivery
   /// accounting). Fails on permission denial or an unparsable filter. The
   /// filter runs *before* enqueue — per shard inside the epoch pipeline's
-  /// parallel phase — so a rejected commit never costs a queue slot; the
+  /// Phase B — so a rejected commit never costs a queue slot; the
   /// projection rewrites the delivered payload (RBAC field filtering still
   /// applies afterwards).
   common::Result<std::uint64_t> subscribe(const std::string& principal,
@@ -327,15 +326,11 @@ class ObjectDe {
   [[nodiscard]] ObjectStore* store(const std::string& name);
 
   /// Hash-partitions every store's key space into `n` shards. Shard-local
-  /// work (batched-watch flush preparation, list scans) then runs on the
-  /// bound worker pool between commit-seq merge barriers. Observable
+  /// work (epoch commits, batched-watch flush preparation, list scans)
+  /// runs in shard-index order and is merged by commit seq. Observable
   /// behavior is identical for every n (the determinism contract).
   void set_shards(std::size_t n);
   [[nodiscard]] std::size_t shards() const { return shards_; }
-  /// Binds the runtime's worker pool (nullptr = inline serial execution).
-  void set_worker_pool(common::WorkerPool* pool) {
-    kernel_.set_worker_pool(pool);
-  }
 
   /// The shared DE substrate this facade runs on.
   [[nodiscard]] Kernel& kernel() { return kernel_; }
@@ -418,7 +413,7 @@ class ObjectDe {
   void recover() { kernel_.recover(); }
 
   /// Chaos hook for the epoch pipeline: invoked after every epoch's
-  /// parallel phase, before the serial merge. Returning true simulates the
+  /// Phase B, before the merge. Returning true simulates the
   /// process dying mid-epoch — the whole epoch rolls back (state and
   /// stamps restored, no journal frame, no notifications, every op fails
   /// Unavailable) and the DE is marked crashed, so recovery never sees a
@@ -427,15 +422,15 @@ class ObjectDe {
     epoch_fault_hook_ = std::move(hook);
   }
 
-  /// Optional epoch-pipeline observability. When set, each Phase-B shard
-  /// worker emits one "de.epoch.op" span per op (stage "S") into a
-  /// worker-local Tracer::SpanBuffer and bumps worker-local Metrics::Delta
-  /// counters ("de.epoch.committed" / "de.epoch.failed") — zero shared
-  /// state on the parallel path. The serial merge folds the buffers in
-  /// shard-index order at the epoch boundary, so span *counts* and stage
-  /// attribution are identical for every shard/worker configuration (span
-  /// order groups by shard; see docs/OBSERVABILITY.md). A mid-epoch crash
-  /// drops the buffers: no span or counter from a rolled-back epoch leaks.
+  /// Optional epoch-pipeline observability. When set, Phase B emits one
+  /// "de.epoch.op" span per op (stage "S") into the epoch's
+  /// Tracer::SpanBuffer and bumps the epoch's Metrics::Delta counters
+  /// ("de.epoch.committed" / "de.epoch.failed"), both filled in shard-index
+  /// order. Phase C folds them into the Tracer/Metrics at the epoch
+  /// boundary, so span *counts* and stage attribution are identical for
+  /// every shard count (span order groups by shard; see
+  /// docs/OBSERVABILITY.md). A mid-epoch crash drops the buffers: no span
+  /// or counter from a rolled-back epoch leaks.
   void set_observability(core::Tracer* tracer, core::Metrics* metrics) {
     tracer_ = tracer;
     epoch_metrics_ = metrics;
@@ -474,8 +469,8 @@ class ObjectDe {
     sim::SimTime window = 0;
     bool batched = false;
     /// The subscription contract (always set; pass-through when the spec
-    /// had no filter/projection). Immutable and thread-safe: Phase-B shard
-    /// tasks call sub->apply() concurrently.
+    /// had no filter/projection). Immutable: Phase B calls sub->apply()
+    /// without touching the registry.
     std::shared_ptr<const CompiledSubscription> sub;
     /// The kernel registry entry (a stable std::map node, unregistered
     /// together with this watch's removal).
@@ -485,9 +480,9 @@ class ObjectDe {
   /// Per-watch coalescing buffer for batched watches, partitioned into
   /// per-shard commit queues. `seq` on each slot is the DE-wide commit
   /// sequence of the *latest* commit folded in. At flush (the revision-
-  /// window barrier) each shard sorts and RBAC-filters its queue on the
-  /// worker pool, then a cross-shard stable merge by `seq` reproduces the
-  /// exact single-shard event order.
+  /// window barrier) each shard sorts and RBAC-filters its queue, then a
+  /// cross-shard stable merge by `seq` reproduces the exact single-shard
+  /// event order.
   struct BufferedEvent {
     WatchEvent event;
     std::uint64_t seq = 0;
@@ -497,7 +492,7 @@ class ObjectDe {
     std::map<std::string, std::size_t> slots;  // key -> index in events
     std::vector<BufferedEvent> events;
   };
-  /// Rollback bookkeeping for epoch shard tasks that stage batched watch
+  /// Rollback bookkeeping for epoch shard passes that stage batched watch
   /// events straight into a buffer's shard queue: everything past
   /// `base_events` is this epoch's, and `saved` holds the pre-epoch value
   /// of every slot the epoch coalesced into, so a rolled-back epoch can
@@ -523,10 +518,8 @@ class ObjectDe {
     std::string udf_name;
   };
 
-  /// Per-op scratch the epoch pipeline's parallel phase fills and the
-  /// serial merge phase drains. Everything here is owned by exactly one
-  /// shard task during the parallel phase (ops are partitioned by key
-  /// shard), so no synchronization is needed.
+  /// Per-op scratch the epoch pipeline's Phase B fills and the merge phase
+  /// drains.
   struct EpochOp {
     bool committed = false;
     StateObject obj;           // committed object (pre-delete copy on remove)
@@ -559,8 +552,7 @@ class ObjectDe {
     /// Subscription-filter accounting, staged shard-locally and folded in
     /// the serial merge (indices of the active watches this commit
     /// matched, of those that rejected it, and of those that ran apply()
-    /// on it) — counters stay byte-identical across shard/worker
-    /// configurations.
+    /// on it) — counters stay byte-identical across shard counts.
     std::vector<std::uint32_t> sub_matched;
     std::vector<std::uint32_t> sub_filtered;
     std::vector<std::uint32_t> sub_evaluated;
@@ -606,7 +598,7 @@ class ObjectDe {
                                     const WatchEvent* sample);
 
   /// The coalescing rule set for batched watches, run by the epoch
-  /// pipeline's shard tasks. Inserts or coalesces one event into a shard
+  /// pipeline's Phase B. Inserts or coalesces one event into a shard
   /// queue; returns true when it coalesced into an existing slot. With
   /// `undo`, the first overwrite of any pre-epoch slot saves the previous
   /// entry for epoch rollback.
@@ -652,7 +644,7 @@ class ObjectDe {
   std::map<std::string, std::pair<std::string, Udf>> udfs_;  // name -> (owner, fn)
   std::vector<Watch> watches_;
   /// Set by (un)subscribe, which shift watch positions; the next epoch's
-  /// Phase A rebuilds every store's watch_index_ before any shard task.
+  /// Phase A rebuilds every store's watch_index_ before Phase B.
   bool watch_index_stale_ = false;
   std::map<std::uint64_t, WatchBuffer> watch_buffers_;  // batched watches
   std::vector<Trigger> triggers_;

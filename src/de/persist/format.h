@@ -91,7 +91,7 @@ struct Record {
   common::SharedValue data;  // kPut only
 };
 
-/// Encoders append to `out` so the epoch pipeline's shard tasks can
+/// Encoders append to `out` so the epoch pipeline's Phase B can
 /// serialize straight into per-op scratch buffers; the payload Value is
 /// read through its shared_ptr handle (no deep copy).
 void encode_put(std::string& out, const std::string& store,

@@ -8,12 +8,12 @@
 // subscriber did not ask for never costs a queue slot, an RBAC field
 // filter, or a callback.
 //
-// Thread-safety / determinism contract: a compiled subscription is
-// immutable and `apply()` is a pure function of the payload (no RNG, no
-// clock, no shared counters), so the epoch pipeline's Phase-B shard tasks
-// evaluate it concurrently per shard. Match/filter accounting is staged
-// per op and folded in the serial merge, which keeps N-shard/M-worker runs
-// byte-identical to the serial oracle (see docs/SUBSCRIPTIONS.md).
+// Determinism contract: a compiled subscription is immutable and `apply()`
+// is a pure function of the payload (no RNG, no clock, no shared
+// counters), so the epoch pipeline's Phase B evaluates it shard by shard.
+// Match/filter accounting is staged per op and folded in the Phase-C
+// merge, which keeps N-shard runs byte-identical to the 1-shard run (see
+// docs/SUBSCRIPTIONS.md).
 //
 // Indexed matching: a filter whose top-level `and` chain holds an equality
 // conjunct (`field == literal`, `field in [literals]`) can only pass a

@@ -1,15 +1,14 @@
-// Epoch-boundary observability: worker-local Tracer::SpanBuffer /
-// Metrics::Delta sinks replace shared-state emission on the parallel
-// commit path. These tests pin the contract: merging buffers at the epoch
-// boundary yields the same span counts, stage attribution, and counter
-// totals as serial emission — for every shard/worker configuration.
+// Epoch-boundary observability: the epoch pipeline emits into a detached
+// Tracer::SpanBuffer / Metrics::Delta and folds them in at the epoch
+// boundary. These tests pin the contract: merging at the epoch boundary
+// yields the same span counts, stage attribution, and counter totals as
+// direct emission — for every shard count.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 #include <vector>
 
-#include "common/worker_pool.h"
 #include "core/trace.h"
 #include "de/object.h"
 
@@ -142,11 +141,7 @@ std::map<std::string, int> span_counts(const std::vector<core::Span>& spans) {
 }
 
 TEST(EpochObservability, SpanCountsAndCountersAreShardInvariant) {
-  struct Config {
-    std::size_t shards;
-    int workers;
-  };
-  const Config configs[] = {{1, 1}, {2, 4}, {8, 4}};
+  const std::size_t configs[] = {1, 2, 8};
   std::map<std::string, int> oracle_spans;
   std::map<std::string, std::uint64_t> oracle_counters;
   for (std::size_t c = 0; c < std::size(configs); ++c) {
@@ -154,9 +149,7 @@ TEST(EpochObservability, SpanCountsAndCountersAreShardInvariant) {
     core::Tracer tracer(clock);
     core::Metrics metrics;
     de::ObjectDe de(clock, de::ObjectDeProfile::instant());
-    common::WorkerPool pool(configs[c].workers);
-    de.set_shards(configs[c].shards);
-    de.set_worker_pool(&pool);
+    de.set_shards(configs[c]);
     de.set_observability(&tracer, &metrics);
     de::ObjectStore& store = de.create_store("items");
 
@@ -188,8 +181,8 @@ TEST(EpochObservability, SpanCountsAndCountersAreShardInvariant) {
       oracle_spans = spans;
       oracle_counters = counters;
     } else {
-      EXPECT_EQ(spans, oracle_spans) << configs[c].shards << " shards";
-      EXPECT_EQ(counters, oracle_counters) << configs[c].shards << " shards";
+      EXPECT_EQ(spans, oracle_spans) << configs[c] << " shards";
+      EXPECT_EQ(counters, oracle_counters) << configs[c] << " shards";
     }
   }
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+#include <vector>
+
 namespace knactor::core {
 namespace {
 
@@ -138,14 +142,68 @@ TEST(Runtime, SchedulerConfiguresHostedDes) {
   Runtime rt;
   de::ObjectDe& before = rt.add_object_de("a", de::ObjectDeProfile::instant());
   rt.set_shards(4);
-  rt.set_workers(2);
   de::ObjectDe& after = rt.add_object_de("b", de::ObjectDeProfile::instant());
   // set_shards repartitions existing DEs and configures future ones.
   EXPECT_EQ(before.shards(), 4u);
   EXPECT_EQ(after.shards(), 4u);
   EXPECT_EQ(rt.scheduler().shards(), 4u);
-  EXPECT_EQ(rt.scheduler().workers(), 2);
-  EXPECT_EQ(before.kernel().worker_pool(), &rt.scheduler().pool());
+  EXPECT_EQ(rt.scheduler().stats().shards, 4u);
+  rt.set_shards(0);  // clamped to one shard
+  EXPECT_EQ(before.shards(), 1u);
+  EXPECT_EQ(rt.scheduler().shards(), 1u);
+}
+
+#ifdef __linux__
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+#endif
+
+// Shards are a deterministic partition, not a unit of concurrency: an
+// epoch commit, a batched-watch flush and a list on a sharded runtime all
+// run on the calling thread. set_workers is accepted and ignored.
+TEST(RuntimeTest, ShardedRunStartsNoThreads) {
+#ifndef __linux__
+  GTEST_SKIP() << "counts threads through /proc/self/task";
+#else
+  const std::size_t before = thread_count();
+  Runtime rt;
+  rt.set_shards(8);
+  rt.set_workers(4);
+  de::ObjectDe& de = rt.add_object_de("obj", de::ObjectDeProfile::instant());
+  de::ObjectStore& store = de.create_store("s");
+  de::SubscriptionSpec windowed;
+  windowed.qos.window = sim::kMillisecond;
+  std::size_t batched = 0;
+  ASSERT_TRUE(store
+                  .subscribe_batch("me", windowed,
+                                   [&](const de::WatchBatch& batch) {
+                                     batched += batch.events.size();
+                                   })
+                  .ok());
+  std::vector<de::EpochWrite> writes;
+  for (int i = 0; i < 16; ++i) {
+    de::EpochWrite w;
+    w.key = "k-" + std::to_string(i);
+    w.data = Value::object({{"v", i}});
+    writes.push_back(std::move(w));
+  }
+  for (const auto& result : store.put_epoch_sync("me", std::move(writes))) {
+    ASSERT_TRUE(result.ok());
+  }
+  rt.run_until_idle();
+  EXPECT_EQ(batched, 16u);
+  auto listed = store.list_sync("me", "k-");
+  ASSERT_TRUE(listed.ok());
+  EXPECT_EQ(listed.value().size(), 16u);
+  EXPECT_EQ(thread_count(), before);
+#endif
 }
 
 TEST(Runtime, NetworkLazyInit) {

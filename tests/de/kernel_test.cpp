@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 #include <vector>
-
-#include "common/worker_pool.h"
 
 namespace knactor::de {
 namespace {
@@ -168,83 +165,5 @@ TEST(Kernel, GcHooksRunInRegistrationOrderAndSum) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-// --- shard-task execution ---------------------------------------------------
-
-TEST(Kernel, RunShardTasksInlineWithoutPool) {
-  sim::VirtualClock clock;
-  Kernel kernel(clock, 7);
-  std::vector<int> order;
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 4; ++i) {
-    tasks.push_back([&order, i] { order.push_back(i); });
-  }
-  kernel.run_shard_tasks(tasks);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));  // index order inline
-}
-
-TEST(Kernel, RunShardTasksOnPoolCompletesAll) {
-  sim::VirtualClock clock;
-  Kernel kernel(clock, 7);
-  common::WorkerPool pool(4);
-  kernel.set_worker_pool(&pool);
-  std::atomic<int> ran{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 32; ++i) {
-    tasks.push_back([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }
-  kernel.run_shard_tasks(tasks);  // barrier: returns only when all done
-  EXPECT_EQ(ran.load(), 32);
-}
-
 }  // namespace
 }  // namespace knactor::de
-
-namespace knactor::common {
-namespace {
-
-TEST(WorkerPool, InlineWhenSingleWorker) {
-  WorkerPool pool(1);
-  std::vector<int> order;
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 3; ++i) tasks.push_back([&order, i] { order.push_back(i); });
-  pool.run(tasks);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(pool.stats().inline_runs, 1u);
-  EXPECT_EQ(pool.stats().barriers, 0u);
-  EXPECT_EQ(pool.stats().tasks, 3u);
-}
-
-TEST(WorkerPool, BarrierRunsEveryTaskExactlyOnce) {
-  WorkerPool pool(4);
-  std::vector<std::atomic<int>> counts(100);
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 100; ++i) {
-    tasks.push_back([&counts, i] { counts[i].fetch_add(1); });
-  }
-  for (int round = 0; round < 10; ++round) pool.run(tasks);
-  for (auto& c : counts) EXPECT_EQ(c.load(), 10);
-  EXPECT_EQ(pool.stats().tasks, 1000u);
-}
-
-TEST(WorkerPool, ResizeKeepsWorking) {
-  WorkerPool pool(1);
-  pool.set_workers(4);
-  EXPECT_EQ(pool.workers(), 4);
-  std::atomic<int> ran{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 16; ++i) tasks.push_back([&ran] { ++ran; });
-  pool.run(tasks);
-  EXPECT_EQ(ran.load(), 16);
-  pool.set_workers(1);
-  pool.run(tasks);
-  EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(WorkerPool, EmptyBatchIsANoop) {
-  WorkerPool pool(4);
-  pool.run({});
-  EXPECT_EQ(pool.stats().tasks, 0u);
-}
-
-}  // namespace
-}  // namespace knactor::common

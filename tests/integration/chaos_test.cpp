@@ -60,7 +60,7 @@ sim::FaultPlan retail_plan(std::uint64_t seed) {
 
 RetailTrialResult run_retail_trial(std::uint64_t seed, bool inject,
                                    sim::SimTime batch_window = 0,
-                                   std::size_t shards = 1, int workers = 1,
+                                   std::size_t shards = 1,
                                    bool filtered_sub = false) {
   core::Runtime runtime;
   apps::RetailKnactorOptions options;
@@ -70,7 +70,6 @@ RetailTrialResult run_retail_trial(std::uint64_t seed, bool inject,
   options.integrator_retry = sim::RetryPolicy::standard(5);
   options.batch_window = batch_window;  // coalesced watch delivery
   options.shards = shards;
-  options.workers = workers;
   auto app = apps::build_retail_knactor_app(runtime, options);
 
   // Optional filtered subscription riding through the fault corpus: a
@@ -253,17 +252,16 @@ TEST(ChaosRetailBatched, FaultFreeBatchedTrialMatchesOracle) {
 }
 
 TEST(ChaosRetailSharded, ShardedRunsAreBitIdenticalToSerialUnderChaos) {
-  // Shard-aware scheduler satellite: the same seeded fault corpus, run with
-  // 8 shards on 4 workers, must produce byte-identical fault schedules and
-  // converged fingerprints to the 1-shard serial trial — chaos recovery
+  // The same seeded fault corpus, run with 8 shards, must produce
+  // byte-identical fault schedules and converged fingerprints to the
+  // 1-shard trial — chaos recovery
   // (durable restart, retries, resync) included.
   const int kSeeds = 40;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto serial = run_retail_trial(seed, /*inject=*/true,
                                    25 * sim::kMillisecond);
     auto sharded = run_retail_trial(seed, /*inject=*/true,
-                                    25 * sim::kMillisecond, /*shards=*/8,
-                                    /*workers=*/4);
+                                    25 * sim::kMillisecond, /*shards=*/8);
     ASSERT_TRUE(sharded.converged)
         << "sharded seed " << seed << " diverged from oracle.\nSchedule:\n"
         << sharded.schedule;
@@ -287,7 +285,7 @@ TEST(ChaosRetailFiltered, HundredSeedsConvergeWithFilteredSubscription) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto result = run_retail_trial(seed, /*inject=*/true,
                                    25 * sim::kMillisecond, /*shards=*/1,
-                                   /*workers=*/1, /*filtered_sub=*/true);
+                                   /*filtered_sub=*/true);
     ASSERT_TRUE(result.converged)
         << "filtered seed " << seed << " diverged from oracle.\nSchedule:\n"
         << result.schedule << "Plan: " << retail_plan(seed).describe();
@@ -300,17 +298,17 @@ TEST(ChaosRetailFiltered, HundredSeedsConvergeWithFilteredSubscription) {
 
 TEST(ChaosRetailFiltered, FilteredDeliveryLogBitIdenticalSerialVsSharded) {
   // Determinism contract for filtered subscriptions under chaos: for the
-  // same seed, the 8-shard/4-worker run must produce a byte-identical
-  // filtered delivery log (and reject count) to the serial run — crash
+  // same seed, the 8-shard run must produce a byte-identical filtered
+  // delivery log (and reject count) to the 1-shard run — crash
   // rollback of filtered coalesce slots included.
   const int kSeeds = 40;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto serial = run_retail_trial(seed, /*inject=*/true,
                                    25 * sim::kMillisecond, /*shards=*/1,
-                                   /*workers=*/1, /*filtered_sub=*/true);
+                                   /*filtered_sub=*/true);
     auto sharded = run_retail_trial(seed, /*inject=*/true,
                                     25 * sim::kMillisecond, /*shards=*/8,
-                                    /*workers=*/4, /*filtered_sub=*/true);
+                                    /*filtered_sub=*/true);
     ASSERT_TRUE(sharded.converged)
         << "filtered sharded seed " << seed << " diverged.\nSchedule:\n"
         << sharded.schedule;
@@ -321,8 +319,8 @@ TEST(ChaosRetailFiltered, FilteredDeliveryLogBitIdenticalSerialVsSharded) {
 }
 
 // ---------------------------------------------------------------------------
-// Mid-epoch crash atomicity: a worker dying between the parallel commit and
-// the serial merge must not leak a half-merged epoch anywhere — state,
+// Mid-epoch crash atomicity: a process dying between Phase B and the merge
+// must not leak a half-merged epoch anywhere — state,
 // stamps, audit, lineage, watches, or triggers.
 // ---------------------------------------------------------------------------
 
@@ -371,8 +369,8 @@ TEST(ChaosEpochAtomicity, MidEpochCrashLeaksNothing) {
   const std::size_t audit_before = de.audit_log().size();
   const std::size_t lineage_before = de.kernel().provenance().records().size();
 
-  // Arm a one-shot mid-epoch crash: the hook fires after the parallel phase
-  // has mutated shard state but before the serial merge publishes anything.
+  // Arm a one-shot mid-epoch crash: the hook fires after Phase B has
+  // mutated shard state but before the merge publishes anything.
   bool crash_next = true;
   de.set_epoch_fault_hook([&crash_next] {
     bool fire = crash_next;
@@ -529,14 +527,13 @@ Value chaos_ride_payload(const apps::RideHailingApp& app, std::uint64_t id) {
 }
 
 RideTrialResult run_ride_trial(std::uint64_t seed, bool inject,
-                               std::size_t shards = 1, int workers = 1) {
+                               std::size_t shards = 1) {
   core::Runtime runtime;
   apps::RideHailingOptions options;
   options.de_profile = de::ObjectDeProfile::apiserver();  // durable
   options.batch_window = 5 * sim::kMillisecond;
   options.integrator_retry = sim::RetryPolicy::standard(5);
   options.shards = shards;
-  options.workers = workers;
   auto app = apps::build_ride_hailing_app(runtime, options);
 
   chaos::ChaosHooks hooks;
@@ -651,8 +648,7 @@ TEST(ChaosRideHailing, ShardedTrialsAreBitIdenticalToSerial) {
   const int kSeeds = 24;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto serial = run_ride_trial(seed, /*inject=*/true);
-    auto sharded = run_ride_trial(seed, /*inject=*/true, /*shards=*/8,
-                                  /*workers=*/4);
+    auto sharded = run_ride_trial(seed, /*inject=*/true, /*shards=*/8);
     ASSERT_TRUE(sharded.converged)
         << "sharded ride seed " << seed << " diverged.\nSchedule:\n"
         << sharded.schedule;

@@ -1,6 +1,6 @@
-// Epoch-merge differential suite (`ctest -L shard`): the parallel commit
+// Epoch-merge differential suite (`ctest -L shard`): the epoch commit
 // pipeline (ObjectStore::put_epoch) must be *observably identical* to the
-// 1-shard serial oracle for every shard/worker configuration — byte-equal
+// 1-shard oracle for every shard count — byte-equal
 // store state, per-op results, watch-event order, batched-watch
 // composition, audit trail, lineage records, DE stats, and (for the full
 // retail composition) metrics and trace shape.
@@ -8,7 +8,7 @@
 // Three layers of evidence:
 //   * Epoch differential — randomized epoch workloads (100 seeds, with
 //     conflicts, denials-by-version, deletes-of-missing, and within-epoch
-//     overwrite chains) across shards {1,2,8} x workers {1,4,8}.
+//     overwrite chains) across shards {1,2,8}.
 //   * Batching equivalence — put/patch/remove run as single-op epochs, and
 //     on failure-free batches n single-op epochs commit exactly what one
 //     n-op epoch does: same versions, same commit seqs, same watch order,
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "apps/retail_knactor.h"
-#include "common/worker_pool.h"
 #include "core/runtime.h"
 #include "de/object.h"
 #include "de/persist/engine.h"
@@ -41,18 +40,11 @@ namespace {
 
 using common::Value;
 
-struct EpochConfig {
-  std::size_t shards = 1;
-  int workers = 1;
-};
+// The shard counts under test; index 0 is the 1-shard oracle.
+const std::size_t kShards[] = {1, 2, 8};
 
-// The matrix under test; index 0 is the serial oracle.
-const EpochConfig kConfigs[] = {
-    {1, 1}, {2, 1}, {2, 4}, {2, 8}, {8, 1}, {8, 4}, {8, 8},
-};
-
-std::string config_name(const EpochConfig& c) {
-  return std::to_string(c.shards) + "s/" + std::to_string(c.workers) + "w";
+std::string config_name(std::size_t shards) {
+  return std::to_string(shards) + "s";
 }
 
 char event_char(de::WatchEventType t) {
@@ -108,13 +100,11 @@ struct Observation {
 };
 
 // One randomized epoch workload. All randomness comes from `seed`; the
-// shard/worker configuration must not change anything observable.
-Observation run_epoch_workload(std::uint32_t seed, const EpochConfig& config) {
+// shard count must not change anything observable.
+Observation run_epoch_workload(std::uint32_t seed, std::size_t shards) {
   sim::VirtualClock clock;
   de::ObjectDe de(clock, de::ObjectDeProfile::apiserver());  // durable
-  common::WorkerPool pool(config.workers);
-  de.set_shards(config.shards);
-  de.set_worker_pool(&pool);
+  de.set_shards(shards);
   de.enable_audit(4096);
   de.kernel().enable_provenance(4096);
 
@@ -214,15 +204,15 @@ Observation run_epoch_workload(std::uint32_t seed, const EpochConfig& config) {
 
 TEST(EpochMerge, MatchesSerialOracleAcross100Seeds) {
   for (std::uint32_t seed = 1; seed <= 100; ++seed) {
-    Observation oracle = run_epoch_workload(seed, kConfigs[0]);
+    Observation oracle = run_epoch_workload(seed, kShards[0]);
     // The workload must actually exercise the surfaces under test.
     ASSERT_FALSE(oracle.state.empty());
     ASSERT_FALSE(oracle.results.empty()) << "seed " << seed;
     ASSERT_FALSE(oracle.batch_log.empty()) << "seed " << seed;
-    for (std::size_t c = 1; c < std::size(kConfigs); ++c) {
-      Observation got = run_epoch_workload(seed, kConfigs[c]);
+    for (std::size_t c = 1; c < std::size(kShards); ++c) {
+      Observation got = run_epoch_workload(seed, kShards[c]);
       const std::string where =
-          "seed " + std::to_string(seed) + " config " + config_name(kConfigs[c]);
+          "seed " + std::to_string(seed) + " config " + config_name(kShards[c]);
       EXPECT_EQ(got.state, oracle.state) << where;
       EXPECT_EQ(got.results, oracle.results) << where;
       EXPECT_EQ(got.watch_log, oracle.watch_log) << where;
@@ -237,14 +227,14 @@ TEST(EpochMerge, MatchesSerialOracleAcross100Seeds) {
 
 // Re-running the same config twice must be bit-stable.
 TEST(EpochMerge, RepeatedRunsAreBitStable) {
-  for (const auto& config : kConfigs) {
-    Observation a = run_epoch_workload(42, config);
-    Observation b = run_epoch_workload(42, config);
-    EXPECT_EQ(a.state, b.state) << config_name(config);
-    EXPECT_EQ(a.watch_log, b.watch_log) << config_name(config);
-    EXPECT_EQ(a.batch_log, b.batch_log) << config_name(config);
-    EXPECT_EQ(a.audit, b.audit) << config_name(config);
-    EXPECT_EQ(a.stats, b.stats) << config_name(config);
+  for (std::size_t shards : kShards) {
+    Observation a = run_epoch_workload(42, shards);
+    Observation b = run_epoch_workload(42, shards);
+    EXPECT_EQ(a.state, b.state) << config_name(shards);
+    EXPECT_EQ(a.watch_log, b.watch_log) << config_name(shards);
+    EXPECT_EQ(a.batch_log, b.batch_log) << config_name(shards);
+    EXPECT_EQ(a.audit, b.audit) << config_name(shards);
+    EXPECT_EQ(a.stats, b.stats) << config_name(shards);
   }
 }
 
@@ -488,9 +478,7 @@ TEST(EpochStamps, AllFailedEpochAppendsNoJournalFrame) {
 std::string run_delivery_pin(std::size_t shards) {
   sim::VirtualClock clock;
   de::ObjectDe de(clock, de::ObjectDeProfile::redis());
-  common::WorkerPool pool(shards > 1 ? 2 : 1);
   de.set_shards(shards);
-  de.set_worker_pool(&pool);
   de::ObjectStore& store = de.create_store("orders");
 
   de::Rbac& rbac = de.rbac();
@@ -1247,13 +1235,12 @@ struct RuntimeObservation {
   std::string traces;
 };
 
-RuntimeObservation run_retail(const EpochConfig& config, double cost) {
+RuntimeObservation run_retail(std::size_t shards, double cost) {
   core::Runtime rt;
   apps::RetailKnactorOptions options;
   options.batch_window = 2 * sim::kMillisecond;
   options.metrics = &rt.metrics();
-  options.shards = config.shards;
-  options.workers = config.workers;
+  options.shards = shards;
   apps::RetailKnactorApp app = apps::build_retail_knactor_app(rt, options);
 
   RuntimeObservation obs;
@@ -1277,12 +1264,12 @@ RuntimeObservation run_retail(const EpochConfig& config, double cost) {
 
 TEST(EpochMerge, RetailMatchesSerialOracle) {
   for (double cost : {40.0, 900.0}) {
-    RuntimeObservation oracle = run_retail(kConfigs[0], cost);
+    RuntimeObservation oracle = run_retail(kShards[0], cost);
     ASSERT_FALSE(oracle.state.empty());
-    for (std::size_t c = 1; c < std::size(kConfigs); ++c) {
-      RuntimeObservation got = run_retail(kConfigs[c], cost);
+    for (std::size_t c = 1; c < std::size(kShards); ++c) {
+      RuntimeObservation got = run_retail(kShards[c], cost);
       const std::string where =
-          "cost " + std::to_string(cost) + " config " + config_name(kConfigs[c]);
+          "cost " + std::to_string(cost) + " config " + config_name(kShards[c]);
       EXPECT_EQ(got.order, oracle.order) << where;
       EXPECT_EQ(got.state, oracle.state) << where;
       EXPECT_EQ(got.metrics, oracle.metrics) << where;

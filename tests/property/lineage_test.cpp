@@ -1,7 +1,7 @@
 // Lineage differential suite (tentpole of the tracing work): a derived
 // record must be reproducible byte-for-byte from nothing but its recorded
 // lineage inputs and the same integrator logic, and the exported causal
-// trace must be byte-identical across shard/worker configurations (the
+// trace must be byte-identical across shard counts (the
 // determinism contract of docs/OBSERVABILITY.md).
 #include <gtest/gtest.h>
 
@@ -79,14 +79,13 @@ const core::LineageRecord* latest_cast(const core::ProvenanceRing& ring,
 // One retail order with lineage + tracing on; returns the Chrome trace
 // export and hands the live runtime/app to `inspect` first.
 std::string run_retail(
-    std::size_t shards, int workers,
+    std::size_t shards,
     const std::function<void(core::Runtime&, apps::RetailKnactorApp&)>&
         inspect = {}) {
   core::Runtime rt;
   rt.enable_lineage();
   apps::RetailKnactorOptions options;
   options.shards = shards;
-  options.workers = workers;
   auto app = apps::build_retail_knactor_app(rt, options);
   EXPECT_TRUE(rt.start_all().ok());
   auto order = app.place_order_sync(apps::sample_order());
@@ -97,7 +96,7 @@ std::string run_retail(
 }
 
 TEST(LineageDifferential, RetailDerivedRecordsReplayByteForByte) {
-  run_retail(1, 1, [](core::Runtime&, apps::RetailKnactorApp& app) {
+  run_retail(1, [](core::Runtime&, apps::RetailKnactorApp& app) {
     const auto& ring = app.de->kernel().provenance();
     ASSERT_FALSE(ring.records().empty());
     for (const char* target : {"knactor-checkout", "knactor-shipping",
@@ -116,7 +115,7 @@ TEST(LineageDifferential, RetailDerivedRecordsReplayByteForByte) {
 
 // Every recorded derivation — not just the final state — must replay.
 TEST(LineageDifferential, EveryRetailLineageRecordReplays) {
-  run_retail(1, 1, [](core::Runtime&, apps::RetailKnactorApp& app) {
+  run_retail(1, [](core::Runtime&, apps::RetailKnactorApp& app) {
     const auto& ring = app.de->kernel().provenance();
     std::size_t replayed = 0;
     for (const auto& rec : ring.records()) {
@@ -132,15 +131,10 @@ TEST(LineageDifferential, EveryRetailLineageRecordReplays) {
 }
 
 TEST(LineageDifferential, TraceByteIdenticalAcrossShardConfigs) {
-  struct Config {
-    std::size_t shards;
-    int workers;
-  };
-  const std::string oracle = run_retail(1, 1);
+  const std::string oracle = run_retail(1);
   ASSERT_FALSE(oracle.empty());
-  for (Config config : {Config{8, 1}, Config{1, 4}, Config{8, 4}}) {
-    EXPECT_EQ(run_retail(config.shards, config.workers), oracle)
-        << "shards=" << config.shards << " workers=" << config.workers;
+  for (std::size_t shards : {2, 8}) {
+    EXPECT_EQ(run_retail(shards), oracle) << "shards=" << shards;
   }
 }
 
@@ -161,19 +155,16 @@ TEST(LineageDifferential, LineageByteIdenticalAcrossShardConfigs) {
     return out;
   };
   std::string oracle;
-  run_retail(1, 1, [&](core::Runtime&, apps::RetailKnactorApp& app) {
+  run_retail(1, [&](core::Runtime&, apps::RetailKnactorApp& app) {
     oracle = render(app);
   });
   ASSERT_FALSE(oracle.empty());
-  for (std::size_t shards : {std::size_t{8}}) {
-    for (int workers : {1, 4}) {
-      std::string got;
-      run_retail(shards, workers,
-                 [&](core::Runtime&, apps::RetailKnactorApp& app) {
-                   got = render(app);
-                 });
-      EXPECT_EQ(got, oracle) << "shards=" << shards << " workers=" << workers;
-    }
+  for (std::size_t shards : {2, 8}) {
+    std::string got;
+    run_retail(shards, [&](core::Runtime&, apps::RetailKnactorApp& app) {
+      got = render(app);
+    });
+    EXPECT_EQ(got, oracle) << "shards=" << shards;
   }
 }
 

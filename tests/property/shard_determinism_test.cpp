@@ -1,14 +1,11 @@
 // Shard-determinism differential suite (`ctest -L shard`): for any fixed
-// seed, an N-shard / M-worker run must be *observably identical* to the
-// 1-shard serial oracle — byte-identical store state, watch-event order,
-// batched-watch composition, DE stats, traces, and metrics. Only the
-// scheduler's internal dispatch counters may vary with the configuration
-// (they are deliberately not part of the observable surface; see
-// docs/ARCHITECTURE.md).
+// seed, an N-shard run must be *observably identical* to the 1-shard
+// oracle — byte-identical store state, watch-event order, batched-watch
+// composition, DE stats, traces, and metrics (see docs/ARCHITECTURE.md).
 //
 // Three layers of evidence:
 //   * ObjectDe differential — randomized CRUD workloads (100+ seeds)
-//     against shards {1,2,8} x workers {1,4}.
+//     against shards {1,2,8}.
 //   * Chaos differential — the same equivalence with crash/recover windows
 //     and a durable restart in the middle of the workload.
 //   * Runtime differential — the full retail composition (Cast integrator,
@@ -24,7 +21,6 @@
 #include "apps/fleet_telemetry.h"
 #include "apps/retail_knactor.h"
 #include "apps/ride_hailing.h"
-#include "common/worker_pool.h"
 #include "core/runtime.h"
 #include "de/log.h"
 #include "de/object.h"
@@ -36,18 +32,11 @@ namespace {
 
 using common::Value;
 
-struct ShardConfig {
-  std::size_t shards = 1;
-  int workers = 1;
-};
+// The shard counts under test; index 0 is the 1-shard oracle.
+const std::size_t kShards[] = {1, 2, 8};
 
-// The matrix under test; index 0 is the serial oracle.
-const ShardConfig kConfigs[] = {
-    {1, 1}, {2, 1}, {2, 4}, {8, 1}, {8, 4},
-};
-
-std::string config_name(const ShardConfig& c) {
-  return std::to_string(c.shards) + "s/" + std::to_string(c.workers) + "w";
+std::string config_name(std::size_t shards) {
+  return std::to_string(shards) + "s";
 }
 
 // Everything a run exposes to an observer. Two runs are "observably
@@ -88,16 +77,14 @@ char event_char(de::WatchEventType t) {
 
 // One randomized CRUD workload against a raw ObjectDe. All randomness comes
 // from `seed` (workload choice) and the DE's own fixed-seed rng (latency
-// sampling); neither depends on the shard/worker configuration, so every
-// config must replay the identical event schedule.
-Observation run_object_workload(std::uint32_t seed, const ShardConfig& config,
+// sampling); neither depends on the shard count, so every config must
+// replay the identical event schedule.
+Observation run_object_workload(std::uint32_t seed, std::size_t shards,
                                 bool with_chaos) {
   sim::VirtualClock clock;
   de::ObjectDe de(clock, with_chaos ? de::ObjectDeProfile::apiserver()
                                     : de::ObjectDeProfile::redis());
-  common::WorkerPool pool(config.workers);
-  de.set_shards(config.shards);
-  de.set_worker_pool(&pool);
+  de.set_shards(shards);
 
   de::ObjectStore& orders = de.create_store("orders");
   de::ObjectStore& inventory = de.create_store("inventory");
@@ -133,7 +120,7 @@ Observation run_object_workload(std::uint32_t seed, const ShardConfig& config,
                   .ok());
 
   // Filtered + projected subscription: the predicate runs per shard inside
-  // the parallel commit phase, so its accept/reject decisions and the
+  // the commit pipeline's Phase B, so its accept/reject decisions and the
   // projected payloads are part of the observable surface under test.
   de::SubscriptionSpec sub_spec;
   sub_spec.filter = "qty > 25";
@@ -257,7 +244,7 @@ TEST(ShardDeterminism, ObjectDeMatchesSerialOracleAcross100Seeds) {
   int seeds_with_filtered_deliveries = 0;
   int seeds_with_indexed_deliveries = 0;
   for (std::uint32_t seed = 1; seed <= 100; ++seed) {
-    Observation oracle = run_object_workload(seed, kConfigs[0], false);
+    Observation oracle = run_object_workload(seed, kShards[0], false);
     // The workload must actually exercise the surfaces under test.
     ASSERT_FALSE(oracle.state.empty());
     ASSERT_FALSE(oracle.batch_log.empty()) << "seed " << seed;
@@ -265,10 +252,10 @@ TEST(ShardDeterminism, ObjectDeMatchesSerialOracleAcross100Seeds) {
       ++seeds_with_filtered_deliveries;
     }
     if (!oracle.sub_index_log.starts_with("|")) ++seeds_with_indexed_deliveries;
-    for (std::size_t c = 1; c < std::size(kConfigs); ++c) {
-      Observation got = run_object_workload(seed, kConfigs[c], false);
+    for (std::size_t c = 1; c < std::size(kShards); ++c) {
+      Observation got = run_object_workload(seed, kShards[c], false);
       const std::string where =
-          "seed " + std::to_string(seed) + " config " + config_name(kConfigs[c]);
+          "seed " + std::to_string(seed) + " config " + config_name(kShards[c]);
       EXPECT_EQ(got.state, oracle.state) << where;
       EXPECT_EQ(got.watch_log, oracle.watch_log) << where;
       EXPECT_EQ(got.batch_log, oracle.batch_log) << where;
@@ -288,11 +275,11 @@ TEST(ShardDeterminism, ObjectDeMatchesSerialOracleAcross100Seeds) {
 
 TEST(ShardDeterminism, ChaosConvergenceMatchesSerialOracle) {
   for (std::uint32_t seed = 1; seed <= 25; ++seed) {
-    Observation oracle = run_object_workload(seed, kConfigs[0], true);
-    for (std::size_t c = 1; c < std::size(kConfigs); ++c) {
-      Observation got = run_object_workload(seed, kConfigs[c], true);
+    Observation oracle = run_object_workload(seed, kShards[0], true);
+    for (std::size_t c = 1; c < std::size(kShards); ++c) {
+      Observation got = run_object_workload(seed, kShards[c], true);
       const std::string where =
-          "seed " + std::to_string(seed) + " config " + config_name(kConfigs[c]);
+          "seed " + std::to_string(seed) + " config " + config_name(kShards[c]);
       EXPECT_EQ(got.state, oracle.state) << where;
       EXPECT_EQ(got.watch_log, oracle.watch_log) << where;
       EXPECT_EQ(got.batch_log, oracle.batch_log) << where;
@@ -316,13 +303,12 @@ struct RuntimeObservation {
   std::string stats;    // DE stats digest
 };
 
-RuntimeObservation run_retail(const ShardConfig& config, double cost) {
+RuntimeObservation run_retail(std::size_t shards, double cost) {
   core::Runtime rt;
   apps::RetailKnactorOptions options;
   options.batch_window = 2 * sim::kMillisecond;
   options.metrics = &rt.metrics();
-  options.shards = config.shards;
-  options.workers = config.workers;
+  options.shards = shards;
   apps::RetailKnactorApp app = apps::build_retail_knactor_app(rt, options);
 
   RuntimeObservation obs;
@@ -347,12 +333,12 @@ RuntimeObservation run_retail(const ShardConfig& config, double cost) {
 
 TEST(ShardDeterminism, RetailCompositionMatchesSerialOracle) {
   for (double cost : {40.0, 120.0, 900.0}) {
-    RuntimeObservation oracle = run_retail(kConfigs[0], cost);
+    RuntimeObservation oracle = run_retail(kShards[0], cost);
     ASSERT_FALSE(oracle.state.empty());
-    for (std::size_t c = 1; c < std::size(kConfigs); ++c) {
-      RuntimeObservation got = run_retail(kConfigs[c], cost);
+    for (std::size_t c = 1; c < std::size(kShards); ++c) {
+      RuntimeObservation got = run_retail(kShards[c], cost);
       const std::string where =
-          "cost " + std::to_string(cost) + " config " + config_name(kConfigs[c]);
+          "cost " + std::to_string(cost) + " config " + config_name(kShards[c]);
       EXPECT_EQ(got.order, oracle.order) << where;
       EXPECT_EQ(got.state, oracle.state) << where;
       EXPECT_EQ(got.metrics, oracle.metrics) << where;
@@ -370,12 +356,11 @@ TEST(ShardDeterminism, RetailCompositionMatchesSerialOracle) {
 // is fixed (settle every 8 rides), so the peek+patch demand counters are a
 // pure function of the workload — every shard config must replay them, the
 // assignments, and the dispatch decisions byte-for-byte.
-RuntimeObservation run_ride_hailing(const ShardConfig& config) {
+RuntimeObservation run_ride_hailing(std::size_t shards) {
   core::Runtime rt;
   apps::RideHailingOptions options;
   options.batch_window = 2 * sim::kMillisecond;
-  options.shards = config.shards;
-  options.workers = config.workers;
+  options.shards = shards;
   auto app = apps::build_ride_hailing_app(rt, options);
 
   for (std::uint64_t i = 0; i < 48; ++i) {
@@ -398,12 +383,12 @@ RuntimeObservation run_ride_hailing(const ShardConfig& config) {
 }
 
 TEST(ShardDeterminism, RideHailingCompositionMatchesSerialOracle) {
-  RuntimeObservation oracle = run_ride_hailing(kConfigs[0]);
+  RuntimeObservation oracle = run_ride_hailing(kShards[0]);
   ASSERT_EQ(oracle.order, "48");  // every ride assigned in the oracle
   ASSERT_FALSE(oracle.state.empty());
-  for (std::size_t c = 1; c < std::size(kConfigs); ++c) {
-    RuntimeObservation got = run_ride_hailing(kConfigs[c]);
-    const std::string where = "config " + config_name(kConfigs[c]);
+  for (std::size_t c = 1; c < std::size(kShards); ++c) {
+    RuntimeObservation got = run_ride_hailing(kShards[c]);
+    const std::string where = "config " + config_name(kShards[c]);
     EXPECT_EQ(got.order, oracle.order) << where;
     EXPECT_EQ(got.state, oracle.state) << where;
     EXPECT_EQ(got.traces, oracle.traces) << where;
@@ -411,11 +396,11 @@ TEST(ShardDeterminism, RideHailingCompositionMatchesSerialOracle) {
   }
 }
 
-// Fleet telemetry: push-driven Sync rounds through the worker scheduler.
-// Pools aren't key-sharded, but round scheduling rides the same scheduler
-// the configs vary — rollup, alerts, and the readings stream must still be
-// byte-identical to the serial oracle (rollup included: the push cadence,
-// and with it every round boundary, is part of the deterministic surface).
+// Fleet telemetry: push-driven Sync rounds on a sharded runtime. Pools
+// aren't key-sharded, but the configs still vary the runtime's shard
+// count — rollup, alerts, and the readings stream must stay byte-identical
+// to the 1-shard oracle (rollup included: the push cadence, and with it
+// every round boundary, is part of the deterministic surface).
 std::string fleet_pool_digest(const de::LogPool& pool) {
   std::string out = pool.name() + "{";
   for (const auto& rec : pool.records_after(0)) {
@@ -425,12 +410,11 @@ std::string fleet_pool_digest(const de::LogPool& pool) {
   return out + "}";
 }
 
-RuntimeObservation run_fleet_telemetry(const ShardConfig& config) {
+RuntimeObservation run_fleet_telemetry(std::size_t shards) {
   core::Runtime rt;
   apps::FleetTelemetryOptions options;
   options.push = true;
-  options.shards = config.shards;
-  options.workers = config.workers;
+  options.shards = shards;
   auto app = apps::build_fleet_telemetry_app(rt, options);
 
   for (std::uint64_t i = 0; i < 150; ++i) {
@@ -453,12 +437,12 @@ RuntimeObservation run_fleet_telemetry(const ShardConfig& config) {
 }
 
 TEST(ShardDeterminism, FleetTelemetryCompositionMatchesSerialOracle) {
-  RuntimeObservation oracle = run_fleet_telemetry(kConfigs[0]);
+  RuntimeObservation oracle = run_fleet_telemetry(kShards[0]);
   ASSERT_FALSE(oracle.state.empty());
   ASSERT_NE(oracle.order, "0/0");  // rounds actually moved data
-  for (std::size_t c = 1; c < std::size(kConfigs); ++c) {
-    RuntimeObservation got = run_fleet_telemetry(kConfigs[c]);
-    const std::string where = "config " + config_name(kConfigs[c]);
+  for (std::size_t c = 1; c < std::size(kShards); ++c) {
+    RuntimeObservation got = run_fleet_telemetry(kShards[c]);
+    const std::string where = "config " + config_name(kShards[c]);
     EXPECT_EQ(got.order, oracle.order) << where;
     EXPECT_EQ(got.state, oracle.state) << where;
     EXPECT_EQ(got.traces, oracle.traces) << where;
@@ -468,15 +452,15 @@ TEST(ShardDeterminism, FleetTelemetryCompositionMatchesSerialOracle) {
 // Re-running the *same* config twice must also be bit-stable (the serial
 // determinism the differential above builds on).
 TEST(ShardDeterminism, RepeatedRunsAreBitStable) {
-  for (const auto& config : kConfigs) {
-    Observation a = run_object_workload(42, config, false);
-    Observation b = run_object_workload(42, config, false);
-    EXPECT_EQ(a.state, b.state) << config_name(config);
-    EXPECT_EQ(a.watch_log, b.watch_log) << config_name(config);
-    EXPECT_EQ(a.batch_log, b.batch_log) << config_name(config);
-    EXPECT_EQ(a.sub_log, b.sub_log) << config_name(config);
-    EXPECT_EQ(a.sub_batch_log, b.sub_batch_log) << config_name(config);
-    EXPECT_EQ(a.stats, b.stats) << config_name(config);
+  for (std::size_t shards : kShards) {
+    Observation a = run_object_workload(42, shards, false);
+    Observation b = run_object_workload(42, shards, false);
+    EXPECT_EQ(a.state, b.state) << config_name(shards);
+    EXPECT_EQ(a.watch_log, b.watch_log) << config_name(shards);
+    EXPECT_EQ(a.batch_log, b.batch_log) << config_name(shards);
+    EXPECT_EQ(a.sub_log, b.sub_log) << config_name(shards);
+    EXPECT_EQ(a.sub_batch_log, b.sub_batch_log) << config_name(shards);
+    EXPECT_EQ(a.stats, b.stats) << config_name(shards);
   }
 }
 

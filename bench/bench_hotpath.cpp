@@ -12,11 +12,11 @@
 //             expected sections, the machine field hardware_concurrency
 //             and the fanout row's filtered.evaluated;
 //             exits non-zero otherwise
-//   --section run one section standalone (retail | shards | home | stages |
-//             scaling | commit_seq) and skip the JSON report unless --out
-//             is given explicitly; gates attached to the section still
-//             apply (e.g. `--section scaling` enforces the 8-shard
-//             speedup)
+//   --section run one section standalone (retail | home | stages | scaling |
+//             commit_seq | recovery | fanout | openloop) and skip the JSON
+//             report unless --out is given explicitly; gates attached to
+//             the section still apply (e.g. `--section scaling` enforces
+//             the epoch speedup)
 //
 // Retail workload: a fan-out DXG (orders -> shipments) on a redis-profile
 // Object DE. Orders arrive spread over virtual time, so in unbatched mode
@@ -100,12 +100,10 @@ struct RetailRun {
   bool converged = false;
 };
 
-RetailRun run_retail(std::size_t orders, SimTime batch_window,
-                     std::size_t shards = 1) {
+RetailRun run_retail(std::size_t orders, SimTime batch_window) {
   using namespace knactor;
   sim::VirtualClock clock;
   de::ObjectDe de(clock, de::ObjectDeProfile::redis());
-  de.set_shards(shards);
   de::ObjectStore& order_store = de.create_store("orders");
   de::ObjectStore& ship_store = de.create_store("shipments");
 
@@ -147,18 +145,6 @@ RetailRun run_retail(std::size_t orders, SimTime batch_window,
                       : 0;
   cast.stop();
   return out;
-}
-
-// Best-of-N wrapper: the shard-scaling gate compares absolute wall times,
-// so dampen scheduler noise by keeping the fastest repeat.
-RetailRun run_retail_best(std::size_t orders, SimTime batch_window,
-                          std::size_t shards, int repeats) {
-  RetailRun best = run_retail(orders, batch_window, shards);
-  for (int i = 1; i < repeats; ++i) {
-    RetailRun r = run_retail(orders, batch_window, shards);
-    if (r.wall_ms < best.wall_ms) best = r;
-  }
-  return best;
 }
 
 // ---------------------------------------------------------------------------
@@ -303,7 +289,7 @@ SyncRun run_smart_home(std::size_t records, bool consolidate) {
 // closure and sampled deadline) and one pipeline pass per in-flight write
 // — `ops` scheduler entries sifting through the event heap. The batched
 // mode keeps one per in-flight epoch (`ops / epoch_size` entries, stamps
-// reserved once per epoch, shards committed via the phase-B/phase-C
+// reserved once per epoch, ops committed via the phase-B/phase-C
 // pipeline). Both modes run the same batched watcher and must converge to
 // the identical store and delivery outcome. Inputs
 // (keys, payloads, epoch batches) are pre-built outside the timed region
@@ -315,11 +301,10 @@ struct ScalingRun {
 };
 
 ScalingRun run_commit_scaling(std::size_t ops, std::size_t epoch_size,
-                              std::size_t shards, bool use_epoch) {
+                              bool use_epoch) {
   using namespace knactor;
   sim::VirtualClock clock;
   de::ObjectDe de(clock, de::ObjectDeProfile::redis());
-  de.set_shards(shards);
   de::ObjectStore& store = de.create_store("events");
   std::uint64_t batches = 0;
   de::SubscriptionSpec windowed;
@@ -393,11 +378,10 @@ ScalingRun run_commit_scaling(std::size_t ops, std::size_t epoch_size,
 }
 
 ScalingRun run_commit_scaling_best(std::size_t ops, std::size_t epoch_size,
-                                   std::size_t shards, bool use_epoch,
-                                   int repeats) {
-  ScalingRun best = run_commit_scaling(ops, epoch_size, shards, use_epoch);
+                                   bool use_epoch, int repeats) {
+  ScalingRun best = run_commit_scaling(ops, epoch_size, use_epoch);
   for (int i = 1; i < repeats; ++i) {
-    ScalingRun r = run_commit_scaling(ops, epoch_size, shards, use_epoch);
+    ScalingRun r = run_commit_scaling(ops, epoch_size, use_epoch);
     if (r.wall_ms < best.wall_ms) best = r;
   }
   return best;
@@ -950,8 +934,7 @@ int check_report(const std::string& path) {
     return 1;
   }
   for (const char* key :
-       {"retail", "retail_shards", "smart_home", "stage_attribution",
-        "scaling", "fanout"}) {
+       {"retail", "smart_home", "stage_attribution", "scaling", "fanout"}) {
     const Value* section = report.get(key);
     if (section == nullptr || !section->is_array() ||
         section->as_array().empty()) {
@@ -1039,7 +1022,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: bench_hotpath [--smoke] [--out PATH] "
-                   "[--check PATH] [--section retail|shards|home|stages|"
+                   "[--check PATH] [--section retail|home|stages|"
                    "scaling|commit_seq|recovery|fanout|openloop]\n");
       return 2;
     }
@@ -1048,8 +1031,7 @@ int main(int argc, char** argv) {
   auto want = [&](const char* name) {
     return all_sections || section == name;
   };
-  if (!all_sections && !want("retail") && !want("shards") && !want("home") &&
-      !want("stages") && !want("scaling") && !want("commit_seq") &&
+  if (!all_sections && !want("retail") && !want("home") && !want("stages") && !want("scaling") && !want("commit_seq") &&
       !want("recovery") && !want("fanout") && !want("openloop")) {
     std::fprintf(stderr, "bench_hotpath: unknown section '%s'\n",
                  section.c_str());
@@ -1122,52 +1104,6 @@ int main(int argc, char** argv) {
   }
   report.set("retail", std::move(retail));
 
-  // Shard cost on the batched 100x retail fan-out. Shards are a
-  // deterministic key-space partition run in shard-index order on one
-  // thread, so a multi-shard run can only cost more than the 1-shard run
-  // (the per-shard list sort and the cross-shard flush merge). The gate
-  // bounds that cost, and requires hard byte-equality of the observable
-  // outcome (passes/batches/convergence must not move).
-  const std::size_t shard_orders = smoke ? 4 : 400;
-  const int shard_repeats = smoke ? 1 : 3;
-  struct ShardPoint {
-    const char* label;
-    std::size_t shards;
-  };
-  const ShardPoint shard_points[] = {{"1s", 1}, {"2s", 2}, {"8s", 8}};
-  Value retail_shards = Value::array();
-  RetailRun shard_serial;
-  double shard_worst_ratio = 0;
-  bool shard_deterministic = true;
-  if (want("shards")) for (const ShardPoint& p : shard_points) {
-    RetailRun r =
-        run_retail_best(shard_orders, kWindow, p.shards, shard_repeats);
-    if (p.shards == 1) shard_serial = r;
-    bool same_outcome = r.converged && r.passes == shard_serial.passes &&
-                        r.batches == shard_serial.batches;
-    shard_deterministic = shard_deterministic && same_outcome;
-    double ratio = shard_serial.wall_ms > 0 && r.wall_ms > 0
-                       ? r.wall_ms / shard_serial.wall_ms
-                       : 0;
-    if (ratio > shard_worst_ratio) shard_worst_ratio = ratio;
-    Value row = Value::object();
-    row.set("config", Value(p.label));
-    row.set("shards", Value(static_cast<std::int64_t>(p.shards)));
-    row.set("orders", Value(static_cast<std::int64_t>(shard_orders)));
-    row.set("run", retail_run_value(r));
-    row.set("wall_vs_serial", Value(ratio));
-    row.set("same_outcome", Value(same_outcome));
-    std::printf(
-        "shards %-5s %5zu orders: batched %8.1fms (%5llu passes, "
-        "%llu batches)  vs serial %.2fx  outcome %s\n",
-        p.label, shard_orders, r.wall_ms,
-        static_cast<unsigned long long>(r.passes),
-        static_cast<unsigned long long>(r.batches), ratio,
-        same_outcome ? "identical" : "DIVERGED");
-    retail_shards.as_array().push_back(std::move(row));
-  }
-  report.set("retail_shards", std::move(retail_shards));
-
   Value home = Value::array();
   if (want("home")) for (const auto& [label, records] : home_scales) {
     SyncRun naive = run_smart_home(records, false);
@@ -1204,13 +1140,12 @@ int main(int argc, char** argv) {
     report.set("stage_attribution", std::move(stages));
   }
 
-  // CPU-bound commit scaling: batched epochs at {1,2,8} shards against
-  // single-op epochs (the "legacy" rows: one put() per write), both under
-  // open-loop load (the full workload in flight at once). The gate is on
-  // the 8-shard point: batching (one scheduler entry + one pipeline pass
-  // per epoch instead of per op) must at least double commit throughput,
-  // even with the 8-shard partition's sort and merge cost on top.
-  double scaling_8s_speedup = 0;
+  // CPU-bound commit scaling: batched epochs against single-op epochs (the
+  // "legacy" run: one put() per write), both under open-loop load (the
+  // full workload in flight at once). Batching (one scheduler entry + one
+  // pipeline pass per epoch instead of per op) must at least double commit
+  // throughput.
+  double scaling_speedup = 0;
   bool scaling_converged = true;
   if (want("scaling")) {
     const std::size_t scaling_ops = smoke ? 2000 : 20000;
@@ -1219,36 +1154,27 @@ int main(int argc, char** argv) {
     // keeps the gate comparing steady-state machinery, not scheduler luck.
     const int repeats = smoke ? 1 : 5;
     ScalingRun legacy = run_commit_scaling_best(
-        scaling_ops, epoch_size, 1, /*use_epoch=*/false, repeats);
-    scaling_converged = scaling_converged && legacy.converged;
+        scaling_ops, epoch_size, /*use_epoch=*/false, repeats);
+    ScalingRun r = run_commit_scaling_best(scaling_ops, epoch_size,
+                                           /*use_epoch=*/true, repeats);
+    scaling_converged = legacy.converged && r.converged;
+    scaling_speedup =
+        legacy.wall_ms > 0 && r.wall_ms > 0 ? legacy.wall_ms / r.wall_ms : 0;
     std::printf(
-        "scaling legacy 1s %6zu ops: %8.1fms (%7.1f kops/s)%s\n",
-        scaling_ops, legacy.wall_ms, legacy.kops_per_s,
-        legacy.converged ? "" : "  DIVERGED");
+        "scaling legacy %6zu ops: %8.1fms (%7.1f kops/s)%s\n", scaling_ops,
+        legacy.wall_ms, legacy.kops_per_s, legacy.converged ? "" : "  DIVERGED");
+    std::printf(
+        "scaling epoch  %6zu ops: %8.1fms (%7.1f kops/s)  vs legacy %.2fx%s\n",
+        scaling_ops, r.wall_ms, r.kops_per_s, scaling_speedup,
+        r.converged ? "" : "  DIVERGED");
+    Value row = Value::object();
+    row.set("ops", Value(static_cast<std::int64_t>(scaling_ops)));
+    row.set("epoch_size", Value(static_cast<std::int64_t>(epoch_size)));
+    row.set("legacy", scaling_run_value(legacy));
+    row.set("epoch", scaling_run_value(r));
+    row.set("speedup_vs_legacy", Value(scaling_speedup));
     Value scaling = Value::array();
-    for (std::size_t shards : {std::size_t{1}, std::size_t{2},
-                               std::size_t{8}}) {
-      ScalingRun r = run_commit_scaling_best(scaling_ops, epoch_size, shards,
-                                             /*use_epoch=*/true, repeats);
-      scaling_converged = scaling_converged && r.converged;
-      const double speedup = legacy.wall_ms > 0 && r.wall_ms > 0
-                                 ? legacy.wall_ms / r.wall_ms
-                                 : 0;
-      if (shards == 8) scaling_8s_speedup = speedup;
-      Value row = Value::object();
-      row.set("shards", Value(static_cast<std::int64_t>(shards)));
-      row.set("ops", Value(static_cast<std::int64_t>(scaling_ops)));
-      row.set("epoch_size", Value(static_cast<std::int64_t>(epoch_size)));
-      row.set("legacy", scaling_run_value(legacy));
-      row.set("epoch", scaling_run_value(r));
-      row.set("speedup_vs_legacy", Value(speedup));
-      std::printf(
-          "scaling epoch %zus %6zu ops: %8.1fms (%7.1f kops/s)  "
-          "vs legacy %.2fx%s\n",
-          shards, scaling_ops, r.wall_ms, r.kops_per_s, speedup,
-          r.converged ? "" : "  DIVERGED");
-      scaling.as_array().push_back(std::move(row));
-    }
+    scaling.as_array().push_back(std::move(row));
     report.set("scaling", std::move(scaling));
   }
 
@@ -1353,9 +1279,6 @@ int main(int argc, char** argv) {
                                 &recovery_converged));
   }
 
-  // Ceiling on the multi-shard retail runs' partition cost (sort and merge)
-  // over the 1-shard run; a blowup past this means a real regression.
-  constexpr double kMaxShardRatio = 2.0;
   constexpr double kRequiredScalingSpeedup = 2.0;
   constexpr double kRequiredRecoverySpeedup = 5.0;
   constexpr double kRequiredFanoutRatio = 10.0;
@@ -1370,12 +1293,10 @@ int main(int argc, char** argv) {
       !want("fanout") || fanout_evaluated == fanout_delivered;
   bool fanout_wall_gate_ok = !want("fanout") || smoke ||
                              fanout_wall_ratio >= kRequiredFanoutWallRatio;
-  bool shard_gate_ok =
-      shard_deterministic && (smoke || shard_worst_ratio <= kMaxShardRatio);
   bool scaling_gate_ok =
       scaling_converged &&
       (smoke || !want("scaling") ||
-       scaling_8s_speedup >= kRequiredScalingSpeedup);
+       scaling_speedup >= kRequiredScalingSpeedup);
   bool recovery_gate_ok =
       recovery_converged &&
       (smoke || !want("recovery") ||
@@ -1389,10 +1310,7 @@ int main(int argc, char** argv) {
     gate.set("retail_100x_evaluated_share_batched",
              Value(retail_100x_share_batched));
     gate.set("max_evaluated_share", Value(kMaxEvaluatedShare));
-    gate.set("retail_shards_worst_ratio", Value(shard_worst_ratio));
-    gate.set("retail_shards_max_ratio", Value(kMaxShardRatio));
-    gate.set("retail_shards_deterministic", Value(shard_deterministic));
-    gate.set("scaling_8s_speedup", Value(scaling_8s_speedup));
+    gate.set("scaling_speedup", Value(scaling_speedup));
     gate.set("required_scaling_speedup", Value(kRequiredScalingSpeedup));
     gate.set("scaling_converged", Value(scaling_converged));
     gate.set("recovery_speedup", Value(recovery_speedup));
@@ -1410,7 +1328,7 @@ int main(int argc, char** argv) {
     gate.set("openloop_fleet_knee_rps", Value(openloop_fleet_knee));
     gate.set("openloop_ok", Value(openloop_ok));
     gate.set("pass", Value((smoke || retail_100x_speedup >= 2.0) &&
-                           incremental_gate_ok && shard_gate_ok && scaling_gate_ok &&
+                           incremental_gate_ok && scaling_gate_ok &&
                            recovery_gate_ok && fanout_gate_ok &&
                            fanout_index_gate_ok && fanout_wall_gate_ok &&
                            openloop_ok));
@@ -1441,21 +1359,12 @@ int main(int argc, char** argv) {
                  kMaxEvaluatedShare);
     return 1;
   }
-  if (want("shards") && !shard_gate_ok) {
-    std::fprintf(stderr,
-                 "bench_hotpath: FAIL: shard scaling %s (worst ratio %.2fx, "
-                 "limit %.2fx)\n",
-                 shard_deterministic ? "regressed vs serial"
-                                     : "diverged from serial outcome",
-                 shard_worst_ratio, kMaxShardRatio);
-    return 1;
-  }
   if (want("scaling") && !scaling_gate_ok) {
     std::fprintf(stderr,
-                 "bench_hotpath: FAIL: commit scaling %s (8-shard speedup "
+                 "bench_hotpath: FAIL: commit scaling %s (epoch speedup "
                  "%.2fx, required %.2fx)\n",
                  scaling_converged ? "below the gate" : "diverged",
-                 scaling_8s_speedup, kRequiredScalingSpeedup);
+                 scaling_speedup, kRequiredScalingSpeedup);
     return 1;
   }
   if (want("recovery") && !recovery_gate_ok) {

@@ -308,8 +308,8 @@ BENCHMARK(BM_OptimisticUpdate);
 
 // Commit-seq allocation: the serial path bumps one DE-wide counter per
 // commit (a shared atomic under a real multi-core kernel); the epoch
-// pipeline reserves a whole block once per epoch and stamps ops
-// shard-locally from the base. Arg = epoch size; per-op cost of the
+// pipeline reserves a whole block once per epoch and stamps ops in op
+// order from the base. Arg = epoch size; per-op cost of the
 // reserved variant should amortize toward zero as the epoch grows.
 void BM_CommitSeqGlobalCounter(benchmark::State& state) {
   const std::size_t epoch = static_cast<std::size_t>(state.range(0));
@@ -325,26 +325,21 @@ void BM_CommitSeqGlobalCounter(benchmark::State& state) {
 }
 BENCHMARK(BM_CommitSeqGlobalCounter)->Arg(1)->Arg(64)->Arg(512);
 
-void BM_CommitSeqShardReserved(benchmark::State& state) {
+void BM_CommitSeqReserved(benchmark::State& state) {
   const std::size_t epoch = static_cast<std::size_t>(state.range(0));
-  const std::size_t shards = 8;
   std::atomic<std::uint64_t> commit_seq{0};
   std::uint64_t sink = 0;
   for (auto _ : state) {
-    // One contended bump per epoch; each shard then stamps its slice from
-    // the reserved base with plain arithmetic (kernel::reserve_commit_seqs).
+    // One contended bump per epoch; op i then stamps base + i with plain
+    // arithmetic (Kernel::reserve_commit_seqs).
     const std::uint64_t base = commit_seq.fetch_add(
         static_cast<std::uint64_t>(epoch), std::memory_order_seq_cst);
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (std::size_t i = s; i < epoch; i += shards) {
-        sink ^= base + i;
-      }
-    }
+    for (std::size_t i = 0; i < epoch; ++i) sink ^= base + i;
   }
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() * epoch);
 }
-BENCHMARK(BM_CommitSeqShardReserved)->Arg(1)->Arg(64)->Arg(512);
+BENCHMARK(BM_CommitSeqReserved)->Arg(1)->Arg(64)->Arg(512);
 
 // The same comparison through the real kernel APIs (virtual-clock kernel,
 // single-threaded): next_commit_seq() per op vs one reserve_commit_seqs(n)

@@ -187,7 +187,6 @@ EpcKnactorApp build_epc_knactor_app(core::Runtime& runtime,
                                     EpcOptions options) {
   EpcKnactorApp app;
   app.runtime = &runtime;
-  runtime.set_shards(options.shards);
   de::ObjectDe& de = runtime.add_object_de("epc", options.de_profile);
   app.de = &de;
 

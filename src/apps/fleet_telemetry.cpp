@@ -33,7 +33,6 @@ FleetTelemetryApp build_fleet_telemetry_app(core::Runtime& runtime,
   app.runtime = &runtime;
   app.options = options;
 
-  runtime.set_shards(options.shards);
   de::LogDe& lde = runtime.add_log_de("fleet", options.log_profile);
   app.log_de = &lde;
 

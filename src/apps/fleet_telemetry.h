@@ -34,7 +34,7 @@ struct FleetTelemetryOptions {
   bool push = false;
   /// Round retry policy (chaos resilience; off by default).
   sim::RetryPolicy sync_retry;
-  /// Key-space shards (deterministic; docs/ARCHITECTURE.md).
+  /// Ignored (a DE store is one ordered map); kept only for perfbench.
   std::size_t shards = 1;
   /// Ignored (there is no worker pool); kept only for perfbench.
   int workers = 1;

@@ -174,7 +174,6 @@ RetailFleetApp build_retail_fleet_app(core::Runtime& runtime,
                                       RetailFleetOptions options) {
   RetailFleetApp app;
   app.runtime = &runtime;
-  runtime.set_shards(options.shards);
   de::ObjectDe& de = runtime.add_object_de("fleet", options.de_profile);
   app.de = &de;
 

@@ -17,9 +17,6 @@ struct RetailFleetOptions {
   sim::LatencyModel shipment_processing =
       sim::LatencyModel::normal_ms(446.0, 4.0);
   sim::LatencyModel payment_processing = sim::LatencyModel::normal_ms(2.0, 0.2);
-  /// Key-space shards for the runtime's DEs (deterministic; see
-  /// docs/ARCHITECTURE.md).
-  std::size_t shards = 1;
 };
 
 struct RetailFleetApp {

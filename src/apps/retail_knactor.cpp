@@ -364,7 +364,6 @@ RetailKnactorApp build_retail_knactor_app(core::Runtime& runtime,
   app.runtime = &runtime;
   app.options = options;
 
-  runtime.set_shards(options.shards);
   de::ObjectDe& de = runtime.add_object_de("object", options.de_profile);
   app.de = &de;
 

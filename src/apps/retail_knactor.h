@@ -41,9 +41,6 @@ struct RetailKnactorOptions {
   sim::SimTime batch_window = 0;
   /// Optional counters sink passed through to the integrator.
   core::Metrics* metrics = nullptr;
-  /// Key-space shards for the runtime's DEs (deterministic: observable
-  /// behavior is identical for every value; see docs/ARCHITECTURE.md).
-  std::size_t shards = 1;
 };
 
 /// Handles to the deployed app.

@@ -139,7 +139,6 @@ RideHailingApp build_ride_hailing_app(core::Runtime& runtime,
   app.runtime = &runtime;
   app.options = options;
 
-  runtime.set_shards(options.shards);
   de::ObjectDe& de = runtime.add_object_de("ride", options.de_profile);
   app.de = &de;
 

@@ -38,7 +38,7 @@ struct RideHailingOptions {
   sim::SimTime batch_window = 0;
   /// Exchange-pass retry policy (chaos resilience; off by default).
   sim::RetryPolicy integrator_retry;
-  /// Key-space shards (deterministic; docs/ARCHITECTURE.md).
+  /// Ignored (a DE store is one ordered map); kept only for perfbench.
   std::size_t shards = 1;
   /// Ignored (there is no worker pool); kept only for perfbench.
   int workers = 1;

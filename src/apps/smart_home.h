@@ -31,9 +31,6 @@ struct SmartHomeOptions {
   /// access-control example); disabled when from==to.
   sim::SimTime sleep_from = 0;
   sim::SimTime sleep_to = 0;
-  /// Key-space shards for the runtime's DEs (deterministic; see
-  /// docs/ARCHITECTURE.md).
-  std::size_t shards = 1;
 };
 
 struct SmartHomeKnactorApp {

@@ -5,9 +5,9 @@
 // approximate sketches: the recorder keeps every sample and computes exact
 // nearest-rank percentiles on demand.
 //
-// Per-worker recorders merge losslessly (merge() concatenates samples), so
-// a sharded generator can record locally and combine at report time with
-// the same result as one global recorder.
+// Recorders merge losslessly (merge() concatenates samples), so several
+// generators can record locally and combine at report time with the same
+// result as one global recorder.
 #pragma once
 
 #include <algorithm>

@@ -2,7 +2,7 @@
 // SLOs through distributed tracing"). Because integration is explicit in
 // Knactor, causality can be threaded at the framework level: every DE
 // commit stamps a TraceContext onto the watch events it fires, batched
-// delivery carries the context through the per-shard flush/merge, and an
+// delivery carries the context through the window flush, and an
 // integrator pass opens child spans whose derived writes inherit the
 // trace. Alongside the span tree, the Kernel keeps a bounded provenance
 // ring that maps each derived write to the exact (store, key/seq) inputs
@@ -16,9 +16,8 @@
 //
 // Determinism contract: trace ids are derived from DE commit sequence
 // numbers and spans are only emitted from the main event loop, so the
-// full trace — ids, ordering, timing — is byte-identical across
-// shard counts (verified by tests/property/lineage_test.cpp
-// and the shard suite).
+// full trace — ids, ordering, timing — is a pure function of the seed
+// (pinned by tests/property/golden_history_test.cpp).
 #pragma once
 
 #include <cstdint>

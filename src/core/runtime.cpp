@@ -12,7 +12,6 @@ de::ObjectDe& Runtime::add_object_de(const std::string& name,
   if (it != object_des_.end()) return *it->second;
   auto de = std::make_unique<de::ObjectDe>(clock_, std::move(profile));
   de::ObjectDe& ref = *de;
-  ref.set_shards(scheduler_.shards());
   ref.kernel().enable_provenance(lineage_capacity_);
   object_des_[name] = std::move(de);
   return ref;
@@ -32,13 +31,6 @@ de::LogDe& Runtime::add_log_de(const std::string& name,
   ref.kernel().enable_provenance(lineage_capacity_);
   log_des_[name] = std::move(de);
   return ref;
-}
-
-void Runtime::set_shards(std::size_t n) {
-  scheduler_.set_shards(n);
-  for (auto& [name, de] : object_des_) {
-    de->set_shards(scheduler_.shards());
-  }
 }
 
 void Runtime::enable_lineage(std::size_t capacity) {

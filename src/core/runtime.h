@@ -52,14 +52,11 @@ class Runtime {
   [[nodiscard]] Tracer& tracer() { return tracer_; }
   [[nodiscard]] Metrics& metrics() { return metrics_; }
 
-  /// The scheduler: holds how many shards each hosted DE's key space
-  /// partitions into. Deterministic: observable behavior is identical for
-  /// every shard count (fixed seed).
+  /// Always-zero scheduler stats; kept only for perfbench.
   [[nodiscard]] Scheduler& scheduler() { return scheduler_; }
-  /// Re-partitions every hosted DE (current and future) into `n` shards.
-  void set_shards(std::size_t n);
-  /// Ignored (shard work always runs on the calling thread); kept only for
-  /// perfbench.
+  /// Ignored (a DE store is one ordered map); kept only for perfbench.
+  void set_shards(std::size_t /*n*/) {}
+  /// Ignored (there is no worker pool); kept only for perfbench.
   void set_workers(int /*n*/) {}
 
   /// Enables record-level lineage on every hosted DE (current and future):

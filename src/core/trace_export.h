@@ -11,8 +11,8 @@
 //     span latencies — what `knctl explain <store>/<key>` prints.
 //
 // All output is deterministic given the same spans/ring (no wall-clock,
-// no pointers), which is what lets the lineage differential test require
-// byte-identical traces across shard counts.
+// no pointers), which is what lets the golden-history suite pin the
+// exported trace of a seeded run byte for byte.
 #pragma once
 
 #include <map>

@@ -5,16 +5,8 @@
 // synchronous clock driving; the Kernel owns all of that once, so the DEs
 // are thin typed facades over one engine substrate (§3.3: the exchange
 // layer, not the operators, is where composition scales).
-//
-// The kernel also owns the shard machinery: a deterministic key hash
-// (`shard_of`) and a string-keyed `ShardedMap`. Shards are a deterministic
-// key-space partition, not a unit of concurrency: shard-local work runs on
-// the calling thread in shard-index order, and callers merge its outputs
-// by DE-wide commit sequence, which reproduces the single-shard serial
-// order exactly (see docs/ARCHITECTURE.md).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -40,94 +32,6 @@ struct AuditEntry {
   std::string store;
   std::string key;
   bool allowed = true;
-};
-
-/// Deterministic key -> shard assignment (FNV-1a 64-bit). Not std::hash:
-/// the partition must be byte-identical across runs, platforms, and
-/// standard libraries for the N-shard run to replay the serial order.
-inline std::size_t shard_of(const std::string& key, std::size_t shards) {
-  if (shards <= 1) return 0;
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return static_cast<std::size_t>(h % shards);
-}
-
-/// A string-keyed map hash-partitioned into N shards. Each shard is an
-/// ordered map, so per-shard prefix scans stay cheap and a cross-shard
-/// merge by key reproduces the exact iteration order of the 1-shard map.
-template <typename T>
-class ShardedMap {
- public:
-  using Shard = std::map<std::string, T>;
-
-  explicit ShardedMap(std::size_t shards = 1) : shards_(shards ? shards : 1) {}
-
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-
-  /// Re-partitions in place (existing entries move to their new shard).
-  void set_shard_count(std::size_t n) {
-    if (n == 0) n = 1;
-    if (n == shards_.size()) return;
-    std::vector<Shard> old = std::move(shards_);
-    shards_.assign(n, Shard{});
-    for (auto& shard : old) {
-      for (auto& [key, value] : shard) {
-        shards_[shard_of(key, n)].emplace(key, std::move(value));
-      }
-    }
-  }
-
-  [[nodiscard]] Shard& shard(std::size_t i) { return shards_[i]; }
-  [[nodiscard]] const Shard& shard(std::size_t i) const { return shards_[i]; }
-  [[nodiscard]] std::size_t shard_index(const std::string& key) const {
-    return shard_of(key, shards_.size());
-  }
-
-  [[nodiscard]] T* find(const std::string& key) {
-    Shard& s = shards_[shard_index(key)];
-    auto it = s.find(key);
-    return it == s.end() ? nullptr : &it->second;
-  }
-  [[nodiscard]] const T* find(const std::string& key) const {
-    const Shard& s = shards_[shard_index(key)];
-    auto it = s.find(key);
-    return it == s.end() ? nullptr : &it->second;
-  }
-
-  T& operator[](const std::string& key) {
-    return shards_[shard_index(key)][key];
-  }
-
-  bool erase(const std::string& key) {
-    return shards_[shard_index(key)].erase(key) > 0;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::size_t n = 0;
-    for (const auto& s : shards_) n += s.size();
-    return n;
-  }
-
-  void clear() {
-    for (auto& s : shards_) s.clear();
-  }
-
-  /// All keys, sorted (== the iteration order of the 1-shard map).
-  [[nodiscard]] std::vector<std::string> sorted_keys() const {
-    std::vector<std::string> out;
-    out.reserve(size());
-    for (const auto& s : shards_) {
-      for (const auto& [k, v] : s) out.push_back(k);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
- private:
-  std::vector<Shard> shards_;
 };
 
 /// The shared substrate one deployed data exchange runs on. Each DE facade
@@ -183,8 +87,7 @@ class Kernel {
   // kernel owns the registry so tooling (knctl explain/trace, SLO gates)
   // sees one uniform surface across facades. Counters are bumped only from
   // the epoch pipeline's Phase-C merge and flush/delivery callbacks — never
-  // from Phase B's per-shard passes — so their values are byte-identical
-  // across shard counts.
+  // from Phase B — so a rolled-back epoch leaves no count behind.
 
   /// One registered subscription: the contract (filter text, projection,
   /// QoS) plus delivery accounting. `matched` counts commits that reached
@@ -231,17 +134,15 @@ class Kernel {
     return subscriptions_;
   }
 
-  // --- epoch sequencing (per-shard commit-seq domains) --------------------
-  // The epoch pipeline pre-assigns stamps: one serial reservation up front
-  // replaces one shared-counter bump per commit, and each op's stamp is a
-  // pure function of its position in the epoch (base + index). Shards then
-  // stamp their ops from disjoint slices of the reservation without ever
-  // touching the shared counters — the N-shard run is byte-identical to
-  // the 1-shard one by construction. Afterwards the facade hands back the
-  // stamps past the epoch's last committed op (restore_sequences), so only
-  // ops that fail between committed ops leave holes; both domains only need
-  // to be strictly increasing, and the serial oracle runs the same
-  // reservation path, so the holes match too.
+  // --- epoch sequencing (stamp reservation) ------------------------------
+  // The epoch pipeline pre-assigns stamps: one reservation up front, and
+  // each op's stamp is a pure function of its position in the epoch (base
+  // + index). Phase B stamps ops without touching the shared counters, so
+  // when ops fail — or a crash, torn journal append or atomic abort rolls
+  // the epoch back — the facade can hand back the stamps past the last
+  // committed op (or all of them) with restore_sequences. Only ops that fail
+  // between committed ops leave holes; both domains only need to be
+  // strictly increasing.
 
   /// Reserves `n` revision numbers; returns the first. Epoch op `i` commits
   /// with revision `base + i` (matching what n serial next_revision() calls

@@ -38,12 +38,12 @@ void ObjectStore::get(const std::string& principal, const std::string& key,
                                     " cannot get " + name_ + "/" + key));
       return;
     }
-    const StateObject* found = objects_.find(key);
-    if (found == nullptr) {
+    auto found = objects_.find(key);
+    if (found == objects_.end()) {
       done(Error::not_found("object: " + name_ + "/" + key + " not found"));
       return;
     }
-    StateObject obj = *found;
+    StateObject obj = found->second;
     if (!d.fields.unrestricted() && obj.data) {
       obj.data = std::make_shared<const Value>(
           Rbac::filter_fields(*obj.data, d.fields));
@@ -136,27 +136,22 @@ void ObjectStore::list(const std::string& principal, const std::string& prefix,
                                     name_));
       return;
     }
-    // Prefix scan shard by shard in index order (each RBAC-filtering its
-    // matches), then a sort by key — byte-identical to the 1-shard
-    // in-order scan.
-    std::vector<StateObject> out;
-    for (std::size_t i = 0; i < objects_.shard_count(); ++i) {
-      for (const auto& [key, obj] : objects_.shard(i)) {
-        if (!common::starts_with(key, prefix)) continue;
-        StateObject copy = obj;
-        if (!d.fields.unrestricted() && copy.data) {
-          copy.data = std::make_shared<const Value>(
-              Rbac::filter_fields(*copy.data, d.fields));
-        }
-        out.push_back(std::move(copy));
-      }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const StateObject& a, const StateObject& b) {
-                return a.key < b.key;
-              });
-    done(std::move(out));
+    done(scan(prefix, d.fields));
   });
+}
+
+std::vector<StateObject> ObjectStore::scan(const std::string& prefix,
+                                           const FieldRule& fields) const {
+  std::vector<StateObject> out;
+  for (auto it = objects_.lower_bound(prefix);
+       it != objects_.end() && common::starts_with(it->first, prefix); ++it) {
+    StateObject& copy = out.emplace_back(it->second);
+    if (!fields.unrestricted() && copy.data) {
+      copy.data = std::make_shared<const Value>(
+          Rbac::filter_fields(*copy.data, fields));
+    }
+  }
+  return out;
 }
 
 void ObjectStore::put_epoch(const std::string& principal,
@@ -231,13 +226,12 @@ Result<std::uint64_t> ObjectStore::subscribe_batch(
 void ObjectStore::unsubscribe(std::uint64_t watch_id, bool drain) {
   auto it = de_.watch_buffers_.find(watch_id);
   if (it != de_.watch_buffers_.end()) {
-    std::size_t pending = 0;
-    for (const auto& queue : it->second.shards) pending += queue.events.size();
+    const std::size_t pending = it->second.events.size();
     if (pending > 0) {
       if (drain) {
         // Deliver the half-open window now, synchronously, before the watch
-        // goes away — same shard sort + cross-shard merge a scheduled flush
-        // runs (flush_watch_batch erases the buffer itself).
+        // goes away — in the order a scheduled flush would produce
+        // (flush_watch_batch erases the buffer itself).
         de_.flush_watch_batch(watch_id);
       } else {
         de_.stats_.watch_events_dropped += pending;
@@ -387,22 +381,7 @@ Result<std::vector<StateObject>> UdfContext::list(const std::string& store,
     return Error::permission_denied("udf: " + principal_ + " cannot list " +
                                     store);
   }
-  std::vector<StateObject> out;
-  for (std::size_t i = 0; i < s->objects_.shard_count(); ++i) {
-    for (const auto& [key, obj] : s->objects_.shard(i)) {
-      if (!common::starts_with(key, prefix)) continue;
-      out.push_back(obj);
-      if (!d.fields.unrestricted() && obj.data) {
-        out.back().data = std::make_shared<const Value>(
-            Rbac::filter_fields(*obj.data, d.fields));
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const StateObject& a, const StateObject& b) {
-              return a.key < b.key;
-            });
-  return out;
+  return s->scan(prefix, d.fields);
 }
 
 sim::SimTime UdfContext::now() const { return de_.kernel_.clock().now(); }
@@ -425,8 +404,7 @@ ObjectDe::ObjectDe(sim::VirtualClock& clock, ObjectDeProfile profile,
 ObjectStore& ObjectDe::create_store(const std::string& name) {
   auto it = stores_.find(name);
   if (it != stores_.end()) return *it->second;
-  auto store =
-      std::unique_ptr<ObjectStore>(new ObjectStore(*this, name, shards_));
+  auto store = std::unique_ptr<ObjectStore>(new ObjectStore(*this, name));
   ObjectStore& ref = *store;
   stores_[name] = std::move(store);
   return ref;
@@ -435,30 +413,6 @@ ObjectStore& ObjectDe::create_store(const std::string& name) {
 ObjectStore* ObjectDe::store(const std::string& name) {
   auto it = stores_.find(name);
   return it == stores_.end() ? nullptr : it->second.get();
-}
-
-void ObjectDe::set_shards(std::size_t n) {
-  if (n == 0) n = 1;
-  shards_ = n;
-  for (auto& [name, store] : stores_) {
-    store->objects_.set_shard_count(n);
-  }
-  // Pending watch buffers follow the new partitioning, so the epoch
-  // pipeline can stage into every buffer shard-locally. Each key lives in
-  // exactly one queue, and flush orders slots by commit seq, so moving
-  // them changes nothing observable.
-  for (auto& [id, buf] : watch_buffers_) {
-    if (buf.shards.empty() || buf.shards.size() == n) continue;
-    std::vector<ShardQueue> old = std::move(buf.shards);
-    buf.shards.assign(n, ShardQueue{});
-    for (ShardQueue& queue : old) {
-      for (BufferedEvent& be : queue.events) {
-        ShardQueue& dst = buf.shards[shard_of(be.event.object.key, n)];
-        dst.slots.emplace(be.event.object.key, dst.events.size());
-        dst.events.push_back(std::move(be));
-      }
-    }
-  }
 }
 
 Status ObjectDe::register_udf(const std::string& principal,
@@ -652,14 +606,13 @@ Status ObjectDe::snapshot_now() {
   for (const auto& [name, store] : stores_) {  // stores_ is name-sorted
     persist::StoreImage store_image;
     store_image.name = name;
-    for (const auto& key : store->objects_.sorted_keys()) {
-      const StateObject* obj = store->objects_.find(key);
+    for (const auto& [key, obj] : store->objects_) {
       persist::ObjectImage object_image;
-      object_image.key = obj->key;
-      object_image.version = obj->version;
-      object_image.created_at = obj->created_at;
-      object_image.updated_at = obj->updated_at;
-      object_image.data = obj->data;  // shared handle, zero-copy
+      object_image.key = key;
+      object_image.version = obj.version;
+      object_image.created_at = obj.created_at;
+      object_image.updated_at = obj.updated_at;
+      object_image.data = obj.data;  // shared handle, zero-copy
       store_image.objects.push_back(std::move(object_image));
     }
     image.stores.push_back(std::move(store_image));
@@ -689,15 +642,14 @@ void ObjectDe::maybe_auto_snapshot() {
 // writes are single-op epochs, put_epoch a batch, transact an atomic epoch
 // across stores.
 //
-// Phase A (serial): one clock read, stamp pre-assignment (versions and
-//   commit seqs reserved up front — op i's stamps are base + index,
-//   independent of execution order), partition by key shard.
-// Phase B (per shard, shards in index order, each shard's ops in epoch
-//   order): RBAC with buffered audit, write validation, version check,
-//   merge compute, state insert, journal record encoding, lineage
-//   snapshot, watch matching + field filtering, batched-watch staging. No
-//   clock reads, no RNG draws, no shared-counter bumps — each op's
-//   effects are staged on its EpochOp for Phase C.
+// Phase A: one clock read, stamp pre-assignment (versions and commit seqs
+//   reserved up front — op i's stamps are base + index).
+// Phase B (ops in epoch order): RBAC with buffered audit, write
+//   validation, version check, merge compute, state insert, journal record
+//   encoding, lineage snapshot, watch matching + field filtering,
+//   batched-watch staging. No clock reads, no RNG draws, no shared-counter
+//   bumps — each op's effects are staged on its EpochOp for Phase C, so a
+//   rollback has nothing to take back but state and staged watch events.
 // Stamp rule: the epoch then gives back the stamps past its last committed
 //   op, so a failed single op consumes nothing and only failures *between*
 //   committed ops leave holes.
@@ -742,9 +694,7 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
     watch_index_stale_ = false;
   }
   const sim::SimTime now = clock().now();
-  const std::size_t shard_count = shards_;
   std::vector<EpochOp> ops(n);
-  std::vector<std::vector<std::size_t>> shard_ops(shard_count);
 
   // Pre-assign stamps: versions go to puts only (a delete consumes no
   // revision), commit seqs to every op.
@@ -752,21 +702,19 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
   for (std::size_t i = 0; i < n; ++i) {
     if (!writes[i].remove) ++puts;
     ops[i].rev_end = puts;
-    shard_ops[shard_of(writes[i].key, shard_count)].push_back(i);
   }
   const std::uint64_t rev_base = kernel_.reserve_revisions(puts);
   for (EpochOp& op : ops) op.rev_end += rev_base;
   const std::uint64_t seq_base = kernel_.reserve_commit_seqs(n);
 
   // The watchers of every store the epoch touches, in registration order.
-  // Batched watchers commit straight into their buffers in Phase B: a
-  // buffer's shard queue `s` holds only shard-`s` keys; the shared-counter
-  // side (`buf.commits`, coalesce stats, flush scheduling with its RNG
-  // draw) is staged as a WatchHit and folded in Phase C.
+  // Batched watchers commit straight into their buffers in Phase B; the
+  // shared-counter side (`buf.commits`, coalesce stats, flush scheduling
+  // with its RNG draw) is staged as a WatchHit and folded in Phase C.
   struct EpochWatcher {
     std::size_t watch_index = 0;
-    WatchBuffer* buffer = nullptr;     // batched watchers only
-    std::vector<BatchStageUndo> undo;  // per shard; only with stage_undo
+    WatchBuffer* buffer = nullptr;  // batched watchers only
+    BatchStageUndo undo;            // only with stage_undo
   };
   // Rollback staging (pre-image copies, watch-buffer undo logs) is only
   // consumed when the epoch can roll back — an atomic epoch, the chaos
@@ -790,25 +738,18 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
     entry.watch_index = w;
     if (watch.sub->active()) ++active_watchers;
     if (!watch.batched) continue;
-    WatchBuffer& buf = watch_buffers_[watch.id];
-    if (buf.shards.empty()) buf.shards.resize(shard_count);
-    entry.buffer = &buf;
-    if (stage_undo) {
-      entry.undo.resize(shard_count);
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        entry.undo[s].base_events = buf.shards[s].events.size();
-      }
-    }
+    entry.buffer = &watch_buffers_[watch.id];
+    entry.undo.base_events = entry.buffer->events.size();
   }
 
-  // --- Phase B: per-shard commit, shards in index order -------------------
+  // --- Phase B: commit, ops in epoch order --------------------------------
   // The epoch's observability sinks: spans and counters are folded into
   // the Tracer/Metrics at the epoch boundary — or dropped whole if the
   // epoch rolls back.
   core::Tracer::SpanBuffer spans;
   core::Metrics::Delta delta;
   SubscriptionIndex::Probe probe;  // scratch for the equality-index lookups
-  auto process_op = [&](std::size_t i, std::size_t shard) {
+  auto process_op = [&](std::size_t i) {
     EpochWrite& w = writes[i];
     EpochOp& op = ops[i];
     ObjectStore& store = *stores[i];
@@ -833,9 +774,9 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
         return;
       }
     }
-    // One ordered walk of the op's map shard serves the lookup, the
-    // in-place update, and the hinted insert or erase.
-    auto& objects = store.objects_.shard(shard);
+    // One ordered walk of the store's map serves the lookup, the in-place
+    // update, and the hinted insert or erase.
+    auto& objects = store.objects_;
     auto slot = objects.lower_bound(w.key);
     const bool existed = slot != objects.end() && slot->first == w.key;
     StateObject* existing = existed ? &slot->second : nullptr;
@@ -896,7 +837,7 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       op.obj.created_at = existed ? existing->created_at : now;
       op.obj.updated_at = now;
       if (existed) {
-        *existing = op.obj;  // in place: one shard walk per op, not two
+        *existing = op.obj;  // in place: one map walk per op, not two
       } else {
         objects.emplace_hint(slot, op.obj.key, op.obj);
       }
@@ -924,7 +865,7 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
     op.committed = true;
     // Watch matching: prefix + RBAC (audited into the op's sink, in watcher
     // registration order). Batched watchers coalesce the event into their
-    // buffer's shard queue right here; per-event watchers get a
+    // buffer right here; per-event watchers get a
     // ready-to-ship event. Either way the op records one WatchHit per
     // watcher for the Phase-C merge.
     if (watchers.empty()) return;
@@ -972,29 +913,26 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       if (entry.buffer != nullptr) {
         hit.staged = true;
         hit.buffer = entry.buffer;
-        hit.coalesced = coalesce_into(
-            entry.buffer->shards[shard], std::move(hit.event),
-            op.ctx.commit_seq, wd.fields,
-            stage_undo ? &entry.undo[shard] : nullptr);
+        hit.coalesced =
+            coalesce_into(*entry.buffer, std::move(hit.event),
+                          op.ctx.commit_seq, wd.fields,
+                          stage_undo ? &entry.undo : nullptr);
       } else if (!wd.fields.unrestricted() && hit.event.object.data) {
         hit.event.object.data = std::make_shared<const Value>(
             Rbac::filter_fields(*hit.event.object.data, wd.fields));
       }
     }
   };
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    for (std::size_t i : shard_ops[s]) {
-      process_op(i, s);
-      if (tracer_ != nullptr) {
-        const std::uint64_t sid = spans.begin("de.epoch.op", now);
-        spans.annotate(sid, "stage", "S");
-        spans.annotate(sid, "store", stores[i]->name_);
-        spans.end(sid, now);
-      }
-      if (epoch_metrics_ != nullptr) {
-        delta.inc(ops[i].committed ? "de.epoch.committed"
-                                   : "de.epoch.failed");
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    process_op(i);
+    if (tracer_ != nullptr) {
+      const std::uint64_t sid = spans.begin("de.epoch.op", now);
+      spans.annotate(sid, "stage", "S");
+      spans.annotate(sid, "store", stores[i]->name_);
+      spans.end(sid, now);
+    }
+    if (epoch_metrics_ != nullptr) {
+      delta.inc(ops[i].committed ? "de.epoch.committed" : "de.epoch.failed");
     }
   }
 
@@ -1062,17 +1000,13 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       // truncate this epoch's appends and their slot-index entries.
       for (EpochWatcher& entry : watchers) {
         if (entry.buffer == nullptr) continue;
-        for (std::size_t s = 0; s < shard_count; ++s) {
-          BatchStageUndo& u = entry.undo[s];
-          ShardQueue& queue = entry.buffer->shards[s];
-          for (auto& [idx, prev] : u.saved) {
-            queue.events[idx] = std::move(prev);
-          }
-          queue.events.resize(u.base_events);
-          std::erase_if(queue.slots, [&](const auto& kv) {
-            return kv.second >= u.base_events;
-          });
-        }
+        BatchStageUndo& u = entry.undo;
+        WatchBuffer& buf = *entry.buffer;
+        for (auto& [idx, prev] : u.saved) buf.events[idx] = std::move(prev);
+        buf.events.resize(u.base_events);
+        std::erase_if(buf.slots, [&](const auto& kv) {
+          return kv.second >= u.base_events;
+        });
       }
     }
     if (crashed) {
@@ -1109,9 +1043,8 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       continue;
     }
     if (op.lineage) kernel_.provenance().record(std::move(*op.lineage));
-    // Fold the staged subscription accounting in global op order, and emit
-    // the `sub.filter` spans here — span count and order stay independent
-    // of the shard count.
+    // Fold the staged subscription accounting in op order, and emit the
+    // `sub.filter` spans here — a rolled-back epoch emits none.
     for (std::uint32_t widx : op.sub_matched) ++watches_[widx].info->matched;
     for (std::uint32_t widx : op.sub_evaluated) {
       ++watches_[widx].info->evaluated;
@@ -1264,13 +1197,13 @@ void ObjectDe::schedule_event_delivery(const Watch& w, WatchEvent event) {
   });
 }
 
-bool ObjectDe::coalesce_into(ShardQueue& queue, WatchEvent&& event,
+bool ObjectDe::coalesce_into(WatchBuffer& buf, WatchEvent&& event,
                              std::uint64_t seq, const FieldRule& fields,
                              BatchStageUndo* undo) {
-  auto slot = queue.slots.find(event.object.key);
-  if (slot == queue.slots.end()) {
-    queue.slots.emplace(event.object.key, queue.events.size());
-    queue.events.push_back(BufferedEvent{std::move(event), seq, fields});
+  auto slot = buf.slots.find(event.object.key);
+  if (slot == buf.slots.end()) {
+    buf.slots.emplace(event.object.key, buf.events.size());
+    buf.events.push_back(BufferedEvent{std::move(event), seq, fields});
     return false;
   }
   // Coalesce into the key's slot. The slot takes the new payload and the
@@ -1279,7 +1212,7 @@ bool ObjectDe::coalesce_into(ShardQueue& queue, WatchEvent&& event,
   // watcher has never seen stays kAdded through modifies; a delete
   // always survives as kDeleted; a re-create after an unseen delete
   // nets out to kModified (the object still exists, with new data).
-  BufferedEvent& be = queue.events[slot->second];
+  BufferedEvent& be = buf.events[slot->second];
   if (undo != nullptr && slot->second < undo->base_events) {
     bool saved = false;
     for (const auto& [idx, prev] : undo->saved) {
@@ -1318,9 +1251,7 @@ void ObjectDe::flush_watch_batch(std::uint64_t watch_id) {
       break;
     }
   }
-  std::size_t total = 0;
-  for (const auto& queue : buf.shards) total += queue.events.size();
-  if (live == nullptr || total == 0) {
+  if (live == nullptr || buf.events.empty()) {
     if (buf.span_id != 0 && tracer_ != nullptr) {
       tracer_->annotate(buf.span_id, "cancelled", "true");
       tracer_->end(buf.span_id);
@@ -1328,46 +1259,26 @@ void ObjectDe::flush_watch_batch(std::uint64_t watch_id) {
     return;
   }
 
-  // Revision-window barrier: each shard's commit queue sorts itself by
-  // DE-wide commit seq and applies RBAC field filtering.
-  for (auto& queue : buf.shards) {
-    std::stable_sort(queue.events.begin(), queue.events.end(),
-                     [](const BufferedEvent& a, const BufferedEvent& b) {
-                       return a.seq < b.seq;
-                     });
-    for (BufferedEvent& be : queue.events) {
-      if (!be.fields.unrestricted() && be.event.object.data) {
-        be.event.object.data = std::make_shared<const Value>(
-            Rbac::filter_fields(*be.event.object.data, be.fields));
-      }
-    }
-  }
-
-  // Cross-shard stable merge by commit seq: reproduces the exact event
-  // order of the single-shard flush, for any shard count.
+  // Revision-window barrier: coalescing moved each slot's seq to its key's
+  // latest commit, so a stable sort by seq restores commit order; then
+  // RBAC field filtering.
+  std::stable_sort(buf.events.begin(), buf.events.end(),
+                   [](const BufferedEvent& a, const BufferedEvent& b) {
+                     return a.seq < b.seq;
+                   });
   WatchBatch batch;
   batch.store = live->store;
   batch.commits = buf.commits;
-  batch.events.reserve(total);
-  std::vector<std::size_t> cursor(buf.shards.size(), 0);
-  while (batch.events.size() < total) {
-    std::size_t best = buf.shards.size();
-    std::uint64_t best_seq = 0;
-    for (std::size_t i = 0; i < buf.shards.size(); ++i) {
-      const ShardQueue& queue = buf.shards[i];
-      if (cursor[i] >= queue.events.size()) continue;
-      std::uint64_t seq = queue.events[cursor[i]].seq;
-      if (best == buf.shards.size() || seq < best_seq) {
-        best = i;
-        best_seq = seq;
-      }
+  batch.events.reserve(buf.events.size());
+  for (BufferedEvent& be : buf.events) {
+    if (!be.fields.unrestricted() && be.event.object.data) {
+      be.event.object.data = std::make_shared<const Value>(
+          Rbac::filter_fields(*be.event.object.data, be.fields));
     }
-    if (best == buf.shards.size()) break;  // defensive; total bounds us
-    batch.events.push_back(
-        std::move(buf.shards[best].events[cursor[best]++].event));
+    batch.events.push_back(std::move(be.event));
   }
   // QoS HISTORY KEEP_LAST: drop the oldest slots past the subscriber's
-  // depth, after the merge so "newest N" is exact across shards.
+  // depth.
   if (live->sub != nullptr) {
     const std::size_t depth = live->sub->qos().history_depth;
     if (depth > 0 && batch.events.size() > depth) {
@@ -1440,11 +1351,11 @@ Result<StateObject> ObjectDe::engine_get(const std::string& store,
     return Error::permission_denied("udf: " + principal + " cannot get " +
                                     store + "/" + key);
   }
-  const StateObject* found = s->objects_.find(key);
-  if (found == nullptr) {
+  auto found = s->objects_.find(key);
+  if (found == s->objects_.end()) {
     return Error::not_found("object: " + store + "/" + key + " not found");
   }
-  StateObject obj = *found;
+  StateObject obj = found->second;
   if (!d.fields.unrestricted() && obj.data) {
     obj.data =
         std::make_shared<const Value>(Rbac::filter_fields(*obj.data, d.fields));

@@ -11,12 +11,9 @@
 // integrator push-down optimization (§3.3, Table 2 K-redis-udf row).
 //
 // ObjectDe is a typed facade over de::Kernel (commit sequencing, RBAC
-// enforcement + audit, availability, GC hooks). The key space of every
-// store is hash-partitioned into N shards (set_shards); shard-local work —
-// epoch commits, batched-watch flush preparation, list scans — runs on the
-// calling thread in shard-index order and is merged by commit seq, so an
-// N-shard run is observably identical to the 1-shard run (see
-// docs/ARCHITECTURE.md).
+// enforcement + audit, availability, GC hooks). Each store is one ordered
+// map: a list is a prefix range scan, and every write commits through the
+// epoch pipeline in op order (see docs/ARCHITECTURE.md).
 #pragma once
 
 #include <cstdint>
@@ -169,14 +166,13 @@ class ObjectStore {
 
   /// Epoch commit: applies a whole batch of independent writes in one
   /// client round trip through the epoch commit pipeline (the same
-  /// pipeline put/patch/remove run as single-op epochs). The batch is
-  /// partitioned by key shard, stamps (version + commit seq) are
-  /// pre-assigned so every op's identity is a pure function of its
-  /// position in the epoch, shards commit in shard-index order, and the
+  /// pipeline put/patch/remove run as single-op epochs). Stamps (version +
+  /// commit seq) are pre-assigned so every op's identity is a pure function
+  /// of its position in the epoch, ops commit in submission order, and the
   /// epoch merge replays audit entries, lineage, journal appends, and
-  /// watch/trigger notifications in exact submission order. Observable
-  /// behavior is byte-identical for every shard count, and — on failure-free epochs — identical to issuing
-  /// the same ops through put/patch/remove one by one. An epoch consumes
+  /// watch/trigger notifications in that order. On failure-free epochs the
+  /// result is identical to issuing the same ops through put/patch/remove
+  /// one by one. An epoch consumes
   /// stamps only through its last committed op, so a failed op leaves a
   /// hole only when a later op of the same epoch commits. See
   /// docs/ARCHITECTURE.md "Epoch commit pipeline".
@@ -191,8 +187,8 @@ class ObjectStore {
   /// watch-notify latency. Every subscription is registered with the
   /// kernel's subscription registry (id, contract, match/filter/delivery
   /// accounting). Fails on permission denial or an unparsable filter. The
-  /// filter runs *before* enqueue — per shard inside the epoch pipeline's
-  /// Phase B — so a rejected commit never costs a queue slot; the
+  /// filter runs *before* enqueue — inside the epoch pipeline's Phase B —
+  /// so a rejected commit never costs a queue slot; the
   /// projection rewrites the delivered payload (RBAC field filtering still
   /// applies afterwards).
   common::Result<std::uint64_t> subscribe(const std::string& principal,
@@ -245,31 +241,39 @@ class ObjectStore {
   /// Latency-free, ACL-free inspection for tooling, tests, and benches —
   /// not part of the data path.
   [[nodiscard]] const StateObject* peek(const std::string& key) const {
-    return objects_.find(key);
+    auto it = objects_.find(key);
+    return it == objects_.end() ? nullptr : &it->second;
   }
   /// The exchange this store lives on (e.g. to reach its kernel's trace
   /// context and provenance ring).
   [[nodiscard]] ObjectDe& exchange() { return de_; }
-  /// All keys, sorted (identical across shard configurations).
+  /// All keys, sorted.
   [[nodiscard]] std::vector<std::string> keys() const {
-    return objects_.sorted_keys();
+    std::vector<std::string> out;
+    out.reserve(objects_.size());
+    for (const auto& [key, obj] : objects_) out.push_back(key);
+    return out;
   }
 
  private:
   friend class ObjectDe;
   friend class UdfContext;
 
-  ObjectStore(ObjectDe& de, std::string name, std::size_t shards)
-      : de_(de), name_(std::move(name)), objects_(shards) {}
+  ObjectStore(ObjectDe& de, std::string name)
+      : de_(de), name_(std::move(name)) {}
 
   /// The client write path behind put/put_versioned/patch/remove: charges
   /// one write round trip, then commits `write` as a single-op epoch.
   void submit(const std::string& principal, EpochWrite write,
               PutCallback done);
+  /// The read half of list (client and UDF): one ordered range scan over
+  /// the keys starting with `prefix`, each copy RBAC-filtered by `fields`.
+  [[nodiscard]] std::vector<StateObject> scan(const std::string& prefix,
+                                              const FieldRule& fields) const;
 
   ObjectDe& de_;
   std::string name_;
-  ShardedMap<StateObject> objects_;
+  std::map<std::string, StateObject> objects_;
   /// Equality index over this store's watches (positions in
   /// ObjectDe::watches_); rebuilt by the epoch pipeline's Phase A after any
   /// (un)subscribe.
@@ -324,13 +328,6 @@ class ObjectDe {
   /// Creates (or returns the existing) named store.
   ObjectStore& create_store(const std::string& name);
   [[nodiscard]] ObjectStore* store(const std::string& name);
-
-  /// Hash-partitions every store's key space into `n` shards. Shard-local
-  /// work (epoch commits, batched-watch flush preparation, list scans)
-  /// runs in shard-index order and is merged by commit seq. Observable
-  /// behavior is identical for every n (the determinism contract).
-  void set_shards(std::size_t n);
-  [[nodiscard]] std::size_t shards() const { return shards_; }
 
   /// The shared DE substrate this facade runs on.
   [[nodiscard]] Kernel& kernel() { return kernel_; }
@@ -425,10 +422,8 @@ class ObjectDe {
   /// Optional epoch-pipeline observability. When set, Phase B emits one
   /// "de.epoch.op" span per op (stage "S") into the epoch's
   /// Tracer::SpanBuffer and bumps the epoch's Metrics::Delta counters
-  /// ("de.epoch.committed" / "de.epoch.failed"), both filled in shard-index
-  /// order. Phase C folds them into the Tracer/Metrics at the epoch
-  /// boundary, so span *counts* and stage attribution are identical for
-  /// every shard count (span order groups by shard; see
+  /// ("de.epoch.committed" / "de.epoch.failed"), both filled in op order.
+  /// Phase C folds them into the Tracer/Metrics at the epoch boundary (see
   /// docs/OBSERVABILITY.md). A mid-epoch crash drops the buffers: no span
   /// or counter from a rolled-back epoch leaks.
   void set_observability(core::Tracer* tracer, core::Metrics* metrics) {
@@ -477,32 +472,27 @@ class ObjectDe {
     Kernel::SubscriptionInfo* info = nullptr;
   };
 
-  /// Per-watch coalescing buffer for batched watches, partitioned into
-  /// per-shard commit queues. `seq` on each slot is the DE-wide commit
-  /// sequence of the *latest* commit folded in. At flush (the revision-
-  /// window barrier) each shard sorts and RBAC-filters its queue, then a
-  /// cross-shard stable merge by `seq` reproduces the exact single-shard
-  /// event order.
+  /// Per-watch coalescing buffer for batched watches: one slot per key, in
+  /// the order keys first entered the window. `seq` on each slot is the
+  /// DE-wide commit sequence of the *latest* commit folded in, so at flush
+  /// (the revision-window barrier) a stable sort by `seq` puts every slot
+  /// at its latest commit's position.
   struct BufferedEvent {
     WatchEvent event;
     std::uint64_t seq = 0;
-    FieldRule fields;  // RBAC filter to apply at flush (shard-local)
+    FieldRule fields;  // RBAC filter to apply at flush
   };
-  struct ShardQueue {
-    std::map<std::string, std::size_t> slots;  // key -> index in events
-    std::vector<BufferedEvent> events;
-  };
-  /// Rollback bookkeeping for epoch shard passes that stage batched watch
-  /// events straight into a buffer's shard queue: everything past
-  /// `base_events` is this epoch's, and `saved` holds the pre-epoch value
-  /// of every slot the epoch coalesced into, so a rolled-back epoch can
-  /// restore the queue exactly.
+  /// Rollback bookkeeping for an epoch that stages batched watch events
+  /// straight into a buffer: everything past `base_events` is this
+  /// epoch's, and `saved` holds the pre-epoch value of every slot the epoch
+  /// coalesced into, so a rolled-back epoch can restore the buffer exactly.
   struct BatchStageUndo {
     std::size_t base_events = 0;
     std::vector<std::pair<std::size_t, BufferedEvent>> saved;
   };
   struct WatchBuffer {
-    std::vector<ShardQueue> shards;
+    std::map<std::string, std::size_t> slots;  // key -> index in events
+    std::vector<BufferedEvent> events;
     std::uint64_t commits = 0;
     bool flush_scheduled = false;
     /// Open `sub.deliver` span for the pending window (active
@@ -549,10 +539,10 @@ class ObjectDe {
       WatchEvent event;        // per-event mode: RBAC-filtered, ready to ship
     };
     std::vector<WatchHit> hits;
-    /// Subscription-filter accounting, staged shard-locally and folded in
-    /// the serial merge (indices of the active watches this commit
-    /// matched, of those that rejected it, and of those that ran apply()
-    /// on it) — counters stay byte-identical across shard counts.
+    /// Subscription-filter accounting, staged in Phase B and folded in the
+    /// merge (indices of the active watches this commit matched, of those
+    /// that rejected it, and of those that ran apply() on it), so a
+    /// rolled-back epoch counts nothing.
     std::vector<std::uint32_t> sub_matched;
     std::vector<std::uint32_t> sub_filtered;
     std::vector<std::uint32_t> sub_evaluated;
@@ -598,11 +588,11 @@ class ObjectDe {
                                     const WatchEvent* sample);
 
   /// The coalescing rule set for batched watches, run by the epoch
-  /// pipeline's Phase B. Inserts or coalesces one event into a shard
-  /// queue; returns true when it coalesced into an existing slot. With
+  /// pipeline's Phase B. Inserts or coalesces one event into a watch
+  /// buffer; returns true when it coalesced into an existing slot. With
   /// `undo`, the first overwrite of any pre-epoch slot saves the previous
   /// entry for epoch rollback.
-  static bool coalesce_into(ShardQueue& queue, WatchEvent&& event,
+  static bool coalesce_into(WatchBuffer& buf, WatchEvent&& event,
                             std::uint64_t seq, const FieldRule& fields,
                             BatchStageUndo* undo);
   /// Samples the notify latency and schedules one per-event delivery (with
@@ -639,7 +629,6 @@ class ObjectDe {
 
   Kernel kernel_;
   ObjectDeProfile profile_;
-  std::size_t shards_ = 1;
   std::map<std::string, std::unique_ptr<ObjectStore>> stores_;
   std::map<std::string, std::pair<std::string, Udf>> udfs_;  // name -> (owner, fn)
   std::vector<Watch> watches_;

@@ -10,9 +10,9 @@
 //
 // Determinism contract: a compiled subscription is immutable and `apply()`
 // is a pure function of the payload (no RNG, no clock, no shared
-// counters), so the epoch pipeline's Phase B evaluates it shard by shard.
-// Match/filter accounting is staged per op and folded in the Phase-C
-// merge, which keeps N-shard runs byte-identical to the 1-shard run (see
+// counters), so the epoch pipeline's Phase B evaluates it before the epoch
+// is known to commit. Match/filter accounting is staged per op and folded
+// in the Phase-C merge, so a rolled-back epoch counts nothing (see
 // docs/SUBSCRIPTIONS.md).
 //
 // Indexed matching: a filter whose top-level `and` chain holds an equality

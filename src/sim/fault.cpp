@@ -181,8 +181,7 @@ std::string FaultPlan::describe() const {
 bool CrashPointPlan::fires(std::string_view point,
                            std::uint64_t occurrence) const {
   // FNV-1a over (seed, point, occurrence) — platform-stable, so a seed's
-  // crash schedule is identical everywhere (the same property shard_of
-  // relies on).
+  // crash schedule is identical everywhere.
   std::uint64_t h = 1469598103934665603ull;
   auto mix = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {

@@ -2,10 +2,9 @@
 // Tracer::SpanBuffer / Metrics::Delta and folds them in at the epoch
 // boundary. These tests pin the contract: merging at the epoch boundary
 // yields the same span counts, stage attribution, and counter totals as
-// direct emission — for every shard count.
+// direct emission, and a rolled-back epoch emits nothing.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -128,71 +127,11 @@ TEST(MetricsDelta, MergeEqualsSerialIncrements) {
   EXPECT_EQ(merged.get("bytes"), serial.get("bytes"));
 }
 
-// Multiset of span names / stage attributes — the configuration-invariant
-// part of the trace (span *order* groups by shard across configs).
-std::map<std::string, int> span_counts(const std::vector<core::Span>& spans) {
-  std::map<std::string, int> counts;
-  for (const auto& s : spans) {
-    ++counts[s.name];
-    auto stage = s.attributes.find("stage");
-    if (stage != s.attributes.end()) ++counts["stage:" + stage->second];
-  }
-  return counts;
-}
-
-TEST(EpochObservability, SpanCountsAndCountersAreShardInvariant) {
-  const std::size_t configs[] = {1, 2, 8};
-  std::map<std::string, int> oracle_spans;
-  std::map<std::string, std::uint64_t> oracle_counters;
-  for (std::size_t c = 0; c < std::size(configs); ++c) {
-    sim::VirtualClock clock;
-    core::Tracer tracer(clock);
-    core::Metrics metrics;
-    de::ObjectDe de(clock, de::ObjectDeProfile::instant());
-    de.set_shards(configs[c]);
-    de.set_observability(&tracer, &metrics);
-    de::ObjectStore& store = de.create_store("items");
-
-    for (int epoch = 0; epoch < 3; ++epoch) {
-      std::vector<de::EpochWrite> writes;
-      for (int i = 0; i < 6; ++i) {
-        de::EpochWrite w;
-        w.key = "k-" + std::to_string(i);
-        if (epoch == 2 && i == 5) {
-          w.data = Value::object({{"v", i}});
-          w.expected_version = 99;  // deterministic conflict -> failed op
-        } else {
-          w.data = Value::object({{"e", epoch}, {"v", i}});
-        }
-        writes.push_back(std::move(w));
-      }
-      (void)store.put_epoch_sync("writer", std::move(writes));
-    }
-
-    auto spans = span_counts(tracer.spans());
-    EXPECT_EQ(spans["de.epoch.op"], 18);
-    EXPECT_EQ(spans["stage:S"], 18);
-    EXPECT_EQ(metrics.get("de.epoch.epochs"), 3u);
-    EXPECT_EQ(metrics.get("de.epoch.committed"), 17u);
-    EXPECT_EQ(metrics.get("de.epoch.failed"), 1u);
-    std::map<std::string, std::uint64_t> counters(metrics.all().begin(),
-                                                  metrics.all().end());
-    if (c == 0) {
-      oracle_spans = spans;
-      oracle_counters = counters;
-    } else {
-      EXPECT_EQ(spans, oracle_spans) << configs[c] << " shards";
-      EXPECT_EQ(counters, oracle_counters) << configs[c] << " shards";
-    }
-  }
-}
-
 TEST(EpochObservability, CrashedEpochLeaksNoSpansOrCounters) {
   sim::VirtualClock clock;
   core::Tracer tracer(clock);
   core::Metrics metrics;
   de::ObjectDe de(clock, de::ObjectDeProfile::instant());
-  de.set_shards(4);
   de.set_observability(&tracer, &metrics);
   de::ObjectStore& store = de.create_store("items");
   de.set_epoch_fault_hook([] { return true; });

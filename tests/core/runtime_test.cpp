@@ -138,21 +138,6 @@ TEST(Runtime, RunUntilIdleSurfacesCapHit) {
   EXPECT_EQ(idle.metrics().get("runtime.run_capped"), 0u);
 }
 
-TEST(Runtime, SchedulerConfiguresHostedDes) {
-  Runtime rt;
-  de::ObjectDe& before = rt.add_object_de("a", de::ObjectDeProfile::instant());
-  rt.set_shards(4);
-  de::ObjectDe& after = rt.add_object_de("b", de::ObjectDeProfile::instant());
-  // set_shards repartitions existing DEs and configures future ones.
-  EXPECT_EQ(before.shards(), 4u);
-  EXPECT_EQ(after.shards(), 4u);
-  EXPECT_EQ(rt.scheduler().shards(), 4u);
-  EXPECT_EQ(rt.scheduler().stats().shards, 4u);
-  rt.set_shards(0);  // clamped to one shard
-  EXPECT_EQ(before.shards(), 1u);
-  EXPECT_EQ(rt.scheduler().shards(), 1u);
-}
-
 #ifdef __linux__
 std::size_t thread_count() {
   std::size_t n = 0;
@@ -165,16 +150,14 @@ std::size_t thread_count() {
 }
 #endif
 
-// Shards are a deterministic partition, not a unit of concurrency: an
-// epoch commit, a batched-watch flush and a list on a sharded runtime all
-// run on the calling thread. set_workers is accepted and ignored.
-TEST(RuntimeTest, ShardedRunStartsNoThreads) {
+// An epoch commit, a batched-watch flush and a list all run on the calling
+// thread. set_workers is accepted and ignored.
+TEST(RuntimeTest, RunStartsNoThreads) {
 #ifndef __linux__
   GTEST_SKIP() << "counts threads through /proc/self/task";
 #else
   const std::size_t before = thread_count();
   Runtime rt;
-  rt.set_shards(8);
   rt.set_workers(4);
   de::ObjectDe& de = rt.add_object_de("obj", de::ObjectDeProfile::instant());
   de::ObjectStore& store = de.create_store("s");

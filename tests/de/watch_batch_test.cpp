@@ -204,25 +204,5 @@ TEST_F(WatchBatchTest, TransactionCommitsArriveInOneBatch) {
   EXPECT_EQ(batches_[0].events.size(), 3u);
 }
 
-TEST_F(WatchBatchTest, ReshardingKeepsPendingWindow) {
-  ASSERT_TRUE(subscribe_batches("", kWindow).ok());
-  (void)store_->put_sync("svc", "a", obj(1));
-  (void)store_->put_sync("svc", "b", obj(2));
-  (void)store_->put_sync("svc", "c", obj(3));
-  // The pending window moves to the new shard layout; later commits keep
-  // coalescing into it and the flush order is unchanged.
-  de_.set_shards(4);
-  (void)store_->put_sync("svc", "a", obj(4));
-  (void)store_->put_sync("svc", "d", obj(5));
-  clock_.run_all();
-  ASSERT_EQ(batches_.size(), 1u);
-  EXPECT_EQ(batches_[0].commits, 5u);
-  std::vector<std::string> keys;
-  for (const auto& e : batches_[0].events) keys.push_back(e.object.key);
-  EXPECT_EQ(keys, (std::vector<std::string>{"b", "c", "a", "d"}));
-  EXPECT_EQ(batches_[0].events[2].object.data->get("n")->as_int(), 4);
-  EXPECT_EQ(batches_[0].events[2].type, WatchEventType::kAdded);
-}
-
 }  // namespace
 }  // namespace knactor::de

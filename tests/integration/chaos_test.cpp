@@ -60,7 +60,6 @@ sim::FaultPlan retail_plan(std::uint64_t seed) {
 
 RetailTrialResult run_retail_trial(std::uint64_t seed, bool inject,
                                    sim::SimTime batch_window = 0,
-                                   std::size_t shards = 1,
                                    bool filtered_sub = false) {
   core::Runtime runtime;
   apps::RetailKnactorOptions options;
@@ -69,14 +68,13 @@ RetailTrialResult run_retail_trial(std::uint64_t seed, bool inject,
   options.payment_processing = sim::LatencyModel::constant_ms(1.0);
   options.integrator_retry = sim::RetryPolicy::standard(5);
   options.batch_window = batch_window;  // coalesced watch delivery
-  options.shards = shards;
   auto app = apps::build_retail_knactor_app(runtime, options);
 
   // Optional filtered subscription riding through the fault corpus: a
   // coalescing content-filtered watch on the checkout store that only
   // matches the terminal "shipped" write. Crash windows roll pending
   // coalesce slots back with the epoch, so the delivery log is part of the
-  // deterministic observable surface (compared serial vs sharded below).
+  // deterministic observable surface.
   std::string sub_log;
   std::uint64_t sub_id = 0;
   if (filtered_sub) {
@@ -251,28 +249,6 @@ TEST(ChaosRetailBatched, FaultFreeBatchedTrialMatchesOracle) {
   EXPECT_TRUE(result.converged);
 }
 
-TEST(ChaosRetailSharded, ShardedRunsAreBitIdenticalToSerialUnderChaos) {
-  // The same seeded fault corpus, run with 8 shards, must produce
-  // byte-identical fault schedules and converged fingerprints to the
-  // 1-shard trial — chaos recovery
-  // (durable restart, retries, resync) included.
-  const int kSeeds = 40;
-  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    auto serial = run_retail_trial(seed, /*inject=*/true,
-                                   25 * sim::kMillisecond);
-    auto sharded = run_retail_trial(seed, /*inject=*/true,
-                                    25 * sim::kMillisecond, /*shards=*/8);
-    ASSERT_TRUE(sharded.converged)
-        << "sharded seed " << seed << " diverged from oracle.\nSchedule:\n"
-        << sharded.schedule;
-    EXPECT_EQ(sharded.schedule, serial.schedule) << "seed " << seed;
-    EXPECT_EQ(sharded.fingerprint, serial.fingerprint) << "seed " << seed;
-    EXPECT_EQ(sharded.completed, serial.completed) << "seed " << seed;
-    EXPECT_EQ(sharded.failed_passes, serial.failed_passes) << "seed " << seed;
-    EXPECT_EQ(sharded.cast_retries, serial.cast_retries) << "seed " << seed;
-  }
-}
-
 TEST(ChaosRetailFiltered, HundredSeedsConvergeWithFilteredSubscription) {
   // Unified-subscription satellite: the same 120-seed fault corpus with a
   // content-filtered coalescing subscription attached to the checkout
@@ -284,7 +260,7 @@ TEST(ChaosRetailFiltered, HundredSeedsConvergeWithFilteredSubscription) {
   std::uint64_t total_filtered = 0;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto result = run_retail_trial(seed, /*inject=*/true,
-                                   25 * sim::kMillisecond, /*shards=*/1,
+                                   25 * sim::kMillisecond,
                                    /*filtered_sub=*/true);
     ASSERT_TRUE(result.converged)
         << "filtered seed " << seed << " diverged from oracle.\nSchedule:\n"
@@ -294,28 +270,6 @@ TEST(ChaosRetailFiltered, HundredSeedsConvergeWithFilteredSubscription) {
   }
   EXPECT_GT(seeds_with_delivery, kSeeds / 2);
   EXPECT_GT(total_filtered, 0u);
-}
-
-TEST(ChaosRetailFiltered, FilteredDeliveryLogBitIdenticalSerialVsSharded) {
-  // Determinism contract for filtered subscriptions under chaos: for the
-  // same seed, the 8-shard run must produce a byte-identical filtered
-  // delivery log (and reject count) to the 1-shard run — crash
-  // rollback of filtered coalesce slots included.
-  const int kSeeds = 40;
-  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    auto serial = run_retail_trial(seed, /*inject=*/true,
-                                   25 * sim::kMillisecond, /*shards=*/1,
-                                   /*filtered_sub=*/true);
-    auto sharded = run_retail_trial(seed, /*inject=*/true,
-                                    25 * sim::kMillisecond, /*shards=*/8,
-                                    /*filtered_sub=*/true);
-    ASSERT_TRUE(sharded.converged)
-        << "filtered sharded seed " << seed << " diverged.\nSchedule:\n"
-        << sharded.schedule;
-    EXPECT_EQ(sharded.sub_log, serial.sub_log) << "seed " << seed;
-    EXPECT_EQ(sharded.sub_filtered, serial.sub_filtered) << "seed " << seed;
-    EXPECT_EQ(sharded.fingerprint, serial.fingerprint) << "seed " << seed;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -329,7 +283,6 @@ TEST(ChaosEpochAtomicity, MidEpochCrashLeaksNothing) {
   de::ObjectDe de(clock, de::ObjectDeProfile::apiserver());  // durable
   de.enable_audit(1024);
   de.kernel().enable_provenance(1024);
-  de.set_shards(8);
   de::ObjectStore& store = de.create_store("orders");
 
   int watch_events = 0;
@@ -370,7 +323,7 @@ TEST(ChaosEpochAtomicity, MidEpochCrashLeaksNothing) {
   const std::size_t lineage_before = de.kernel().provenance().records().size();
 
   // Arm a one-shot mid-epoch crash: the hook fires after Phase B has
-  // mutated shard state but before the merge publishes anything.
+  // mutated store state but before the merge publishes anything.
   bool crash_next = true;
   de.set_epoch_fault_hook([&crash_next] {
     bool fire = crash_next;
@@ -526,14 +479,12 @@ Value chaos_ride_payload(const apps::RideHailingApp& app, std::uint64_t id) {
   return ride;
 }
 
-RideTrialResult run_ride_trial(std::uint64_t seed, bool inject,
-                               std::size_t shards = 1) {
+RideTrialResult run_ride_trial(std::uint64_t seed, bool inject) {
   core::Runtime runtime;
   apps::RideHailingOptions options;
   options.de_profile = de::ObjectDeProfile::apiserver();  // durable
   options.batch_window = 5 * sim::kMillisecond;
   options.integrator_retry = sim::RetryPolicy::standard(5);
-  options.shards = shards;
   auto app = apps::build_ride_hailing_app(runtime, options);
 
   chaos::ChaosHooks hooks;
@@ -642,20 +593,6 @@ TEST(ChaosRideHailing, HundredSeedsAllConvergeToOracle) {
   }
   EXPECT_GT(completed_during_chaos, kSeeds / 2);
   EXPECT_GT(total_failed_passes, 0u);
-}
-
-TEST(ChaosRideHailing, ShardedTrialsAreBitIdenticalToSerial) {
-  const int kSeeds = 24;
-  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    auto serial = run_ride_trial(seed, /*inject=*/true);
-    auto sharded = run_ride_trial(seed, /*inject=*/true, /*shards=*/8);
-    ASSERT_TRUE(sharded.converged)
-        << "sharded ride seed " << seed << " diverged.\nSchedule:\n"
-        << sharded.schedule;
-    EXPECT_EQ(sharded.schedule, serial.schedule) << "seed " << seed;
-    EXPECT_EQ(sharded.fingerprint, serial.fingerprint) << "seed " << seed;
-    EXPECT_EQ(sharded.completed, serial.completed) << "seed " << seed;
-  }
 }
 
 TEST(ChaosRideHailing, FaultFreeTrialMatchesOracleExactly) {

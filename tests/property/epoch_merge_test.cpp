@@ -1,31 +1,27 @@
-// Epoch-merge differential suite (`ctest -L shard`): the epoch commit
-// pipeline (ObjectStore::put_epoch) must be *observably identical* to the
-// 1-shard oracle for every shard count — byte-equal
-// store state, per-op results, watch-event order, batched-watch
-// composition, audit trail, lineage records, DE stats, and (for the full
-// retail composition) metrics and trace shape.
+// Epoch-merge suite (`ctest -L determinism`): the epoch commit pipeline
+// (ObjectStore::put_epoch) against the per-op path it replaced.
 //
-// Three layers of evidence:
-//   * Epoch differential — randomized epoch workloads (100 seeds, with
-//     conflicts, denials-by-version, deletes-of-missing, and within-epoch
-//     overwrite chains) across shards {1,2,8}.
 //   * Batching equivalence — put/patch/remove run as single-op epochs, and
 //     on failure-free batches n single-op epochs commit exactly what one
 //     n-op epoch does: same versions, same commit seqs, same watch order,
-//     same audit, same lineage. The stamp rule (an epoch consumes stamps
-//     only through its last committed op) is pinned case by case, and a
-//     fixed per-op script pins the delivery log of the per-op path that
-//     single-op epochs replaced.
-//   * Runtime differential — the retail composition, whose integrator
-//     patches commit as single-op epochs, comparing state, metrics, and
-//     traces across configs.
+//     same audit, same lineage.
+//   * Stamp rule — an epoch consumes stamps only through its last
+//     committed op, pinned case by case.
+//   * Delivery pin — a fixed per-op script pins the delivery log of the
+//     per-op path that single-op epochs replaced.
+//   * Runtime pin — the retail composition, whose integrator patches
+//     commit as single-op epochs: its order, state, metrics and span
+//     timings digest to the values the serial (pre-epoch) oracle produced.
+//
+// The seeded 100-epoch workload is pinned by the golden-history suite
+// (tests/property/golden_history_test.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <random>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/retail_knactor.h"
@@ -40,13 +36,6 @@ namespace {
 
 using common::Value;
 
-// The shard counts under test; index 0 is the 1-shard oracle.
-const std::size_t kShards[] = {1, 2, 8};
-
-std::string config_name(std::size_t shards) {
-  return std::to_string(shards) + "s";
-}
-
 char event_char(de::WatchEventType t) {
   switch (t) {
     case de::WatchEventType::kAdded: return 'A';
@@ -54,15 +43,6 @@ char event_char(de::WatchEventType t) {
     case de::WatchEventType::kDeleted: return 'D';
   }
   return '?';
-}
-
-std::string stats_digest(const de::ObjectDeStats& s) {
-  std::ostringstream out;
-  out << "r=" << s.reads << " w=" << s.writes << " d=" << s.deletes
-      << " we=" << s.watch_events << " wb=" << s.watch_batches
-      << " wc=" << s.watch_events_coalesced << " pd=" << s.permission_denials
-      << " vc=" << s.version_conflicts << " ur=" << s.unavailable_rejections;
-  return out.str();
 }
 
 std::string audit_digest(const de::ObjectDe& de) {
@@ -86,156 +66,6 @@ std::string lineage_digest(de::ObjectDe& de) {
     out += ">t" + std::to_string(rec.trace_id) + " ";
   }
   return out;
-}
-
-// Everything an epoch run exposes to an observer.
-struct Observation {
-  std::string state;     // canonical store fingerprint
-  std::string results;   // per-op Result values/errors, submission order
-  std::string watch_log; // per-event deliveries with version + commit seq
-  std::string batch_log; // batched deliveries (boundaries + order)
-  std::string audit;     // full audit trail
-  std::string lineage;   // provenance ring contents
-  std::string stats;     // ObjectDeStats digest
-};
-
-// One randomized epoch workload. All randomness comes from `seed`; the
-// shard count must not change anything observable.
-Observation run_epoch_workload(std::uint32_t seed, std::size_t shards) {
-  sim::VirtualClock clock;
-  de::ObjectDe de(clock, de::ObjectDeProfile::apiserver());  // durable
-  de.set_shards(shards);
-  de.enable_audit(4096);
-  de.kernel().enable_provenance(4096);
-
-  de::ObjectStore& orders = de.create_store("orders");
-  de::ObjectStore& inventory = de.create_store("inventory");
-
-  Observation obs;
-  EXPECT_TRUE(orders
-                  .subscribe("observer", {},
-                             [&](const de::WatchEvent& e) {
-                               obs.watch_log += event_char(e.type);
-                               obs.watch_log +=
-                                   e.object.key + ":" +
-                                   std::to_string(e.object.version) + "#" +
-                                   std::to_string(e.ctx.commit_seq) + " ";
-                             })
-                  .ok());
-  de::SubscriptionSpec windowed;
-  windowed.qos.window = 5 * sim::kMillisecond;
-  EXPECT_TRUE(orders
-                  .subscribe_batch(
-                      "observer", windowed,
-                      [&](const de::WatchBatch& b) {
-                        obs.batch_log += "[c" + std::to_string(b.commits) + "|";
-                        for (const auto& e : b.events) {
-                          obs.batch_log += event_char(e.type);
-                          obs.batch_log += e.object.key + ":" +
-                                           std::to_string(e.object.version) +
-                                           " ";
-                        }
-                        obs.batch_log += "] ";
-                      })
-                  .ok());
-
-  std::mt19937 rng(seed);
-  auto key = [&](const char* prefix) {
-    return std::string(prefix) + "-" + std::to_string(rng() % 8);
-  };
-
-  const int epochs = 6;
-  for (int e = 0; e < epochs; ++e) {
-    std::vector<de::EpochWrite> writes;
-    const int ops = 1 + static_cast<int>(rng() % 12);
-    for (int i = 0; i < ops; ++i) {
-      de::EpochWrite w;
-      w.key = key(rng() % 3 == 0 ? "inv" : "ord");
-      switch (rng() % 5) {
-        case 0:  // upsert
-          w.data = Value::object({{"e", e}, {"op", i},
-                                  {"qty", static_cast<int>(rng() % 50)}});
-          break;
-        case 1:  // patch
-          w.data = Value::object({{"patched", i}});
-          w.merge = true;
-          break;
-        case 2:  // delete (missing keys fail NotFound — a stamp hole)
-          w.remove = true;
-          break;
-        case 3:  // guarded write; mismatches conflict (another stamp hole)
-          w.data = Value::object({{"guarded", i}});
-          w.expected_version = rng() % 4 == 0 ? 1 : 0;
-          break;
-        default:  // within-epoch overwrite chain on a pinned key
-          w.key = "ord-0";
-          w.data = Value::object({{"chain", i}});
-          w.merge = rng() % 2 == 0;
-          break;
-      }
-      writes.push_back(std::move(w));
-    }
-    de::ObjectStore& store = rng() % 4 == 0 ? inventory : orders;
-    store.put_epoch("writer", std::move(writes),
-                    [&obs](std::vector<common::Result<std::uint64_t>> rs) {
-                      for (const auto& r : rs) {
-                        obs.results += r.ok()
-                                           ? std::to_string(r.value())
-                                           : std::string(r.error().code_name());
-                        obs.results += " ";
-                      }
-                      obs.results += "| ";
-                    });
-    // Interleave execution with submission so flushes overlap epochs.
-    if (rng() % 2 == 0) {
-      for (int s = 0; s < 4 && clock.step(); ++s) {
-      }
-    }
-  }
-  while (clock.step()) {
-  }
-
-  obs.state = chaos::fingerprint_stores({&orders, &inventory});
-  obs.audit = audit_digest(de);
-  obs.lineage = lineage_digest(de);
-  obs.stats = stats_digest(de.stats());
-  return obs;
-}
-
-TEST(EpochMerge, MatchesSerialOracleAcross100Seeds) {
-  for (std::uint32_t seed = 1; seed <= 100; ++seed) {
-    Observation oracle = run_epoch_workload(seed, kShards[0]);
-    // The workload must actually exercise the surfaces under test.
-    ASSERT_FALSE(oracle.state.empty());
-    ASSERT_FALSE(oracle.results.empty()) << "seed " << seed;
-    ASSERT_FALSE(oracle.batch_log.empty()) << "seed " << seed;
-    for (std::size_t c = 1; c < std::size(kShards); ++c) {
-      Observation got = run_epoch_workload(seed, kShards[c]);
-      const std::string where =
-          "seed " + std::to_string(seed) + " config " + config_name(kShards[c]);
-      EXPECT_EQ(got.state, oracle.state) << where;
-      EXPECT_EQ(got.results, oracle.results) << where;
-      EXPECT_EQ(got.watch_log, oracle.watch_log) << where;
-      EXPECT_EQ(got.batch_log, oracle.batch_log) << where;
-      EXPECT_EQ(got.audit, oracle.audit) << where;
-      EXPECT_EQ(got.lineage, oracle.lineage) << where;
-      EXPECT_EQ(got.stats, oracle.stats) << where;
-      if (got.state != oracle.state) return;  // one dump is enough
-    }
-  }
-}
-
-// Re-running the same config twice must be bit-stable.
-TEST(EpochMerge, RepeatedRunsAreBitStable) {
-  for (std::size_t shards : kShards) {
-    Observation a = run_epoch_workload(42, shards);
-    Observation b = run_epoch_workload(42, shards);
-    EXPECT_EQ(a.state, b.state) << config_name(shards);
-    EXPECT_EQ(a.watch_log, b.watch_log) << config_name(shards);
-    EXPECT_EQ(a.batch_log, b.batch_log) << config_name(shards);
-    EXPECT_EQ(a.audit, b.audit) << config_name(shards);
-    EXPECT_EQ(a.stats, b.stats) << config_name(shards);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -475,10 +305,9 @@ TEST(EpochStamps, AllFailedEpochAppendsNoJournalFrame) {
 // draw order changes it.
 // ---------------------------------------------------------------------------
 
-std::string run_delivery_pin(std::size_t shards) {
+std::string run_delivery_pin() {
   sim::VirtualClock clock;
   de::ObjectDe de(clock, de::ObjectDeProfile::redis());
-  de.set_shards(shards);
   de::ObjectStore& store = de.create_store("orders");
 
   de::Rbac& rbac = de.rbac();
@@ -1220,61 +1049,56 @@ B c4
 )pin";
 
 TEST(EpochMerge, SingleOpEpochsReproducePerOpDeliveryLog) {
-  EXPECT_EQ(run_delivery_pin(1), kDeliveryPin);
-  EXPECT_EQ(run_delivery_pin(4), kDeliveryPin);
+  EXPECT_EQ(run_delivery_pin(), kDeliveryPin);
 }
 
 // ---------------------------------------------------------------------------
-// Runtime differential: the retail composition across shard configs.
+// Runtime pin: the retail composition.
 // ---------------------------------------------------------------------------
 
-struct RuntimeObservation {
-  std::string order;
-  std::string state;
-  std::string metrics;
-  std::string traces;
-};
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
-RuntimeObservation run_retail(std::size_t shards, double cost) {
+// Order, store state, metrics and span timings of one retail order.
+std::string run_retail(double cost) {
   core::Runtime rt;
   apps::RetailKnactorOptions options;
   options.batch_window = 2 * sim::kMillisecond;
   options.metrics = &rt.metrics();
-  options.shards = shards;
   apps::RetailKnactorApp app = apps::build_retail_knactor_app(rt, options);
 
-  RuntimeObservation obs;
   auto order = app.place_order_sync(apps::sample_order(cost));
-  obs.order = order.ok() ? chaos::canonical_fingerprint(order.value())
-                         : order.error().to_string();
-  obs.state = chaos::fingerprint_stores(
-      {app.checkout_store, app.shipping_store, app.payment_store});
-  std::ostringstream metrics;
+  std::string obs = "order:";
+  obs += order.ok() ? chaos::canonical_fingerprint(order.value())
+                    : order.error().to_string();
+  obs += "\nstate:" + chaos::fingerprint_stores({app.checkout_store,
+                                                 app.shipping_store,
+                                                 app.payment_store});
+  obs += "\nmetrics:";
   for (const auto& [name, value] : rt.metrics().all()) {
-    metrics << name << "=" << value << ";";
+    obs += name + "=" + std::to_string(value) + ";";
   }
-  obs.metrics = metrics.str();
-  std::ostringstream traces;
+  obs += "\ntraces:";
   for (const auto& span : rt.tracer().spans()) {
-    traces << span.name << "@" << span.start << "-" << span.end << ";";
+    obs += span.name + "@" + std::to_string(span.start) + "-" +
+           std::to_string(span.end) + ";";
   }
-  obs.traces = traces.str();
   return obs;
 }
 
 TEST(EpochMerge, RetailMatchesSerialOracle) {
-  for (double cost : {40.0, 900.0}) {
-    RuntimeObservation oracle = run_retail(kShards[0], cost);
-    ASSERT_FALSE(oracle.state.empty());
-    for (std::size_t c = 1; c < std::size(kShards); ++c) {
-      RuntimeObservation got = run_retail(kShards[c], cost);
-      const std::string where =
-          "cost " + std::to_string(cost) + " config " + config_name(kShards[c]);
-      EXPECT_EQ(got.order, oracle.order) << where;
-      EXPECT_EQ(got.state, oracle.state) << where;
-      EXPECT_EQ(got.metrics, oracle.metrics) << where;
-      EXPECT_EQ(got.traces, oracle.traces) << where;
-    }
+  const struct {
+    double cost;
+    std::uint64_t digest;
+  } kOracle[] = {{40.0, 0xd5bf8a44a1087cd6}, {900.0, 0x3b7b24c173bc3ba3}};
+  for (const auto& c : kOracle) {
+    EXPECT_EQ(fnv1a64(run_retail(c.cost)), c.digest) << "cost " << c.cost;
   }
 }
 

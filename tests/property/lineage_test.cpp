@@ -1,8 +1,8 @@
 // Lineage differential suite (tentpole of the tracing work): a derived
 // record must be reproducible byte-for-byte from nothing but its recorded
-// lineage inputs and the same integrator logic, and the exported causal
-// trace must be byte-identical across shard counts (the
-// determinism contract of docs/OBSERVABILITY.md).
+// lineage inputs and the same integrator logic. The exported causal trace
+// and lineage of a seeded retail run are pinned by the golden-history
+// suite (tests/property/golden_history_test.cpp).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -15,7 +15,6 @@
 #include "common/json.h"
 #include "core/cast.h"
 #include "core/runtime.h"
-#include "core/trace_export.h"
 #include "de/log.h"
 #include "de/object.h"
 
@@ -24,8 +23,8 @@ namespace {
 
 using common::Value;
 
-// Replays a Cast lineage record through a fresh single-shard integrator
-// hosting ONLY the recorded inputs, running the same DXG. Returns the
+// Replays a Cast lineage record through a fresh integrator hosting ONLY
+// the recorded inputs, running the same DXG. Returns the
 // rebuilt record's bytes ("" when the replay produced nothing).
 std::string replay_cast_record(const core::Dxg& dxg,
                                const core::LineageRecord& rec) {
@@ -76,27 +75,21 @@ const core::LineageRecord* latest_cast(const core::ProvenanceRing& ring,
   return nullptr;
 }
 
-// One retail order with lineage + tracing on; returns the Chrome trace
-// export and hands the live runtime/app to `inspect` first.
-std::string run_retail(
-    std::size_t shards,
-    const std::function<void(core::Runtime&, apps::RetailKnactorApp&)>&
-        inspect = {}) {
+// One retail order with lineage + tracing on; hands the live app to
+// `inspect`.
+void run_retail(const std::function<void(apps::RetailKnactorApp&)>& inspect) {
   core::Runtime rt;
   rt.enable_lineage();
-  apps::RetailKnactorOptions options;
-  options.shards = shards;
-  auto app = apps::build_retail_knactor_app(rt, options);
+  auto app = apps::build_retail_knactor_app(rt, apps::RetailKnactorOptions{});
   EXPECT_TRUE(rt.start_all().ok());
   auto order = app.place_order_sync(apps::sample_order());
   EXPECT_TRUE(order.ok());
   EXPECT_NE(order.value().get("trackingID"), nullptr);
-  if (inspect) inspect(rt, app);
-  return core::export_chrome_trace(rt.tracer().spans());
+  inspect(app);
 }
 
 TEST(LineageDifferential, RetailDerivedRecordsReplayByteForByte) {
-  run_retail(1, [](core::Runtime&, apps::RetailKnactorApp& app) {
+  run_retail([](apps::RetailKnactorApp& app) {
     const auto& ring = app.de->kernel().provenance();
     ASSERT_FALSE(ring.records().empty());
     for (const char* target : {"knactor-checkout", "knactor-shipping",
@@ -115,7 +108,7 @@ TEST(LineageDifferential, RetailDerivedRecordsReplayByteForByte) {
 
 // Every recorded derivation — not just the final state — must replay.
 TEST(LineageDifferential, EveryRetailLineageRecordReplays) {
-  run_retail(1, [](core::Runtime&, apps::RetailKnactorApp& app) {
+  run_retail([](apps::RetailKnactorApp& app) {
     const auto& ring = app.de->kernel().provenance();
     std::size_t replayed = 0;
     for (const auto& rec : ring.records()) {
@@ -128,44 +121,6 @@ TEST(LineageDifferential, EveryRetailLineageRecordReplays) {
     }
     EXPECT_GT(replayed, 0u);
   });
-}
-
-TEST(LineageDifferential, TraceByteIdenticalAcrossShardConfigs) {
-  const std::string oracle = run_retail(1);
-  ASSERT_FALSE(oracle.empty());
-  for (std::size_t shards : {2, 8}) {
-    EXPECT_EQ(run_retail(shards), oracle) << "shards=" << shards;
-  }
-}
-
-// Lineage must also be identical across shard configs, not just spans.
-TEST(LineageDifferential, LineageByteIdenticalAcrossShardConfigs) {
-  auto render = [](apps::RetailKnactorApp& app) {
-    std::string out;
-    for (const auto& rec : app.de->kernel().provenance().records()) {
-      out += rec.op + " " + rec.stage + " " + rec.output.store + "/" +
-             rec.output.key + "@" + std::to_string(rec.output.version) +
-             " trace=" + std::to_string(rec.trace_id) + " <-";
-      for (const auto& input : rec.inputs) {
-        out += " " + input.store + "/" + input.key + "@" +
-               std::to_string(input.version);
-      }
-      out += "\n";
-    }
-    return out;
-  };
-  std::string oracle;
-  run_retail(1, [&](core::Runtime&, apps::RetailKnactorApp& app) {
-    oracle = render(app);
-  });
-  ASSERT_FALSE(oracle.empty());
-  for (std::size_t shards : {2, 8}) {
-    std::string got;
-    run_retail(shards, [&](core::Runtime&, apps::RetailKnactorApp& app) {
-      got = render(app);
-    });
-    EXPECT_EQ(got, oracle) << "shards=" << shards;
-  }
 }
 
 // Sync (log pipeline) lineage: each synced house record replays from its

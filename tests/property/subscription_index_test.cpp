@@ -12,7 +12,7 @@
 // int, null and strings; filters the index cannot decide (`or`, `!=`,
 // ranges, attribute paths, calls, negative literals); projections and
 // prefixes; payloads with a missing field, array and object field values,
-// non-object payloads and deletes; multi-op epochs over several shards;
+// non-object payloads and deletes; multi-op epochs;
 // and subscribe/unsubscribe between commits.
 #include <gtest/gtest.h>
 
@@ -175,7 +175,6 @@ Outcome run_seed(std::uint32_t seed) {
   std::mt19937 rng(seed);
   sim::VirtualClock clock;
   ObjectDe de(clock, ObjectDeProfile::instant());
-  de.set_shards(1 + seed % 3);
   const char* const store_names[] = {"a", "b"};
   std::map<std::string, ObjectStore*> stores;
   for (const char* name : store_names) stores[name] = &de.create_store(name);

@@ -289,8 +289,8 @@ SyncRun run_smart_home(std::size_t records, bool consolidate) {
 // closure and sampled deadline) and one pipeline pass per in-flight write
 // — `ops` scheduler entries sifting through the event heap. The batched
 // mode keeps one per in-flight epoch (`ops / epoch_size` entries, stamps
-// reserved once per epoch, ops committed via the phase-B/phase-C
-// pipeline). Both modes run the same batched watcher and must converge to
+// reserved once per epoch, ops committed by the commit loop and
+// published by the publish loop). Both modes run the same batched watcher and must converge to
 // the identical store and delivery outcome. Inputs
 // (keys, payloads, epoch batches) are pre-built outside the timed region
 // so the interval isolates commit machinery, not Value construction.

@@ -25,8 +25,8 @@ void Tracer::end(std::uint64_t span_id) {
 }
 
 Span* Tracer::find(std::uint64_t span_id) {
-  // begin() and merge() stamp ids from the one increasing counter and
-  // append, and clear() does not reset it, so spans_ is sorted by id.
+  // begin() stamps ids from the one increasing counter and appends, and
+  // clear() does not reset it, so spans_ is sorted by id.
   auto it = std::lower_bound(
       spans_.begin(), spans_.end(), span_id,
       [](const Span& span, std::uint64_t id) { return span.id < id; });

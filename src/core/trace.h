@@ -52,52 +52,6 @@ class Tracer {
   [[nodiscard]] sim::SimTime total_duration(const std::string& name) const;
   void clear() { spans_.clear(); }
 
-  class SpanBuffer;
-  /// Merges a span buffer: re-stamps every buffered span with
-  /// globally sequential ids (preserving the buffer's parent links) and
-  /// appends them in buffer order. The resulting span log is identical to
-  /// emitting the buffered spans directly — same count, same names, same
-  /// stage attributes. The buffer is drained.
-  void merge(SpanBuffer& buffer);
-
-  /// A detached span sink: begin/annotate/end without touching the Tracer
-  /// (ids are local until merge re-stamps them). The epoch pipeline fills
-  /// one buffer per epoch and folds it into the Tracer at the boundary, or
-  /// drops it when the epoch rolls back.
-  class SpanBuffer {
-   public:
-    std::uint64_t begin(const std::string& name, sim::SimTime now,
-                        std::uint64_t parent = 0) {
-      Span span;
-      span.id = next_local_id_++;
-      span.parent = parent;
-      span.name = name;
-      span.start = now;
-      spans_.push_back(std::move(span));
-      return spans_.back().id;
-    }
-    void annotate(std::uint64_t span_id, const std::string& key,
-                  const std::string& value) {
-      if (Span* s = find(span_id)) s->attributes[key] = value;
-    }
-    void end(std::uint64_t span_id, sim::SimTime now) {
-      if (Span* s = find(span_id)) s->end = now;
-    }
-    [[nodiscard]] std::size_t size() const { return spans_.size(); }
-    [[nodiscard]] bool empty() const { return spans_.empty(); }
-
-   private:
-    friend class Tracer;
-    Span* find(std::uint64_t span_id) {
-      for (auto it = spans_.rbegin(); it != spans_.rend(); ++it) {
-        if (it->id == span_id) return &*it;
-      }
-      return nullptr;
-    }
-    std::vector<Span> spans_;
-    std::uint64_t next_local_id_ = 1;
-  };
-
  private:
   /// The span with `span_id`, or nullptr.
   Span* find(std::uint64_t span_id);
@@ -106,28 +60,6 @@ class Tracer {
   std::vector<Span> spans_;
   std::uint64_t next_id_ = 1;
 };
-
-inline void Tracer::merge(SpanBuffer& buffer) {
-  // Local id -> global id, so parent links survive the re-stamp.
-  std::map<std::uint64_t, std::uint64_t> remap;
-  for (Span& span : buffer.spans_) {
-    const std::uint64_t global = next_id_++;
-    remap[span.id] = global;
-    span.id = global;
-  }
-  for (Span& span : buffer.spans_) {
-    if (span.parent == 0) continue;
-    // Parent links must reference spans in the same buffer (or 0): local
-    // ids only have meaning within their buffer.
-    auto it = remap.find(span.parent);
-    if (it != remap.end()) span.parent = it->second;
-  }
-  spans_.insert(spans_.end(),
-                std::make_move_iterator(buffer.spans_.begin()),
-                std::make_move_iterator(buffer.spans_.end()));
-  buffer.spans_.clear();
-  buffer.next_local_id_ = 1;
-}
 
 /// RAII span: opens on construction, closes when the scope exits — so a
 /// span around a multi-exit operation (e.g. persistence snapshot/recovery)
@@ -171,29 +103,6 @@ class Metrics {
     return counters_;
   }
   void clear() { counters_.clear(); }
-
-  /// A detached counter sink: inc() touches no Metrics state. The epoch
-  /// pipeline fills one Delta per epoch; merge() folds it into the counters
-  /// at the epoch boundary, or the epoch drops it when it rolls back.
-  class Delta {
-   public:
-    void inc(const std::string& name, std::uint64_t delta = 1) {
-      counters_[name] += delta;
-    }
-    [[nodiscard]] bool empty() const { return counters_.empty(); }
-
-   private:
-    friend class Metrics;
-    std::map<std::string, std::uint64_t> counters_;
-  };
-
-  /// Folds a Delta into the counters and drains it.
-  void merge(Delta& delta) {
-    for (const auto& [name, value] : delta.counters_) {
-      counters_[name] += value;
-    }
-    delta.counters_.clear();
-  }
 
  private:
   std::map<std::string, std::uint64_t> counters_;

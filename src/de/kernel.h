@@ -86,8 +86,9 @@ class Kernel {
   // Every watch on a DE facade is a subscription (de/subscription.h); the
   // kernel owns the registry so tooling (knctl explain/trace, SLO gates)
   // sees one uniform surface across facades. Counters are bumped only from
-  // the epoch pipeline's Phase-C merge and flush/delivery callbacks — never
-  // from Phase B — so a rolled-back epoch leaves no count behind.
+  // the epoch pipeline's publish loop, which runs once the epoch has
+  // committed, and from flush/delivery callbacks — so a rolled-back epoch
+  // leaves no count behind.
 
   /// One registered subscription: the contract (filter text, projection,
   /// QoS) plus delivery accounting. `matched` counts commits that reached
@@ -137,12 +138,12 @@ class Kernel {
   // --- epoch sequencing (stamp reservation) ------------------------------
   // The epoch pipeline pre-assigns stamps: one reservation up front, and
   // each op's stamp is a pure function of its position in the epoch (base
-  // + index). Phase B stamps ops without touching the shared counters, so
-  // when ops fail — or a crash, torn journal append or atomic abort rolls
-  // the epoch back — the facade can hand back the stamps past the last
-  // committed op (or all of them) with restore_sequences. Only ops that fail
-  // between committed ops leave holes; both domains only need to be
-  // strictly increasing.
+  // + index). The commit loop stamps ops without touching the shared
+  // counters, so when ops fail — or a crash, torn journal append or atomic
+  // abort rolls the epoch back — the facade can hand back the stamps past
+  // the last committed op (or all of them) with restore_sequences. Only
+  // ops that fail between committed ops leave holes; both domains only
+  // need to be strictly increasing.
 
   /// Reserves `n` revision numbers; returns the first. Epoch op `i` commits
   /// with revision `base + i` (matching what n serial next_revision() calls
@@ -191,20 +192,27 @@ class Kernel {
   Decision check_access(const std::string& principal,
                         const std::string& resource, const std::string& key,
                         Verb verb) {
-    Decision d = rbac_.check(principal, resource, key, verb, clock_.now());
+    return check_access_at(principal, resource, key, verb, clock_.now());
+  }
+  /// check_access at a given instant: the epoch pipeline decides and
+  /// audits every access of one epoch at the single `now` it read.
+  Decision check_access_at(const std::string& principal,
+                           const std::string& resource, const std::string& key,
+                           Verb verb, sim::SimTime now) {
+    Decision d = rbac_.check(principal, resource, key, verb, now);
     if (audit_enabled_) {
       audit_.push_back(
-          AuditEntry{clock_.now(), principal, verb, resource, key, d.allowed});
+          AuditEntry{now, principal, verb, resource, key, d.allowed});
       while (audit_.size() > audit_capacity_) audit_.pop_front();
     }
     return d;
   }
 
-  /// Access check for the epoch pipeline's Phase B: consults the policy
-  /// engine and buffers the decision into a caller-owned sink instead of
-  /// pushing to the shared audit deque. `now` is captured once in Phase A
-  /// so Phase B never reads the clock. The caller splices the sinks back
-  /// in global commit order via append_audit() at the epoch merge.
+  /// Access check for the epoch pipeline's commit loop: consults the
+  /// policy engine and buffers the decision into a caller-owned sink
+  /// instead of the trail, because the epoch's fate is not known yet: a
+  /// committed or atomically aborted epoch appends the sink with
+  /// append_audit(), a crashed one drops it.
   Decision check_access_buffered(const std::string& principal,
                                  const std::string& resource,
                                  const std::string& key, Verb verb,
@@ -218,8 +226,8 @@ class Kernel {
     return d;
   }
 
-  /// Merge half of check_access_buffered: appends buffered entries to the
-  /// audit trail. Callers present the sinks in global commit order, so the
+  /// Publish half of check_access_buffered: appends buffered entries to
+  /// the audit trail. Callers present the sinks in commit order, so the
   /// trail reads exactly as if every check had run serially.
   void append_audit(const std::vector<AuditEntry>& entries) {
     if (!audit_enabled_) return;

@@ -642,24 +642,22 @@ void ObjectDe::maybe_auto_snapshot() {
 // writes are single-op epochs, put_epoch a batch, transact an atomic epoch
 // across stores.
 //
-// Phase A: one clock read, stamp pre-assignment (versions and commit seqs
-//   reserved up front — op i's stamps are base + index).
-// Phase B (ops in epoch order): RBAC with buffered audit, write
-//   validation, version check, merge compute, state insert, journal record
-//   encoding, lineage snapshot, watch matching + field filtering,
-//   batched-watch staging. No clock reads, no RNG draws, no shared-counter
-//   bumps — each op's effects are staged on its EpochOp for Phase C, so a
-//   rollback has nothing to take back but state and staged watch events.
-// Stamp rule: the epoch then gives back the stamps past its last committed
-//   op, so a failed single op consumes nothing and only failures *between*
-//   committed ops leave holes.
-// Rollback: the chaos fault hook, a torn journal append, or a failed op in
-//   an atomic epoch rolls every op back, so neither state, stamps, journal,
-//   lineage, nor any notification of the epoch leaks.
-// Phase C (merge, global op order): audit splice, lineage records,
-//   stats, then per op its watchers in registration order (per-event
-//   delivery or batched flush scheduling, each drawing from the RNG
-//   exactly where a serial commit would) and its trigger fan-out.
+// Commit loop (ops in epoch order): one clock read and stamp
+//   pre-assignment up front (op i's version and commit seq are base +
+//   index), then per op write RBAC with buffered audit, validation,
+//   version check, merge compute, state insert, journal record encoding
+//   and the lineage snapshot. Nothing observable happens here, so a
+//   rollback has nothing to take back but state and stamps.
+// Decide: the epoch gives back the stamps past its last committed op (a
+//   failed single op consumes nothing; only failures *between* committed
+//   ops leave holes), then the chaos fault hook and the journal append
+//   (one frame, committed records in op order) run. A crash there, a torn
+//   append, or a failed op in an atomic epoch rolls every op back.
+// Publish loop (committed epochs only, op order): the epoch's spans and
+//   counters, then per op its audit, failure counts, lineage, its watchers
+//   in registration order (RBAC, content filter, per-event delivery or
+//   batched coalescing and flush scheduling, each drawing from the RNG in
+//   that order) and its trigger fan-out.
 // ---------------------------------------------------------------------------
 
 Result<std::uint64_t> ObjectDe::commit_one(ObjectStore& store,
@@ -681,18 +679,7 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
   results.reserve(n);
   if (n == 0) return results;
 
-  // --- Phase A: prep ------------------------------------------------------
-  // (Un)subscribe shifts watch positions, so it only marks the stores'
-  // equality indexes stale; they are rebuilt here, before Phase B reads
-  // them.
-  if (watch_index_stale_) {
-    for (auto& [name, store] : stores_) store->watch_index_.clear();
-    for (std::size_t w = 0; w < watches_.size(); ++w) {
-      stores_.at(watches_[w].store)
-          ->watch_index_.add(static_cast<std::uint32_t>(w), *watches_[w].sub);
-    }
-    watch_index_stale_ = false;
-  }
+  // --- Commit loop --------------------------------------------------------
   const sim::SimTime now = clock().now();
   std::vector<EpochOp> ops(n);
 
@@ -707,49 +694,12 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
   for (EpochOp& op : ops) op.rev_end += rev_base;
   const std::uint64_t seq_base = kernel_.reserve_commit_seqs(n);
 
-  // The watchers of every store the epoch touches, in registration order.
-  // Batched watchers commit straight into their buffers in Phase B; the
-  // shared-counter side (`buf.commits`, coalesce stats, flush scheduling
-  // with its RNG draw) is staged as a WatchHit and folded in Phase C.
-  struct EpochWatcher {
-    std::size_t watch_index = 0;
-    WatchBuffer* buffer = nullptr;  // batched watchers only
-    BatchStageUndo undo;            // only with stage_undo
-  };
-  // Rollback staging (pre-image copies, watch-buffer undo logs) is only
-  // consumed when the epoch can roll back — an atomic epoch, the chaos
-  // fault hook, or an armed journal fault; otherwise the hot path skips
-  // the copies entirely.
+  // State pre-images are only consumed when the epoch can roll back — an
+  // atomic epoch, the chaos fault hook, or an armed journal fault;
+  // otherwise the hot path skips the copies entirely.
   const bool stage_undo = atomic || static_cast<bool>(epoch_fault_hook_) ||
                           (persist_ != nullptr && persist_->fault_armed());
-  auto touches = [&](const std::string& store_name) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i > 0 && stores[i] == stores[i - 1]) continue;  // runs of one store
-      if (stores[i]->name_ == store_name) return true;
-    }
-    return false;
-  };
-  std::vector<EpochWatcher> watchers;
-  std::size_t active_watchers = 0;  // with a filter or projection
-  for (std::size_t w = 0; w < watches_.size(); ++w) {
-    const Watch& watch = watches_[w];
-    if (!touches(watch.store)) continue;
-    EpochWatcher& entry = watchers.emplace_back();
-    entry.watch_index = w;
-    if (watch.sub->active()) ++active_watchers;
-    if (!watch.batched) continue;
-    entry.buffer = &watch_buffers_[watch.id];
-    entry.undo.base_events = entry.buffer->events.size();
-  }
-
-  // --- Phase B: commit, ops in epoch order --------------------------------
-  // The epoch's observability sinks: spans and counters are folded into
-  // the Tracer/Metrics at the epoch boundary — or dropped whole if the
-  // epoch rolls back.
-  core::Tracer::SpanBuffer spans;
-  core::Metrics::Delta delta;
-  SubscriptionIndex::Probe probe;  // scratch for the equality-index lookups
-  auto process_op = [&](std::size_t i) {
+  for (std::size_t i = 0; i < n; ++i) {
     EpochWrite& w = writes[i];
     EpochOp& op = ops[i];
     ObjectStore& store = *stores[i];
@@ -765,13 +715,13 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
           "object: " + principal + " cannot " +
           (w.remove ? "delete " : w.merge ? "patch " : "write ") +
           store.name_ + "/" + w.key);
-      return;
+      continue;
     }
     if (!w.remove) {
       if (auto status = Rbac::validate_write(w.data, d.fields); !status.ok()) {
         op.fail = EpochOp::Fail::kInvalid;
         op.error = status.error();
-        return;
+        continue;
       }
     }
     // One ordered walk of the store's map serves the lookup, the in-place
@@ -788,7 +738,7 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
             "object: version conflict on " + store.name_ + "/" + w.key +
             " (expected " + std::to_string(*w.expected_version) + ", have " +
             std::to_string(current) + ")");
-        return;
+        continue;
       }
     }
     if (w.remove) {
@@ -797,7 +747,7 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
         op.error =
             Error::not_found("object: " + store.name_ + "/" + w.key +
                              " not found");
-        return;
+        continue;
       }
       op.undo_existed = true;
       if (stage_undo) op.undo_obj = *existing;
@@ -831,7 +781,7 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
         op.undo_existed = true;
         if (stage_undo) op.undo_obj = *existing;
       }
-      op.obj.key = std::move(w.key);  // rollback/merge read op.obj.key now
+      op.obj.key = std::move(w.key);  // rollback/publish read op.obj.key now
       op.obj.data = std::make_shared<const Value>(std::move(final_data));
       op.obj.version = op.rev_end - 1;
       op.obj.created_at = existed ? existing->created_at : now;
@@ -853,9 +803,8 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
         rec.time = now;
       }
       if (persist_ != nullptr) {
-        // Serialized in Phase B, reading straight through the
-        // committed object's shared payload handle — no Value copy, and
-        // the merge is left with a pure concatenation.
+        // Serialized straight from the committed object's shared payload
+        // handle — no Value copy, and the append is a pure concatenation.
         persist::encode_put(op.persist_rec, store.name_, op.obj.key,
                             op.obj.version, op.obj.created_at,
                             op.obj.updated_at, *op.obj.data);
@@ -863,80 +812,9 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       op.type = existed ? WatchEventType::kModified : WatchEventType::kAdded;
     }
     op.committed = true;
-    // Watch matching: prefix + RBAC (audited into the op's sink, in watcher
-    // registration order). Batched watchers coalesce the event into their
-    // buffer right here; per-event watchers get a
-    // ready-to-ship event. Either way the op records one WatchHit per
-    // watcher for the Phase-C merge.
-    if (watchers.empty()) return;
-    const std::string& key = op.obj.key;
-    if (active_watchers > 0) {
-      store.watch_index_.probe(op.obj.data, probe);
-      op.sub_matched.reserve(active_watchers);
-      op.sub_filtered.reserve(active_watchers);
-    }
-    for (EpochWatcher& entry : watchers) {
-      const std::size_t widx = entry.watch_index;
-      const Watch& watch = watches_[widx];
-      if (watch.store != store.name_ ||
-          !common::starts_with(key, watch.prefix)) {
-        continue;
-      }
-      Decision wd = kernel_.check_access_buffered(
-          watch.principal, store.name_, key, Verb::kWatch, now, &op.audit);
-      if (!wd.allowed) continue;
-      // Subscription content filter + projection: apply() is pure, so it
-      // runs right here in Phase B. Accounting is staged on the op and
-      // folded in Phase C, like every other counter.
-      // A commit that misses the subscription's equality key is rejected
-      // by the index without running the predicate.
-      std::optional<common::SharedValue> projected;
-      if (watch.sub->active()) {
-        const auto position = static_cast<std::uint32_t>(widx);
-        op.sub_matched.push_back(position);
-        if (probe.must_apply(position)) {
-          op.sub_evaluated.push_back(position);
-          projected = watch.sub->apply(op.obj.data);
-        }
-        if (!projected.has_value()) {
-          op.sub_filtered.push_back(position);
-          continue;  // rejected pre-enqueue: no slot, no RBAC filter, no hit
-        }
-      }
-      EpochOp::WatchHit& hit = op.hits.emplace_back();
-      hit.watch_index = widx;
-      hit.event.type = op.type;
-      hit.event.store = store.name_;
-      hit.event.object = op.obj;
-      if (projected.has_value()) hit.event.object.data = std::move(*projected);
-      hit.event.ctx = op.ctx;
-      if (entry.buffer != nullptr) {
-        hit.staged = true;
-        hit.buffer = entry.buffer;
-        hit.coalesced =
-            coalesce_into(*entry.buffer, std::move(hit.event),
-                          op.ctx.commit_seq, wd.fields,
-                          stage_undo ? &entry.undo : nullptr);
-      } else if (!wd.fields.unrestricted() && hit.event.object.data) {
-        hit.event.object.data = std::make_shared<const Value>(
-            Rbac::filter_fields(*hit.event.object.data, wd.fields));
-      }
-    }
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    process_op(i);
-    if (tracer_ != nullptr) {
-      const std::uint64_t sid = spans.begin("de.epoch.op", now);
-      spans.annotate(sid, "stage", "S");
-      spans.annotate(sid, "store", stores[i]->name_);
-      spans.end(sid, now);
-    }
-    if (epoch_metrics_ != nullptr) {
-      delta.inc(ops[i].committed ? "de.epoch.committed" : "de.epoch.failed");
-    }
   }
 
-  // --- stamp rule, rollback, journal append -------------------------------
+  // --- Decide: stamp rule, fault hook, journal append ---------------------
   std::size_t last = n;  // last committed op; n = none
   std::size_t first_failed = n;
   for (std::size_t i = 0; i < n; ++i) {
@@ -946,10 +824,10 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
       first_failed = i;
     }
   }
-  // The hook runs first (a process that died between commit and merge
+  // The hook runs first (a process that died between commit and publish
   // never reached the append); the journal append sits in the same
   // all-or-nothing position: one frame carries every committed record in
-  // global op order plus the post-epoch counters.
+  // op order plus the post-epoch counters.
   bool crashed = epoch_fault_hook_ && epoch_fault_hook_();
   std::optional<Error> append_error;
   const bool aborted = !crashed && atomic && first_failed != n;
@@ -995,19 +873,6 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
           stores[i]->objects_.erase(ops[i].obj.key);
         }
       }
-      // Un-stage the watch events Phase B coalesced into batched
-      // watchers' buffers: restore overwritten pre-epoch slots, then
-      // truncate this epoch's appends and their slot-index entries.
-      for (EpochWatcher& entry : watchers) {
-        if (entry.buffer == nullptr) continue;
-        BatchStageUndo& u = entry.undo;
-        WatchBuffer& buf = *entry.buffer;
-        for (auto& [idx, prev] : u.saved) buf.events[idx] = std::move(prev);
-        buf.events.resize(u.base_events);
-        std::erase_if(buf.slots, [&](const auto& kv) {
-          return kv.second >= u.base_events;
-        });
-      }
     }
     if (crashed) {
       kernel_.crash();
@@ -1016,8 +881,9 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
                             "object: de crashed mid-epoch")));
       return results;
     }
-    // Atomic abort: the access decisions and failures stay on the record;
-    // every op fails with the first failure's error.
+    // Atomic abort: the write decisions and failures stay on the record;
+    // every op fails with the first failure's error. The epoch published
+    // nothing, so no watch decision was ever made.
     for (const EpochOp& op : ops) {
       kernel_.append_audit(op.audit);
       count_failure(op);
@@ -1026,44 +892,103 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
     return results;
   }
 
-  // --- Phase C: deterministic merge ---------------------------------------
-  // Fold the epoch's observability sinks first (a rolled-back epoch never
-  // reaches this point — its buffers are dropped with the stack frame).
-  if (tracer_ != nullptr) tracer_->merge(spans);
-  if (epoch_metrics_ != nullptr) {
-    epoch_metrics_->inc("de.epoch.epochs");
-    epoch_metrics_->merge(delta);
+  // --- Publish loop -------------------------------------------------------
+  // (Un)subscribe shifts watch positions, so it only marks the stores'
+  // equality indexes stale; they are rebuilt before the first probe.
+  if (watch_index_stale_) {
+    for (auto& [name, store] : stores_) store->watch_index_.clear();
+    for (std::size_t w = 0; w < watches_.size(); ++w) {
+      stores_.at(watches_[w].store)
+          ->watch_index_.add(static_cast<std::uint32_t>(w), *watches_[w].sub);
+    }
+    watch_index_stale_ = false;
   }
+  // Every op's span first: their ids precede the ops' `sub.*` spans.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (tracer_ != nullptr) {
+      const std::uint64_t sid = tracer_->begin("de.epoch.op");
+      tracer_->annotate(sid, "stage", "S");
+      tracer_->annotate(sid, "store", stores[i]->name_);
+      tracer_->end(sid);
+    }
+    if (epoch_metrics_ != nullptr) {
+      epoch_metrics_->inc(ops[i].committed ? "de.epoch.committed"
+                                           : "de.epoch.failed");
+    }
+  }
+  if (epoch_metrics_ != nullptr) epoch_metrics_->inc("de.epoch.epochs");
+  // One commit's notified watchers, in registration order. They are
+  // notified after the whole walk, so a commit's `sub.filter` spans take
+  // ids before its `sub.deliver` spans.
+  struct Hit {
+    const Watch* watch = nullptr;
+    SharedValue data;   // the payload to deliver (projected when active)
+    FieldRule fields;   // the watcher's RBAC field rule
+  };
+  std::vector<Hit> hits;
+  SubscriptionIndex::Probe probe;  // scratch for the equality-index lookups
   for (std::size_t i = 0; i < n; ++i) {
     EpochOp& op = ops[i];
+    ObjectStore& store = *stores[i];
     kernel_.append_audit(op.audit);
-    if (op.fail != EpochOp::Fail::kNone) {
+    if (!op.committed) {
       count_failure(op);
       results.push_back(op.error);
       continue;
     }
     if (op.lineage) kernel_.provenance().record(std::move(*op.lineage));
-    // Fold the staged subscription accounting in op order, and emit the
-    // `sub.filter` spans here — a rolled-back epoch emits none.
-    for (std::uint32_t widx : op.sub_matched) ++watches_[widx].info->matched;
-    for (std::uint32_t widx : op.sub_evaluated) {
-      ++watches_[widx].info->evaluated;
-    }
-    stats_.watch_events_filtered += op.sub_filtered.size();
-    for (std::uint32_t widx : op.sub_filtered) {
-      const Watch& w = watches_[widx];
-      ++w.info->filtered;
-      note_filtered(w, op.obj.key);
-    }
-    for (EpochOp::WatchHit& hit : op.hits) {
-      const Watch& watch = watches_[hit.watch_index];
-      if (!hit.staged) {
-        schedule_event_delivery(watch, std::move(hit.event));
+    // Watch matching: prefix, RBAC (audited at the epoch's `now`), then the
+    // subscription's content filter and projection. A commit that misses
+    // the subscription's equality key is rejected by the index without
+    // running the predicate; a rejected commit costs no slot and no hit.
+    const std::string& key = op.obj.key;
+    hits.clear();
+    if (!watches_.empty()) store.watch_index_.probe(op.obj.data, probe);
+    for (std::size_t widx = 0; widx < watches_.size(); ++widx) {
+      const Watch& watch = watches_[widx];
+      if (watch.store != store.name_ ||
+          !common::starts_with(key, watch.prefix)) {
         continue;
       }
-      WatchBuffer& buf = *hit.buffer;
+      Decision wd = kernel_.check_access_at(watch.principal, store.name_, key,
+                                            Verb::kWatch, now);
+      if (!wd.allowed) continue;
+      std::optional<SharedValue> projected;
+      if (watch.sub->active()) {
+        ++watch.info->matched;
+        if (probe.must_apply(static_cast<std::uint32_t>(widx))) {
+          ++watch.info->evaluated;
+          projected = watch.sub->apply(op.obj.data);
+        }
+        if (!projected.has_value()) {
+          ++watch.info->filtered;
+          ++stats_.watch_events_filtered;
+          note_filtered(watch, key);
+          continue;
+        }
+      }
+      hits.push_back(Hit{&watch,
+                         projected ? std::move(*projected) : op.obj.data,
+                         std::move(wd.fields)});
+    }
+    for (Hit& hit : hits) {
+      const Watch& watch = *hit.watch;
+      WatchEvent event{op.type, store.name_, op.obj, op.ctx};
+      event.object.data = std::move(hit.data);
+      if (!watch.batched) {
+        if (!hit.fields.unrestricted() && event.object.data) {
+          event.object.data = std::make_shared<const Value>(
+              Rbac::filter_fields(*event.object.data, hit.fields));
+        }
+        schedule_event_delivery(watch, std::move(event));
+        continue;
+      }
+      WatchBuffer& buf = watch_buffers_[watch.id];
+      if (coalesce_into(buf, std::move(event), op.ctx.commit_seq,
+                        hit.fields)) {
+        ++stats_.watch_events_coalesced;
+      }
       ++buf.commits;
-      if (hit.coalesced) ++stats_.watch_events_coalesced;
       if (!buf.flush_scheduled) {
         buf.flush_scheduled = true;
         begin_batch_span(watch, buf);
@@ -1073,7 +998,7 @@ std::vector<Result<std::uint64_t>> ObjectDe::commit_epoch(
         clock().schedule_after(delay, [this, id]() { flush_watch_batch(id); });
       }
     }
-    fire_triggers(stores[i]->name_, op.type, op.obj, op.ctx);
+    fire_triggers(store.name_, op.type, op.obj, op.ctx);
     results.push_back(writes[i].remove ? std::uint64_t{0} : op.obj.version);
   }
   if (last != n) maybe_auto_snapshot();
@@ -1198,8 +1123,7 @@ void ObjectDe::schedule_event_delivery(const Watch& w, WatchEvent event) {
 }
 
 bool ObjectDe::coalesce_into(WatchBuffer& buf, WatchEvent&& event,
-                             std::uint64_t seq, const FieldRule& fields,
-                             BatchStageUndo* undo) {
+                             std::uint64_t seq, const FieldRule& fields) {
   auto slot = buf.slots.find(event.object.key);
   if (slot == buf.slots.end()) {
     buf.slots.emplace(event.object.key, buf.events.size());
@@ -1213,16 +1137,6 @@ bool ObjectDe::coalesce_into(WatchBuffer& buf, WatchEvent&& event,
   // always survives as kDeleted; a re-create after an unseen delete
   // nets out to kModified (the object still exists, with new data).
   BufferedEvent& be = buf.events[slot->second];
-  if (undo != nullptr && slot->second < undo->base_events) {
-    bool saved = false;
-    for (const auto& [idx, prev] : undo->saved) {
-      if (idx == slot->second) {
-        saved = true;
-        break;
-      }
-    }
-    if (!saved) undo->saved.emplace_back(slot->second, be);
-  }
   WatchEventType merged = event.type;
   if (event.type != WatchEventType::kDeleted) {
     if (be.event.type == WatchEventType::kAdded) {
@@ -1321,6 +1235,8 @@ void ObjectDe::fire_triggers(const std::string& store_name,
     clock().schedule_after(
         profile_.engine_read.sample(kernel_.rng()),
         [this, udf_name, ctx, args = std::move(args)]() {
+          // A crash before the trigger ran loses it with the process.
+          if (!kernel_.available()) return;
           auto uit = udfs_.find(udf_name);
           if (uit == udfs_.end()) return;
           ++stats_.udf_calls;

@@ -169,8 +169,8 @@ class ObjectStore {
   /// pipeline put/patch/remove run as single-op epochs). Stamps (version +
   /// commit seq) are pre-assigned so every op's identity is a pure function
   /// of its position in the epoch, ops commit in submission order, and the
-  /// epoch merge replays audit entries, lineage, journal appends, and
-  /// watch/trigger notifications in that order. On failure-free epochs the
+  /// journal append, audit entries, lineage, and watch/trigger
+  /// notifications follow that order. On failure-free epochs the
   /// result is identical to issuing the same ops through put/patch/remove
   /// one by one. An epoch consumes
   /// stamps only through its last committed op, so a failed op leaves a
@@ -187,10 +187,10 @@ class ObjectStore {
   /// watch-notify latency. Every subscription is registered with the
   /// kernel's subscription registry (id, contract, match/filter/delivery
   /// accounting). Fails on permission denial or an unparsable filter. The
-  /// filter runs *before* enqueue — inside the epoch pipeline's Phase B —
-  /// so a rejected commit never costs a queue slot; the
-  /// projection rewrites the delivered payload (RBAC field filtering still
-  /// applies afterwards).
+  /// filter runs *before* enqueue — in the epoch pipeline's publish loop,
+  /// once the epoch has committed — so a rejected commit never costs a
+  /// queue slot; the projection rewrites the delivered payload (RBAC field
+  /// filtering still applies afterwards).
   common::Result<std::uint64_t> subscribe(const std::string& principal,
                                           SubscriptionSpec spec,
                                           WatchCallback callback);
@@ -275,8 +275,8 @@ class ObjectStore {
   std::string name_;
   std::map<std::string, StateObject> objects_;
   /// Equality index over this store's watches (positions in
-  /// ObjectDe::watches_); rebuilt by the epoch pipeline's Phase A after any
-  /// (un)subscribe.
+  /// ObjectDe::watches_); rebuilt by the epoch pipeline's publish loop
+  /// after any (un)subscribe.
   SubscriptionIndex watch_index_;
 };
 
@@ -410,22 +410,22 @@ class ObjectDe {
   void recover() { kernel_.recover(); }
 
   /// Chaos hook for the epoch pipeline: invoked after every epoch's
-  /// Phase B, before the merge. Returning true simulates the
-  /// process dying mid-epoch — the whole epoch rolls back (state and
-  /// stamps restored, no journal frame, no notifications, every op fails
+  /// commit loop, before the journal append and the publish loop.
+  /// Returning true simulates the process dying mid-epoch — the whole
+  /// epoch rolls back (state and stamps restored, no journal frame, no
+  /// audit entry, span, counter or notification, every op fails
   /// Unavailable) and the DE is marked crashed, so recovery never sees a
-  /// half-merged epoch.
+  /// half-applied epoch.
   void set_epoch_fault_hook(std::function<bool()> hook) {
     epoch_fault_hook_ = std::move(hook);
   }
 
-  /// Optional epoch-pipeline observability. When set, Phase B emits one
-  /// "de.epoch.op" span per op (stage "S") into the epoch's
-  /// Tracer::SpanBuffer and bumps the epoch's Metrics::Delta counters
-  /// ("de.epoch.committed" / "de.epoch.failed"), both filled in op order.
-  /// Phase C folds them into the Tracer/Metrics at the epoch boundary (see
-  /// docs/OBSERVABILITY.md). A mid-epoch crash drops the buffers: no span
-  /// or counter from a rolled-back epoch leaks.
+  /// Optional epoch-pipeline observability. When set, the publish loop of
+  /// every committed epoch emits one "de.epoch.op" span per op (stage "S")
+  /// and bumps "de.epoch.committed" / "de.epoch.failed" per op plus
+  /// "de.epoch.epochs", all in op order (see docs/OBSERVABILITY.md). A
+  /// rolled-back epoch never reaches the publish loop, so none of its
+  /// spans or counters exist.
   void set_observability(core::Tracer* tracer, core::Metrics* metrics) {
     tracer_ = tracer;
     epoch_metrics_ = metrics;
@@ -464,8 +464,8 @@ class ObjectDe {
     sim::SimTime window = 0;
     bool batched = false;
     /// The subscription contract (always set; pass-through when the spec
-    /// had no filter/projection). Immutable: Phase B calls sub->apply()
-    /// without touching the registry.
+    /// had no filter/projection). Immutable: the publish loop runs
+    /// sub->apply() on each commit the watch's prefix and RBAC let through.
     std::shared_ptr<const CompiledSubscription> sub;
     /// The kernel registry entry (a stable std::map node, unregistered
     /// together with this watch's removal).
@@ -481,14 +481,6 @@ class ObjectDe {
     WatchEvent event;
     std::uint64_t seq = 0;
     FieldRule fields;  // RBAC filter to apply at flush
-  };
-  /// Rollback bookkeeping for an epoch that stages batched watch events
-  /// straight into a buffer: everything past `base_events` is this
-  /// epoch's, and `saved` holds the pre-epoch value of every slot the epoch
-  /// coalesced into, so a rolled-back epoch can restore the buffer exactly.
-  struct BatchStageUndo {
-    std::size_t base_events = 0;
-    std::vector<std::pair<std::size_t, BufferedEvent>> saved;
   };
   struct WatchBuffer {
     std::map<std::string, std::size_t> slots;  // key -> index in events
@@ -508,53 +500,36 @@ class ObjectDe {
     std::string udf_name;
   };
 
-  /// Per-op scratch the epoch pipeline's Phase B fills and the merge phase
-  /// drains.
+  /// One op's state work, filled by the epoch pipeline's commit loop and
+  /// read by the rollback or the publish loop.
   struct EpochOp {
     bool committed = false;
     StateObject obj;           // committed object (pre-delete copy on remove)
     WatchEventType type = WatchEventType::kAdded;
     core::TraceContext ctx;    // stamped with the pre-assigned commit seq
-    std::vector<AuditEntry> audit;  // buffered access decisions, op order
+    /// The buffered write decision: published with the epoch (or with an
+    /// atomic abort), dropped with a crashed one.
+    std::vector<AuditEntry> audit;
     std::optional<core::LineageRecord> lineage;
-    /// Serialized journal record, encoded in Phase B straight from the
-    /// committed object's shared payload handle (zero-copy read); the
-    /// journal append concatenates them in global op order into one atomic
-    /// frame.
+    /// Serialized journal record, encoded by the commit loop straight from
+    /// the committed object's shared payload handle (zero-copy read); the
+    /// journal append concatenates them in op order into one atomic frame.
     std::string persist_rec;
     /// The next revision once ops 0..i of the epoch are through (put i
     /// commits with rev_end - 1).
     std::uint64_t rev_end = 0;
     bool undo_existed = false; // rollback state (crash, atomic abort)
     StateObject undo_obj;
-    /// One watcher this commit notifies, in watcher-registration order.
-    struct WatchHit {
-      std::size_t watch_index = 0;
-      /// Batched watcher: the event was already coalesced into the
-      /// watcher's buffer in Phase B; the merge only counts it and
-      /// schedules the flush.
-      bool staged = false;
-      bool coalesced = false;  // staged into an existing slot
-      WatchBuffer* buffer = nullptr;  // staged: the watcher's buffer
-      WatchEvent event;        // per-event mode: RBAC-filtered, ready to ship
-    };
-    std::vector<WatchHit> hits;
-    /// Subscription-filter accounting, staged in Phase B and folded in the
-    /// merge (indices of the active watches this commit matched, of those
-    /// that rejected it, and of those that ran apply() on it), so a
-    /// rolled-back epoch counts nothing.
-    std::vector<std::uint32_t> sub_matched;
-    std::vector<std::uint32_t> sub_filtered;
-    std::vector<std::uint32_t> sub_evaluated;
     enum class Fail { kNone, kDenied, kInvalid, kConflict, kNotFound };
     Fail fail = Fail::kNone;
     common::Error error;
   };
 
-  /// The three-phase epoch pipeline: every write of this DE commits
-  /// through it. `stores[i]` is op i's target store. In an atomic epoch
-  /// (transact) one failed op rolls every op back and all of them fail
-  /// with its error; otherwise ops fail independently.
+  /// The epoch pipeline — a commit loop, the decision, then a publish loop
+  /// for a committed epoch: every write of this DE commits through it.
+  /// `stores[i]` is op i's target store. In an atomic epoch (transact) one
+  /// failed op rolls every op back and all of them fail with its error;
+  /// otherwise ops fail independently.
   std::vector<common::Result<std::uint64_t>> commit_epoch(
       const std::string& principal, const core::TraceContext& client_ctx,
       std::span<ObjectStore* const> stores, std::span<EpochWrite> writes,
@@ -575,7 +550,7 @@ class ObjectDe {
       ObjectStore::WatchCallback callback,
       ObjectStore::WatchBatchCallback batch_callback);
   /// Emits one `sub.filter` span for a commit a subscription's predicate
-  /// rejected. Serial-phase only (epoch Phase-C fold).
+  /// rejected (epoch publish loop).
   void note_filtered(const Watch& w, const std::string& key);
   /// Opens the pending window's `sub.deliver` span when a batched
   /// subscription's flush gets scheduled (active subscriptions only).
@@ -588,13 +563,10 @@ class ObjectDe {
                                     const WatchEvent* sample);
 
   /// The coalescing rule set for batched watches, run by the epoch
-  /// pipeline's Phase B. Inserts or coalesces one event into a watch
-  /// buffer; returns true when it coalesced into an existing slot. With
-  /// `undo`, the first overwrite of any pre-epoch slot saves the previous
-  /// entry for epoch rollback.
+  /// pipeline's publish loop. Inserts or coalesces one event into a watch
+  /// buffer; returns true when it coalesced into an existing slot.
   static bool coalesce_into(WatchBuffer& buf, WatchEvent&& event,
-                            std::uint64_t seq, const FieldRule& fields,
-                            BatchStageUndo* undo);
+                            std::uint64_t seq, const FieldRule& fields);
   /// Samples the notify latency and schedules one per-event delivery (with
   /// the cancellation liveness check).
   void schedule_event_delivery(const Watch& w, WatchEvent event);
@@ -632,8 +604,8 @@ class ObjectDe {
   std::map<std::string, std::unique_ptr<ObjectStore>> stores_;
   std::map<std::string, std::pair<std::string, Udf>> udfs_;  // name -> (owner, fn)
   std::vector<Watch> watches_;
-  /// Set by (un)subscribe, which shift watch positions; the next epoch's
-  /// Phase A rebuilds every store's watch_index_ before Phase B.
+  /// Set by (un)subscribe, which shift watch positions; the next committed
+  /// epoch rebuilds every store's watch_index_ before its publish loop.
   bool watch_index_stale_ = false;
   std::map<std::uint64_t, WatchBuffer> watch_buffers_;  // batched watches
   std::vector<Trigger> triggers_;

@@ -10,10 +10,9 @@
 //
 // Determinism contract: a compiled subscription is immutable and `apply()`
 // is a pure function of the payload (no RNG, no clock, no shared
-// counters), so the epoch pipeline's Phase B evaluates it before the epoch
-// is known to commit. Match/filter accounting is staged per op and folded
-// in the Phase-C merge, so a rolled-back epoch counts nothing (see
-// docs/SUBSCRIPTIONS.md).
+// counters). The epoch pipeline runs it in its publish loop, once the
+// epoch has committed, and counts matches and rejections right there, so
+// a rolled-back epoch counts nothing (see docs/SUBSCRIPTIONS.md).
 //
 // Indexed matching: a filter whose top-level `and` chain holds an equality
 // conjunct (`field == literal`, `field in [literals]`) can only pass a
@@ -115,7 +114,7 @@ class CompiledSubscription {
   /// Returns nullopt when the predicate rejects the record (an erroring
   /// predicate never matches — deterministically), otherwise the payload
   /// to deliver: the original shared handle when nothing rewrote it, a
-  /// projected copy otherwise. Pure and thread-safe (Phase-B safe).
+  /// projected copy otherwise. Pure and thread-safe.
   [[nodiscard]] std::optional<common::SharedValue> apply(
       const common::SharedValue& payload) const;
 
@@ -135,8 +134,8 @@ class CompiledSubscription {
 /// compares: numbers (int or double) by their double value with -0.0
 /// folded to 0.0, so `1 == 1.0`; strings, bools and null by type and
 /// value. A missing field or a non-object payload looks up null; an array
-/// or object field value hits no bucket. Built serially, then read-only
-/// (Phase-B safe).
+/// or object field value hits no bucket. Rebuilt after (un)subscribe,
+/// then read-only.
 class SubscriptionIndex {
  public:
   using Positions = std::vector<std::uint32_t>;

@@ -379,6 +379,32 @@ TEST_F(ObjectDeTest, RemoveTriggerStopsFiring) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST_F(ObjectDeTest, TriggerScheduledBeforeCrashIsLostWithTheProcess) {
+  // The trigger runs engine_read after the commit; a crash in that window
+  // takes the pending UDF down with the process: it never runs, so its
+  // write never lands on (or is journaled by) a DE that is down.
+  ObjectDe redis(clock_, ObjectDeProfile::redis());
+  ObjectStore& store = redis.create_store("s");
+  redis.create_store("out");
+  ASSERT_TRUE(redis
+                  .register_udf("me", "mark",
+                                [](UdfContext& ctx, const Value&)
+                                    -> common::Result<Value> {
+                                  KN_TRY(ctx.put("out", "marker",
+                                                 Value::object({{"seen", 1}})));
+                                  return Value(nullptr);
+                                })
+                  .ok());
+  ASSERT_TRUE(redis.add_trigger("s", "", "mark").ok());
+  ASSERT_TRUE(store.put_sync("me", "k", Value::object({{"a", 1}})).ok());
+  const std::uint64_t calls = redis.stats().udf_calls;
+  redis.crash();
+  while (clock_.step()) {
+  }
+  EXPECT_EQ(redis.stats().udf_calls, calls);
+  EXPECT_EQ(redis.store("out")->peek("marker"), nullptr);
+}
+
 TEST_F(ObjectDeTest, TriggerRequiresRegisteredUdf) {
   de_.create_store("s");
   EXPECT_FALSE(de_.add_trigger("s", "", "ghost").ok());

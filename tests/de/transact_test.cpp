@@ -91,6 +91,29 @@ TEST_F(TransactTest, WatchesFireAfterFullCommit) {
   EXPECT_TRUE(b_was_visible);
 }
 
+TEST_F(TransactTest, AbortedTransactionAuditsWritesButNoWatch) {
+  // Watch decisions are made when an epoch publishes; an aborted one
+  // publishes nothing, so only its write decisions reach the trail.
+  ASSERT_TRUE(a_->subscribe("observer", {}, [](const WatchEvent&) {}).ok());
+  de_.enable_audit();
+  std::vector<ObjectDe::TxnOp> ops;
+  ops.push_back({"a", "k1", Value::object({{"x", 1}}), true, std::nullopt});
+  ops.push_back({"a", "k2", Value::object({{"x", 2}}), true,
+                 std::uint64_t{9999}});
+  auto r = de_.transact_sync("me", std::move(ops));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, common::Error::Code::kFailedPrecondition);
+  const auto& trail = de_.audit_log();
+  ASSERT_EQ(trail.size(), 2u);
+  for (const AuditEntry& e : trail) {
+    EXPECT_EQ(e.verb, Verb::kUpdate);
+    EXPECT_EQ(e.principal, "me");
+    EXPECT_TRUE(e.allowed);
+  }
+  EXPECT_EQ(trail[0].key, "k1");
+  EXPECT_EQ(trail[1].key, "k2");
+}
+
 TEST_F(TransactTest, TriggersFireOncePerWrite) {
   int fired = 0;
   ASSERT_TRUE(de_.register_udf("me", "count",

@@ -40,7 +40,7 @@ struct RetailTrialResult {
   std::string fingerprint;
   std::string schedule;         // serialized crash/restart fault records
   std::string sub_log;          // filtered-subscription deliveries, in order
-  std::uint64_t sub_filtered = 0;  // commits the predicate rejected
+  std::uint64_t filtered_commits = 0;  // commits the predicate rejected
   std::uint64_t failed_passes = 0;
   std::uint64_t cast_retries = 0;
 };
@@ -192,7 +192,7 @@ RetailTrialResult run_retail_trial(std::uint64_t seed, bool inject,
   result.sub_log = sub_log;
   if (sub_id != 0) {
     const auto* info = app.de->kernel().find_subscription(sub_id);
-    if (info != nullptr) result.sub_filtered = info->filtered;
+    if (info != nullptr) result.filtered_commits = info->filtered;
   }
   result.failed_passes = runtime.metrics().get("cast.retail.failed_passes");
   result.cast_retries = runtime.metrics().get("cast.retail.retries");
@@ -266,15 +266,15 @@ TEST(ChaosRetailFiltered, HundredSeedsConvergeWithFilteredSubscription) {
         << "filtered seed " << seed << " diverged from oracle.\nSchedule:\n"
         << result.schedule << "Plan: " << retail_plan(seed).describe();
     if (!result.sub_log.empty()) ++seeds_with_delivery;
-    total_filtered += result.sub_filtered;
+    total_filtered += result.filtered_commits;
   }
   EXPECT_GT(seeds_with_delivery, kSeeds / 2);
   EXPECT_GT(total_filtered, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Mid-epoch crash atomicity: a process dying between Phase B and the merge
-// must not leak a half-merged epoch anywhere — state,
+// Mid-epoch crash atomicity: a process dying between the commit loop and
+// the publish loop must not leak a half-applied epoch anywhere — state,
 // stamps, audit, lineage, watches, or triggers.
 // ---------------------------------------------------------------------------
 
@@ -308,8 +308,8 @@ TEST(ChaosEpochAtomicity, MidEpochCrashLeaksNothing) {
 
   // Leave one event pending in the batched watcher's buffer: commit a put
   // but stop the clock before its flush window expires. The crashing epoch
-  // below coalesces into this event's slot, so rollback must restore the
-  // slot's pre-epoch payload — not just truncate the epoch's appends.
+  // below writes the same key, but it never reaches the publish loop, so
+  // it never touches the pending buffer: the slot keeps its payload.
   bool staged = false;
   store.put("writer", "a", Value::object({{"v", 5}}),
             [&](common::Result<std::uint64_t> r) { staged = r.ok(); });
@@ -322,8 +322,8 @@ TEST(ChaosEpochAtomicity, MidEpochCrashLeaksNothing) {
   const std::size_t audit_before = de.audit_log().size();
   const std::size_t lineage_before = de.kernel().provenance().records().size();
 
-  // Arm a one-shot mid-epoch crash: the hook fires after Phase B has
-  // mutated store state but before the merge publishes anything.
+  // Arm a one-shot mid-epoch crash: the hook fires after the commit loop
+  // has mutated store state but before the publish loop runs.
   bool crash_next = true;
   de.set_epoch_fault_hook([&crash_next] {
     bool fire = crash_next;
@@ -368,8 +368,8 @@ TEST(ChaosEpochAtomicity, MidEpochCrashLeaksNothing) {
 
   // The pending watch buffer flushed after recovery with exactly its
   // pre-epoch content: one event for "a" carrying the pre-crash payload.
-  // The crashed epoch's coalesce into that slot and its appended events
-  // ("b" delete, "d" add) were all rolled back.
+  // The crashed epoch's "a" update, "b" delete and "d" add never reached
+  // it.
   ASSERT_EQ(batches.size(), batches_before + 1);
   const de::WatchBatch& flushed = batches.back();
   ASSERT_EQ(flushed.events.size(), 1u);

@@ -229,9 +229,9 @@ CrudObservation run_object_workload(std::uint32_t seed, bool with_chaos) {
                                    })
                   .ok());
 
-  // Filtered + projected subscription: the predicate runs inside the commit
-  // pipeline's Phase B, so its accept/reject decisions and the projected
-  // payloads are part of the observable surface.
+  // Filtered + projected subscription: the predicate runs in the commit
+  // pipeline's publish loop, so its accept/reject decisions and the
+  // projected payloads are part of the observable surface.
   de::SubscriptionSpec sub_spec;
   sub_spec.filter = "qty > 25";
   sub_spec.project = {"qty"};

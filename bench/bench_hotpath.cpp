@@ -163,6 +163,12 @@ RetailRun run_retail(std::size_t orders, SimTime batch_window) {
 // deliveries, since every candidate of a pure equality passes) are exact
 // and machine-independent; in full mode the filtered run's wall time must
 // also be ≥10x below the broadcast run's, measured in the same process.
+//
+// O(hits): the publish loop visits only a commit's candidate watchers, so
+// subscribers a commit never hits must cost it nothing. A fourth gate (full
+// mode) holds the delivered volume at 100 hitting subscribers, adds 9 900
+// whose filter no commit satisfies (`bucket == 1000+i`), and requires the
+// wall time with them to stay within 1.5x of the wall time without them.
 struct FanoutRun {
   double wall_ms = 0;
   std::uint64_t delivered = 0;  // watch events that reached a callback
@@ -171,7 +177,7 @@ struct FanoutRun {
 };
 
 FanoutRun run_fanout(std::size_t subscribers, std::size_t commits,
-                     bool filtered) {
+                     bool filtered, std::size_t idle = 0) {
   using namespace knactor;
   sim::VirtualClock clock;
   de::ObjectDe de(clock, de::ObjectDeProfile::instant());
@@ -189,6 +195,11 @@ FanoutRun run_fanout(std::size_t subscribers, std::size_t commits,
     } else {
       (void)orders.subscribe("svc", {}, count);
     }
+  }
+  for (std::size_t i = 0; i < idle; ++i) {
+    de::SubscriptionSpec spec;
+    spec.filter = "bucket == " + std::to_string(1000 + i);
+    (void)orders.subscribe("svc", std::move(spec), count);
   }
 
   auto t0 = std::chrono::steady_clock::now();
@@ -1183,9 +1194,11 @@ int main(int argc, char** argv) {
   // at least 10x vs broadcast, and the subscription index must run the
   // predicate exactly once per delivery; both counts are deterministic, so
   // those gates apply in smoke mode too. In full mode the filtered wall
-  // time must also be ≥10x below broadcast.
+  // time must also be ≥10x below broadcast, and 9 900 never-hit
+  // subscribers may cost at most 1.5x the wall of 100 hitting ones.
   double fanout_volume_ratio = 0;
   double fanout_wall_ratio = 0;
+  double fanout_idle_ratio = 0;
   std::uint64_t fanout_evaluated = 0;
   std::uint64_t fanout_delivered = 0;
   if (want("fanout")) {
@@ -1220,6 +1233,35 @@ int main(int argc, char** argv) {
     row.set("filtered", std::move(f));
     row.set("volume_ratio", Value(fanout_volume_ratio));
     row.set("wall_ratio", Value(fanout_wall_ratio));
+    // O(hits): the same 100 hitting subscribers, then 9 900 more that no
+    // commit hits. Fastest of three alternating runs per side (one in
+    // smoke mode, which skips the wall gate).
+    const std::size_t hit_subscribers = 100;
+    const std::size_t idle_subscribers = 9900;
+    const std::size_t hit_commits = smoke ? 200 : 5000;
+    double hits_only_ms = 0;
+    double with_idle_ms = 0;
+    std::uint64_t hits_delivered = 0;
+    for (int rep = 0; rep < (smoke ? 1 : 3); ++rep) {
+      FanoutRun only = run_fanout(hit_subscribers, hit_commits, true);
+      FanoutRun idle = run_fanout(hit_subscribers, hit_commits, true,
+                                  idle_subscribers);
+      if (rep == 0 || only.wall_ms < hits_only_ms) hits_only_ms = only.wall_ms;
+      if (rep == 0 || idle.wall_ms < with_idle_ms) with_idle_ms = idle.wall_ms;
+      hits_delivered = idle.delivered;
+    }
+    fanout_idle_ratio = hits_only_ms > 0 ? with_idle_ms / hits_only_ms : 0;
+    Value o_hits = Value::object();
+    o_hits.set("hitting_subscribers",
+               Value(static_cast<std::int64_t>(hit_subscribers)));
+    o_hits.set("idle_subscribers",
+               Value(static_cast<std::int64_t>(idle_subscribers)));
+    o_hits.set("commits", Value(static_cast<std::int64_t>(hit_commits)));
+    o_hits.set("delivered", Value(static_cast<std::int64_t>(hits_delivered)));
+    o_hits.set("hits_only_wall_ms", Value(hits_only_ms));
+    o_hits.set("with_idle_wall_ms", Value(with_idle_ms));
+    o_hits.set("idle_ratio", Value(fanout_idle_ratio));
+    row.set("o_hits", std::move(o_hits));
     std::printf(
         "fanout %5zu subs %4zu commits: broadcast %8llu delivered "
         "(%8.1fms)  filtered %8llu delivered %8llu evaluated (%8.1fms)  "
@@ -1230,6 +1272,11 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(selective.delivered),
         static_cast<unsigned long long>(selective.evaluated),
         selective.wall_ms, fanout_volume_ratio, fanout_wall_ratio);
+    std::printf(
+        "fanout o(hits) %zu hitting subs %zu commits: %8.1fms alone, "
+        "%8.1fms with %zu idle subs  (%.2fx)\n",
+        hit_subscribers, hit_commits, hits_only_ms, with_idle_ms,
+        idle_subscribers, fanout_idle_ratio);
     fanout.as_array().push_back(std::move(row));
     report.set("fanout", std::move(fanout));
   }
@@ -1283,6 +1330,7 @@ int main(int argc, char** argv) {
   constexpr double kRequiredRecoverySpeedup = 5.0;
   constexpr double kRequiredFanoutRatio = 10.0;
   constexpr double kRequiredFanoutWallRatio = 10.0;
+  constexpr double kMaxFanoutIdleRatio = 1.5;
   bool incremental_gate_ok =
       !want("retail") || smoke ||
       (retail_100x_share_unbatched <= kMaxEvaluatedShare &&
@@ -1293,6 +1341,8 @@ int main(int argc, char** argv) {
       !want("fanout") || fanout_evaluated == fanout_delivered;
   bool fanout_wall_gate_ok = !want("fanout") || smoke ||
                              fanout_wall_ratio >= kRequiredFanoutWallRatio;
+  bool fanout_idle_gate_ok = !want("fanout") || smoke ||
+                             fanout_idle_ratio <= kMaxFanoutIdleRatio;
   bool scaling_gate_ok =
       scaling_converged &&
       (smoke || !want("scaling") ||
@@ -1324,6 +1374,8 @@ int main(int argc, char** argv) {
              Value(static_cast<std::int64_t>(fanout_delivered)));
     gate.set("fanout_wall_ratio", Value(fanout_wall_ratio));
     gate.set("required_fanout_wall_ratio", Value(kRequiredFanoutWallRatio));
+    gate.set("fanout_idle_ratio", Value(fanout_idle_ratio));
+    gate.set("max_fanout_idle_ratio", Value(kMaxFanoutIdleRatio));
     gate.set("openloop_ride_knee_rps", Value(openloop_ride_knee));
     gate.set("openloop_fleet_knee_rps", Value(openloop_fleet_knee));
     gate.set("openloop_ok", Value(openloop_ok));
@@ -1331,7 +1383,7 @@ int main(int argc, char** argv) {
                            incremental_gate_ok && scaling_gate_ok &&
                            recovery_gate_ok && fanout_gate_ok &&
                            fanout_index_gate_ok && fanout_wall_gate_ok &&
-                           openloop_ok));
+                           fanout_idle_gate_ok && openloop_ok));
     report.set("gate", std::move(gate));
   }
 
@@ -1397,6 +1449,14 @@ int main(int argc, char** argv) {
                  "bench_hotpath: FAIL: fanout filtered wall only %.1fx below "
                  "broadcast (required %.1fx)\n",
                  fanout_wall_ratio, kRequiredFanoutWallRatio);
+    return 1;
+  }
+  if (!fanout_idle_gate_ok) {
+    std::fprintf(stderr,
+                 "bench_hotpath: FAIL: fanout with 9900 never-hit subscribers "
+                 "took %.2fx the wall of 100 hitting ones alone (max %.1fx; "
+                 "the publish loop must cost O(hits))\n",
+                 fanout_idle_ratio, kMaxFanoutIdleRatio);
     return 1;
   }
   if (want("openloop") && !openloop_ok) {

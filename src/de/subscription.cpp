@@ -1,5 +1,6 @@
 #include "de/subscription.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -114,29 +115,20 @@ std::optional<common::SharedValue> CompiledSubscription::apply(
 // SubscriptionIndex
 // ---------------------------------------------------------------------------
 
-bool SubscriptionIndex::Probe::must_apply(std::uint32_t position) {
-  const auto& slots = index_->slots_;
-  if (position >= slots.size() || slots[position] < 0) return true;
-  std::span<const std::uint32_t>& hits =
-      hits_[static_cast<std::size_t>(slots[position])];
-  while (!hits.empty() && hits.front() < position) hits = hits.subspan(1);
-  return !hits.empty() && hits.front() == position;
-}
-
 void SubscriptionIndex::clear() {
   fields_.clear();
-  slots_.clear();
+  scan_.clear();
 }
 
 void SubscriptionIndex::add(std::uint32_t position,
-                            const CompiledSubscription& sub) {
-  const CompiledSubscription::IndexKey* key = sub.index_key();
-  if (key == nullptr) return;  // scan set
+                            const CompiledSubscription::IndexKey* key) {
+  if (key == nullptr) {
+    scan_.push_back(position);
+    return;
+  }
   std::size_t slot = 0;
   while (slot < fields_.size() && fields_[slot].field != key->field) ++slot;
   if (slot == fields_.size()) fields_.emplace_back().field = key->field;
-  if (slots_.size() <= position) slots_.resize(position + 1, -1);
-  slots_[position] = static_cast<std::int32_t>(slot);
   for (const common::Value& value : key->values) {
     Positions* positions = bucket(fields_[slot], value);
     // `x in [1, 1.0]` names one bucket twice; positions arrive ascending.
@@ -146,19 +138,21 @@ void SubscriptionIndex::add(std::uint32_t position,
   }
 }
 
-void SubscriptionIndex::probe(const common::SharedValue& payload,
-                              Probe& probe) const {
+void SubscriptionIndex::candidates(const common::SharedValue& payload,
+                                   Positions& out) const {
   static const common::Value kNull;
-  probe.index_ = this;
-  probe.hits_.assign(fields_.size(), {});
-  for (std::size_t slot = 0; slot < fields_.size(); ++slot) {
+  out = scan_;
+  for (const FieldIndex& index : fields_) {
     // Same resolution as the filter's record environment: a missing field
     // or a non-object payload reads null.
     const common::Value* value =
-        payload != nullptr ? payload->get(fields_[slot].field) : nullptr;
-    const Positions* positions =
-        bucket(fields_[slot], value != nullptr ? *value : kNull);
-    if (positions != nullptr) probe.hits_[slot] = *positions;
+        payload != nullptr ? payload->get(index.field) : nullptr;
+    const Positions* hits = bucket(index, value != nullptr ? *value : kNull);
+    if (hits == nullptr || hits->empty()) continue;
+    // A position has one key, so the lists are disjoint: merge, no dedup.
+    const auto mid = static_cast<std::ptrdiff_t>(out.size());
+    out.insert(out.end(), hits->begin(), hits->end());
+    std::inplace_merge(out.begin(), out.begin() + mid, out.end());
   }
 }
 

@@ -17,15 +17,14 @@
 // Indexed matching: a filter whose top-level `and` chain holds an equality
 // conjunct (`field == literal`, `field in [literals]`) can only pass a
 // payload whose field holds one of those literals. A SubscriptionIndex
-// maps field -> value -> subscriptions, so the exchange calls `apply()`
-// only for the subscriptions a commit can satisfy plus the scan set (the
-// subscriptions the index cannot decide).
+// maps field -> value -> subscriptions, so the exchange visits and runs
+// `apply()` only for the subscriptions a commit can satisfy plus the scan
+// set (the subscriptions the index cannot decide).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -128,41 +127,28 @@ class CompiledSubscription {
   bool has_project_ = false;
 };
 
-/// Equality index over one store's subscriptions: field -> normalised
-/// value -> positions (the subscriptions' indices in the exchange's watch
-/// list, ascending). Keys normalise exactly as the filter language's `==`
-/// compares: numbers (int or double) by their double value with -0.0
+/// Equality index over one store's watchers: field -> normalised value ->
+/// positions (the watchers' indices in the store's registration-order
+/// watcher list, ascending), plus the scan set of positions every payload
+/// is a candidate for. Keys normalise exactly as the filter language's
+/// `==` compares: numbers (int or double) by their double value with -0.0
 /// folded to 0.0, so `1 == 1.0`; strings, bools and null by type and
 /// value. A missing field or a non-object payload looks up null; an array
-/// or object field value hits no bucket. Rebuilt after (un)subscribe,
-/// then read-only.
+/// or object field value hits no bucket. Grown by subscribe, rebuilt
+/// after unsubscribe and policy changes, otherwise read-only.
 class SubscriptionIndex {
  public:
   using Positions = std::vector<std::uint32_t>;
 
-  /// One payload's candidates. Ask `must_apply` in ascending position
-  /// order (the watch walk's registration order).
-  class Probe {
-   public:
-    /// True when the subscription at `position` must run apply(): it is
-    /// in the scan set, or the payload hit its index key. False means the
-    /// predicate cannot pass.
-    [[nodiscard]] bool must_apply(std::uint32_t position);
-
-   private:
-    friend class SubscriptionIndex;
-    const SubscriptionIndex* index_ = nullptr;
-    std::vector<std::span<const std::uint32_t>> hits_;  // per field slot
-  };
-
   void clear();
-  /// Registers the subscription at `position`; positions must be added in
-  /// ascending order. Subscriptions without an index key join the scan set.
-  void add(std::uint32_t position, const CompiledSubscription& sub);
-  /// Fills `probe` with the candidates for `payload` (one lookup per
-  /// indexed field). `probe` is caller-owned scratch, reusable across
-  /// calls.
-  void probe(const common::SharedValue& payload, Probe& probe) const;
+  /// Registers the watcher at `position` under `key`; null joins the scan
+  /// set. Positions must be added in ascending order.
+  void add(std::uint32_t position, const CompiledSubscription::IndexKey* key);
+  /// The candidates for `payload`, ascending: the scan set plus every
+  /// position whose key the payload hits (one lookup per indexed field).
+  /// Any other registered watcher's predicate cannot pass. `out` is
+  /// caller-owned scratch, reusable across calls.
+  void candidates(const common::SharedValue& payload, Positions& out) const;
 
  private:
   struct StringHash {
@@ -185,8 +171,7 @@ class SubscriptionIndex {
   static Positions* bucket(FieldIndex& index, const common::Value& value);
 
   std::vector<FieldIndex> fields_;
-  /// position -> field slot in fields_, or -1 (scan set / not indexed).
-  std::vector<std::int32_t> slots_;
+  Positions scan_;
 };
 
 }  // namespace knactor::de

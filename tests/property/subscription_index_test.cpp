@@ -14,16 +14,27 @@
 // prefixes; payloads with a missing field, array and object field values,
 // non-object payloads and deletes; multi-op epochs;
 // and subscribe/unsubscribe between commits.
+//
+// Candidate-walk differential: the publish loop visits only a commit's
+// candidate watchers and folds the skipped ones' counters in on read,
+// unless audit is on or a tracer is attached, when it visits every
+// watcher of the store. Over seeded scripts the two walks must agree on
+// everything an observer sees: the delivery log (every event and batch,
+// in arrival order), the registry counters and ObjectDeStats at every
+// read, mid-stream ones included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/json.h"
+#include "core/trace.h"
 #include "de/object.h"
 #include "de/subscription.h"
 #include "sim/clock.h"
@@ -314,6 +325,270 @@ TEST(SubscriptionIndexDifferential, MatchesApplyOnEveryCommitAcross150Seeds) {
   EXPECT_GT(total.indexed, 300u);
   EXPECT_GT(total.skipped, 1000u);
   EXPECT_GT(total.delivered, 1000u);
+}
+
+// ---------------------------------------------------------------------------
+// Candidate walk vs full walk
+// ---------------------------------------------------------------------------
+
+enum class Walk { kCandidates, kAudit, kTraced };
+
+constexpr sim::SimTime kHour = 3600 * sim::kSecond;
+const char* const kPrincipals[] = {"p0", "p1", "p2", "p3"};
+const char* const kRoles[] = {"all", "fields", "keys", "night", "none"};
+
+// Uniform grants (with and without field rules), key-scoped and windowed
+// ones, and a role that grants nothing on these stores.
+void install_roles(Rbac& rbac) {
+  const std::set<Verb> watch{Verb::kWatch};
+  ASSERT_TRUE(rbac.add_role(Role{"writer",
+                                 {PolicyRule{"*", "",
+                                             {Verb::kGet, Verb::kList,
+                                              Verb::kCreate, Verb::kUpdate,
+                                              Verb::kDelete},
+                                             {}, std::nullopt}}})
+                  .ok());
+  ASSERT_TRUE(
+      rbac.add_role(Role{"all", {PolicyRule{"*", "", watch, {}, std::nullopt}}})
+          .ok());
+  ASSERT_TRUE(rbac.add_role(Role{"fields",
+                                 {PolicyRule{"b", "", watch,
+                                             FieldRule{{"v", "n"}, {}},
+                                             std::nullopt},
+                                  PolicyRule{"a", "", watch,
+                                             FieldRule{{}, {"tag"}},
+                                             std::nullopt}}})
+                  .ok());
+  ASSERT_TRUE(rbac.add_role(Role{"keys",
+                                 {PolicyRule{"a", "k1", watch, {},
+                                             std::nullopt},
+                                  PolicyRule{"b", "j", watch, {},
+                                             std::nullopt}}})
+                  .ok());
+  ASSERT_TRUE(rbac.add_role(Role{"night",
+                                 {PolicyRule{"*", "", watch, {},
+                                             TimeWindow{0, 12 * kHour}}}})
+                  .ok());
+  ASSERT_TRUE(rbac.add_role(Role{"none",
+                                 {PolicyRule{"c", "", watch, {},
+                                             std::nullopt}}})
+                  .ok());
+  ASSERT_TRUE(rbac.bind("w", "writer").ok());
+}
+
+std::string info_line(const Kernel::SubscriptionInfo& info) {
+  return "sub " + std::to_string(info.id) + " m" +
+         std::to_string(info.matched) + " f" + std::to_string(info.filtered) +
+         " e" + std::to_string(info.evaluated) + " d" +
+         std::to_string(info.delivered) + " x" + std::to_string(info.dropped);
+}
+
+std::string stats_line(const ObjectDeStats& s) {
+  return "stats r" + std::to_string(s.reads) + " w" + std::to_string(s.writes) +
+         " del" + std::to_string(s.deletes) + " ev" +
+         std::to_string(s.watch_events) + " b" +
+         std::to_string(s.watch_batches) + " c" +
+         std::to_string(s.watch_events_coalesced) + " f" +
+         std::to_string(s.watch_events_filtered) + " x" +
+         std::to_string(s.watch_events_dropped) + " deny" +
+         std::to_string(s.permission_denials) + " conflict" +
+         std::to_string(s.version_conflicts);
+}
+
+struct Transcript {
+  std::vector<std::string> lines;
+  std::uint64_t skipped = 0;    // matched - evaluated at the recorded reads
+  std::uint64_t delivered = 0;  // delivery lines
+};
+
+// One seeded script; every observation goes to the transcript. Reads drawn
+// as "unrecorded" run only on the candidate walk, so a fold at an odd
+// moment must not change anything recorded later.
+Transcript run_walk(std::uint32_t seed, Walk walk) {
+  std::mt19937 rng(seed);
+  sim::VirtualClock clock;
+  ObjectDe de(clock, ObjectDeProfile::redis(), seed);
+  core::Tracer tracer(clock);
+  if (walk == Walk::kAudit) de.enable_audit(64);
+  if (walk == Walk::kTraced) de.set_observability(&tracer, nullptr);
+  install_roles(de.rbac());
+  std::map<std::string, ObjectStore*> stores;
+  for (const char* name : {"a", "b"}) stores[name] = &de.create_store(name);
+
+  Transcript out;
+  struct Live {
+    std::uint64_t id = 0;
+    std::string store;
+  };
+  std::vector<Live> live;
+  std::size_t ordinal = 0;
+
+  auto record = [&](const std::string& tag) {
+    for (const auto& [id, info] : de.kernel().subscriptions()) {
+      out.lines.push_back(tag + " " + info_line(info));
+      out.skipped += info.matched - info.evaluated;
+    }
+    out.lines.push_back(tag + " " + stats_line(de.stats()));
+  };
+  auto subscribe = [&] {
+    const std::string store = rng() % 2 == 0 ? "a" : "b";
+    SubscriptionSpec spec;
+    spec.prefix = rng() % 4 == 0 ? "k1" : kPrefixes[rng() % std::size(kPrefixes)];
+    // Inactive (no filter), scan-set and indexed filters.
+    if (rng() % 5 != 0) spec.filter = random_filter(rng);
+    if (rng() % 5 == 0) spec.project = {"v", "n", "tag"};
+    const bool batched = rng() % 3 == 0;
+    const std::string principal = kPrincipals[rng() % std::size(kPrincipals)];
+    const std::string tag = "d" + std::to_string(ordinal++) + " ";
+    common::Result<std::uint64_t> id = common::Error::internal("unset");
+    if (batched) {
+      spec.qos.window = static_cast<sim::SimTime>(rng() % 3) * 2 *
+                        sim::kMillisecond;
+      if (rng() % 3 == 0) spec.qos.history_depth = 2;
+      id = stores[store]->subscribe_batch(
+          principal, spec, [&out, tag](const WatchBatch& batch) {
+            out.lines.push_back(tag + "batch " + batch.store + " commits " +
+                                std::to_string(batch.commits));
+            for (const WatchEvent& e : batch.events) {
+              out.lines.push_back(tag + event_line(e, e.object.data));
+              ++out.delivered;
+            }
+          });
+    } else {
+      id = stores[store]->subscribe(principal, spec,
+                                    [&out, tag](const WatchEvent& e) {
+                                      out.lines.push_back(
+                                          tag + event_line(e, e.object.data));
+                                      ++out.delivered;
+                                    });
+    }
+    out.lines.push_back(tag + "subscribe " + principal + " " + store + "/" +
+                        spec.prefix + " '" + spec.filter + "' " +
+                        (id.ok() ? std::to_string(id.value())
+                                 : id.error().to_string()));
+    if (id.ok()) live.push_back({id.value(), store});
+  };
+  auto key = [&] {
+    return std::string(rng() % 3 == 0 ? "j" : "k") + std::to_string(rng() % 4);
+  };
+
+  for (int i = 0; i < 8; ++i) {
+    (void)de.rbac().bind(kPrincipals[rng() % std::size(kPrincipals)],
+                         kRoles[rng() % std::size(kRoles)]);
+  }
+  // The first watchers register before the policy is enforced, so the
+  // key-scoped and windowed grants get watchers whose prefix they do not
+  // cover whole.
+  for (int i = 0; i < 8; ++i) subscribe();
+  de.rbac().set_enabled(true);
+  for (int step = 0; step < 120; ++step) {
+    ObjectStore& store = *stores[rng() % 2 == 0 ? "a" : "b"];
+    switch (rng() % 16) {
+      case 0:
+      case 1:
+        subscribe();
+        break;
+      case 2: {
+        if (live.empty()) break;
+        const std::size_t victim = rng() % live.size();
+        const bool drain = rng() % 2 == 0;
+        stores[live[victim].store]->unsubscribe(live[victim].id, drain);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+        break;
+      }
+      case 3:
+        (void)de.rbac().bind(kPrincipals[rng() % std::size(kPrincipals)],
+                             kRoles[rng() % std::size(kRoles)]);
+        break;
+      case 4:
+        de.rbac().unbind(kPrincipals[rng() % std::size(kPrincipals)],
+                         kRoles[rng() % std::size(kRoles)]);
+        break;
+      case 5:
+        de.rbac().set_enabled(rng() % 3 != 0);
+        break;
+      case 6:
+        record("step " + std::to_string(step));
+        break;
+      case 7: {
+        const std::size_t pick = rng();
+        if (walk == Walk::kCandidates) {
+          (void)de.stats();
+          if (!live.empty()) {
+            (void)de.kernel().find_subscription(live[pick % live.size()].id);
+          }
+        }
+        break;
+      }
+      case 8:
+        (void)store.remove_sync("w", key());
+        break;
+      case 9:
+        (void)store.patch_sync("w", key(), random_payload(rng));
+        break;
+      case 10: {
+        std::vector<EpochWrite> writes(2 + rng() % 4);
+        for (auto& w : writes) {
+          w.key = key();
+          w.remove = rng() % 5 == 0;
+          if (!w.remove) w.data = random_payload(rng);
+        }
+        (void)store.put_epoch_sync("w", std::move(writes));
+        break;
+      }
+      case 11: {
+        std::vector<ObjectDe::TxnOp> ops(2);
+        ops[0] = {"a", key(), random_payload(rng), rng() % 2 == 0, std::nullopt};
+        ops[1] = {"b", key(), random_payload(rng), rng() % 2 == 0, std::nullopt};
+        (void)de.transact_sync("w", std::move(ops));
+        break;
+      }
+      default:
+        (void)store.put_sync("w", key(), random_payload(rng));
+        break;
+    }
+    clock.run_all();
+    // Move through the day so the windowed grant opens and closes.
+    clock.advance(static_cast<sim::SimTime>(rng() % 6) * kHour);
+  }
+  record("end");
+  return out;
+}
+
+TEST(CandidateWalkDifferential, MatchesFullWalkAcross60Seeds) {
+  std::uint64_t skipped = 0;
+  std::uint64_t delivered = 0;
+  for (std::uint32_t seed = 1; seed <= 60; ++seed) {
+    const Transcript candidates = run_walk(seed, Walk::kCandidates);
+    skipped += candidates.skipped;
+    delivered += candidates.delivered;
+    for (Walk full : {Walk::kAudit, Walk::kTraced}) {
+      const Transcript reference = run_walk(seed, full);
+      const char* name = full == Walk::kAudit ? "audit" : "traced";
+      const std::size_t n =
+          std::min(candidates.lines.size(), reference.lines.size());
+      std::size_t first = 0;
+      while (first < n && candidates.lines[first] == reference.lines[first]) {
+        ++first;
+      }
+      if (first < n || candidates.lines.size() != reference.lines.size()) {
+        ADD_FAILURE() << "seed " << seed << " (" << name
+                      << " walk): first difference at line " << first
+                      << "\n  candidates: "
+                      << (first < candidates.lines.size()
+                              ? candidates.lines[first]
+                              : "<end>")
+                      << "\n  full walk:  "
+                      << (first < reference.lines.size()
+                              ? reference.lines[first]
+                              : "<end>");
+        return;
+      }
+    }
+  }
+  // The scripts must skip real work through the index and still deliver.
+  EXPECT_GT(skipped, 500u);
+  EXPECT_GT(delivered, 2000u);
 }
 
 }  // namespace

@@ -9,8 +9,9 @@
 //   --smoke   1x scales only (the ctest `bench`-label invocation)
 //   --out     where to write the JSON report (default BENCH_hotpath.json)
 //   --check   validate an existing report: well-formed JSON with the
-//             expected sections, the machine field hardware_concurrency
-//             and the fanout row's filtered.evaluated;
+//             expected sections, the machine field hardware_concurrency,
+//             the recovery section's snapshot.max_stall_ms and the fanout
+//             row's filtered.evaluated;
 //             exits non-zero otherwise
 //   --section run one section standalone (retail | home | stages | scaling |
 //             commit_seq | recovery | fanout | openloop) and skip the JSON
@@ -516,8 +517,81 @@ RecoverTiming time_recovery(const std::string& dir, int repeats) {
   return out;
 }
 
+// Snapshot stall: how long one snapshot pauses the commit path. An
+// Object DE holding `objects` objects shaped like perfbench
+// durable_ingest's payload takes a synchronous snapshot_now() (the whole
+// pause, as when snapshots ran inline), then a sliced one: the cut
+// (capture plus journal rotation) and each bounded slice are timed
+// separately, and the longest of them is the stall a commit can see.
+// Fastest of `repeats` runs, per figure.
+struct SnapshotStall {
+  bool ok = false;
+  std::uint64_t bytes = 0;
+  double sync_ms = 0;
+  std::uint64_t slices = 0;
+  double cut_ms = 0;
+  double max_slice_ms = 0;
+  double max_stall_ms = 0;
+};
+
+SnapshotStall time_snapshot_stall(const std::string& dir, std::size_t objects,
+                                  int repeats) {
+  using namespace knactor;
+  SnapshotStall out;
+  std::filesystem::remove_all(dir);
+  sim::VirtualClock clock;
+  de::ObjectDeProfile profile = de::ObjectDeProfile::instant();
+  profile.durable = true;
+  de::ObjectDe de(clock, profile);
+  de::persist::Engine engine(de::persist::EngineOptions{dir, 0});
+  if (!de.enable_persistence(&engine).ok()) return out;
+  de::ObjectStore& store = de.create_store("devices");
+  for (std::size_t k = 0; k < objects; ++k) {
+    Value v = Value::object();
+    v.set("device", Value("device-" + std::to_string(k)));
+    v.set("seq", Value(static_cast<std::int64_t>(k)));
+    v.set("bucket", Value(static_cast<std::int64_t>(k % 100)));
+    v.set("reading", Value(static_cast<double>((k * 31 + 17) % 1000) / 10.0));
+    v.set("status", Value("ok"));
+    if (!store.put_sync("loader", "dev/" + std::to_string(k), std::move(v))
+             .ok()) {
+      return out;
+    }
+  }
+  for (int r = 0; r < repeats; ++r) {
+    auto t0 = std::chrono::steady_clock::now();
+    if (!de.snapshot_now().ok()) return out;
+    const double sync_ms = wall_ms_since(t0);
+    out.bytes = std::filesystem::file_size(
+        engine.snapshot_path(engine.generation()));
+
+    t0 = std::chrono::steady_clock::now();
+    if (!de.begin_snapshot().ok()) return out;
+    const double cut_ms = wall_ms_since(t0);
+    double max_slice_ms = 0;
+    std::uint64_t slices = 0;
+    while (engine.snapshot_pending()) {
+      t0 = std::chrono::steady_clock::now();
+      if (!engine.snapshot_slice().ok()) return out;
+      max_slice_ms = std::max(max_slice_ms, wall_ms_since(t0));
+      ++slices;
+    }
+    const double stall_ms = std::max(cut_ms, max_slice_ms);
+    if (r == 0 || sync_ms < out.sync_ms) out.sync_ms = sync_ms;
+    if (r == 0 || stall_ms < out.max_stall_ms) {
+      out.max_stall_ms = stall_ms;
+      out.cut_ms = cut_ms;
+      out.max_slice_ms = max_slice_ms;
+    }
+    out.slices = slices;
+    (void)engine.gc();
+  }
+  out.ok = true;
+  return out;
+}
+
 Value recovery_section(bool smoke, double* speedup_out,
-                       bool* converged_out) {
+                       bool* converged_out, double* stall_share_out) {
   const std::size_t ops = smoke ? 3000 : 100000;
   // Deliberately does not divide the op count: the history must end
   // mid-generation so the timed recovery includes a real journal-suffix
@@ -548,6 +622,13 @@ Value recovery_section(bool smoke, double* speedup_out,
   const RecoverTiming delta = time_recovery(delta_dir, repeats);
   std::filesystem::remove_all(full_dir);
   std::filesystem::remove_all(delta_dir);
+  const std::string stall_dir = base + "_snapshot";
+  const SnapshotStall stall =
+      time_snapshot_stall(stall_dir, smoke ? 1024 : 8192, smoke ? 1 : 3);
+  std::filesystem::remove_all(stall_dir);
+  *stall_share_out = stall.ok && stall.sync_ms > 0
+                         ? stall.max_stall_ms / stall.sync_ms
+                         : 1.0;
   const double speedup = full.ok && delta.ok && full.wall_ms > 0 &&
                                  delta.wall_ms > 0
                              ? full.wall_ms / delta.wall_ms
@@ -574,6 +655,15 @@ Value recovery_section(bool smoke, double* speedup_out,
   v.set("snapshot_delta", std::move(delta_v));
   v.set("speedup", Value(speedup));
   v.set("converged", Value(converged));
+  Value snapshot_v = Value::object();
+  snapshot_v.set("objects", Value(static_cast<std::int64_t>(smoke ? 1024 : 8192)));
+  snapshot_v.set("bytes", Value(static_cast<std::int64_t>(stall.bytes)));
+  snapshot_v.set("sync_ms", Value(stall.sync_ms));
+  snapshot_v.set("slices", Value(static_cast<std::int64_t>(stall.slices)));
+  snapshot_v.set("cut_ms", Value(stall.cut_ms));
+  snapshot_v.set("max_slice_ms", Value(stall.max_slice_ms));
+  snapshot_v.set("max_stall_ms", Value(stall.max_stall_ms));
+  v.set("snapshot", std::move(snapshot_v));
   std::printf(
       "recovery %6zu ops: full-replay %8.1fms (%6llu frames)  "
       "snapshot+delta %8.1fms (%5llu frames, %llu snapshots)  "
@@ -582,6 +672,13 @@ Value recovery_section(bool smoke, double* speedup_out,
       delta.wall_ms, static_cast<unsigned long long>(delta.frames),
       static_cast<unsigned long long>(delta_snaps), speedup,
       converged ? "" : "  DIVERGED");
+  std::printf(
+      "snapshot %6zu objects (%llu bytes): sync %6.2fms  sliced: cut %5.2fms, "
+      "%llu slices, max slice %5.2fms  stall/sync %.2f%s\n",
+      static_cast<std::size_t>(smoke ? 1024 : 8192),
+      static_cast<unsigned long long>(stall.bytes), stall.sync_ms,
+      stall.cut_ms, static_cast<unsigned long long>(stall.slices),
+      stall.max_slice_ms, *stall_share_out, stall.ok ? "" : "  FAILED");
   return v;
 }
 
@@ -963,6 +1060,17 @@ int check_report(const std::string& path) {
       return 1;
     }
   }
+  // The recovery section carries the snapshot stall figures.
+  const Value* snapshot = report.get("recovery")->get("snapshot");
+  const Value* stall =
+      snapshot != nullptr ? snapshot->get("max_stall_ms") : nullptr;
+  if (stall == nullptr || !stall->is_number()) {
+    std::fprintf(stderr,
+                 "bench_hotpath: %s: recovery section missing numeric "
+                 "'snapshot.max_stall_ms'\n",
+                 path.c_str());
+    return 1;
+  }
   // The fanout row carries the subscription-index evaluation count.
   const Value* fanout_filtered =
       report.get("fanout")->as_array().front().get("filtered");
@@ -1320,14 +1428,19 @@ int main(int argc, char** argv) {
   // enforced everywhere).
   double recovery_speedup = 0;
   bool recovery_converged = true;
+  double snapshot_stall_share = 0;
   if (want("recovery")) {
     report.set("recovery",
                recovery_section(smoke, &recovery_speedup,
-                                &recovery_converged));
+                                &recovery_converged, &snapshot_stall_share));
   }
 
   constexpr double kRequiredScalingSpeedup = 2.0;
   constexpr double kRequiredRecoverySpeedup = 5.0;
+  // Snapshot stall gate: the longest single commit-path pause of a sliced
+  // snapshot (the cut or any one slice) is at most a quarter of the
+  // synchronous snapshot's.
+  constexpr double kMaxSnapshotStallShare = 0.25;
   constexpr double kRequiredFanoutRatio = 10.0;
   constexpr double kRequiredFanoutWallRatio = 10.0;
   constexpr double kMaxFanoutIdleRatio = 1.5;
@@ -1351,6 +1464,8 @@ int main(int argc, char** argv) {
       recovery_converged &&
       (smoke || !want("recovery") ||
        recovery_speedup >= kRequiredRecoverySpeedup);
+  bool snapshot_stall_gate_ok = smoke || !want("recovery") ||
+                                snapshot_stall_share <= kMaxSnapshotStallShare;
   if (all_sections) {
     Value gate = Value::object();
     gate.set("retail_100x_speedup", Value(retail_100x_speedup));
@@ -1366,6 +1481,8 @@ int main(int argc, char** argv) {
     gate.set("recovery_speedup", Value(recovery_speedup));
     gate.set("required_recovery_speedup", Value(kRequiredRecoverySpeedup));
     gate.set("recovery_converged", Value(recovery_converged));
+    gate.set("snapshot_stall_share", Value(snapshot_stall_share));
+    gate.set("max_snapshot_stall_share", Value(kMaxSnapshotStallShare));
     gate.set("fanout_volume_ratio", Value(fanout_volume_ratio));
     gate.set("required_fanout_ratio", Value(kRequiredFanoutRatio));
     gate.set("fanout_evaluated",
@@ -1381,7 +1498,8 @@ int main(int argc, char** argv) {
     gate.set("openloop_ok", Value(openloop_ok));
     gate.set("pass", Value((smoke || retail_100x_speedup >= 2.0) &&
                            incremental_gate_ok && scaling_gate_ok &&
-                           recovery_gate_ok && fanout_gate_ok &&
+                           recovery_gate_ok && snapshot_stall_gate_ok &&
+                           fanout_gate_ok &&
                            fanout_index_gate_ok && fanout_wall_gate_ok &&
                            fanout_idle_gate_ok && openloop_ok));
     report.set("gate", std::move(gate));
@@ -1426,6 +1544,13 @@ int main(int argc, char** argv) {
                  recovery_converged ? "below the gate"
                                     : "diverged from full replay",
                  recovery_speedup, kRequiredRecoverySpeedup);
+    return 1;
+  }
+  if (!snapshot_stall_gate_ok) {
+    std::fprintf(stderr,
+                 "bench_hotpath: FAIL: snapshot stall %.2f of the synchronous "
+                 "snapshot (max %.2f)\n",
+                 snapshot_stall_share, kMaxSnapshotStallShare);
     return 1;
   }
   if (!fanout_gate_ok) {

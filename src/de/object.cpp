@@ -72,9 +72,11 @@ void ObjectStore::submit(const std::string& principal, EpochWrite write,
   // call (the writer's causal moment), not at the commit's scheduled
   // execution — by then the writer has cleared it.
   core::TraceContext ctx = de_.kernel_.trace_context();
+  ++de_.writes_in_flight_;
   de_.clock().schedule_after(
       rt, [this, principal, ctx, write = std::move(write),
            done = std::move(done)]() mutable {
+        --de_.writes_in_flight_;
         if (!de_.kernel_.guard_available()) {
           done(Error::unavailable("object: de unavailable (crashed)"));
           return;
@@ -162,9 +164,11 @@ void ObjectStore::put_epoch(const std::string& principal,
   // point of the pipeline (a single-op epoch pays the round trip per write).
   sim::SimTime rt = de_.profile_.write_rt.sample(de_.kernel_.rng());
   core::TraceContext ctx = de_.kernel_.trace_context();
+  ++de_.writes_in_flight_;
   de_.clock().schedule_after(
       rt, [this, principal, ctx, writes = std::move(writes),
            done = std::move(done)]() mutable {
+        --de_.writes_in_flight_;
         if (!de_.kernel_.available()) {
           de_.stats_.unavailable_rejections += writes.size();
           done(std::vector<Result<std::uint64_t>>(
@@ -441,8 +445,10 @@ Status ObjectDe::register_udf(const std::string& principal,
 void ObjectDe::call_udf(const std::string& principal, const std::string& name,
                         Value args, UdfCallback done) {
   sim::SimTime rt = profile_.udf_invoke.sample(kernel_.rng());
+  ++writes_in_flight_;
   clock().schedule_after(rt, [this, principal, name, args = std::move(args),
                               done = std::move(done)]() mutable {
+    --writes_in_flight_;
     if (!kernel_.guard_available()) {
       done(Error::unavailable("object: de unavailable (crashed)"));
       return;
@@ -500,8 +506,10 @@ void ObjectDe::transact(const std::string& principal, std::vector<TxnOp> ops,
                         UdfCallback done) {
   sim::SimTime rt = profile_.write_rt.sample(kernel_.rng());
   core::TraceContext ctx = kernel_.trace_context();
+  ++writes_in_flight_;
   clock().schedule_after(rt, [this, principal, ctx, ops = std::move(ops),
                               done = std::move(done)]() mutable {
+    --writes_in_flight_;
     if (!kernel_.guard_available()) {
       done(Error::unavailable("object: de unavailable (crashed)"));
       return;
@@ -610,29 +618,36 @@ Status ObjectDe::recover_from_disk() {
 }
 
 Status ObjectDe::snapshot_now() {
+  KN_TRY(begin_snapshot());
+  auto st = persist_->finish_snapshot();
+  if (!st.ok()) kernel_.crash();
+  return st;
+}
+
+Status ObjectDe::begin_snapshot() {
   if (persist_ == nullptr) {
     return Error::failed_precondition("persist: no engine attached");
   }
   persist::Image image;
   image.next_revision = kernel_.peek_next_revision();
   image.commit_seq = kernel_.commit_seq();
+  image.stores.reserve(stores_.size());
   for (const auto& [name, store] : stores_) {  // stores_ is name-sorted
-    persist::StoreImage store_image;
+    persist::StoreImage& store_image = image.stores.emplace_back();
     store_image.name = name;
+    store_image.objects.reserve(store->objects_.size());
     for (const auto& [key, obj] : store->objects_) {
-      persist::ObjectImage object_image;
+      persist::ObjectImage& object_image = store_image.objects.emplace_back();
       object_image.key = key;
       object_image.version = obj.version;
       object_image.created_at = obj.created_at;
       object_image.updated_at = obj.updated_at;
       object_image.data = obj.data;  // shared handle, zero-copy
-      store_image.objects.push_back(std::move(object_image));
     }
-    image.stores.push_back(std::move(store_image));
   }
   core::ScopedSpan span(tracer_, "de.persist.snapshot");
   span.annotate("objects", std::to_string(image.object_count()));
-  auto st = persist_->snapshot(image);
+  auto st = persist_->begin_snapshot(std::move(image));
   if (!st.ok()) {
     kernel_.crash();
     return st;
@@ -641,13 +656,25 @@ Status ObjectDe::snapshot_now() {
   return Status::success();
 }
 
+void ObjectDe::crash() {
+  // The process dies: a snapshot still being written is lost with it.
+  if (persist_ != nullptr) persist_->abandon_snapshot();
+  kernel_.crash();
+}
+
 void ObjectDe::maybe_auto_snapshot() {
   if (persist_ == nullptr || persist_->failed()) return;
   const std::uint64_t cadence = persist_->options().snapshot_every;
-  if (cadence == 0 || persist_->records_since_snapshot() < cadence) return;
-  // Best effort: the triggering commit is already durable and acked; a
-  // snapshot crash only takes the DE down, it never un-acks the commit.
-  (void)snapshot_now();
+  if (cadence != 0 && persist_->records_since_snapshot() >= cadence &&
+      !begin_snapshot().ok()) {
+    return;
+  }
+  if (!persist_->snapshot_pending()) return;
+  // Best effort: the commit that runs a slice is already durable and
+  // acked; a snapshot crash only takes the DE down, it never un-acks it.
+  const Status st = writes_in_flight_ == 0 ? persist_->finish_snapshot()
+                                           : persist_->snapshot_slice();
+  if (!st.ok()) kernel_.crash();
 }
 
 // ---------------------------------------------------------------------------

@@ -426,11 +426,18 @@ class ObjectDe {
   /// traffic. See docs/PERSISTENCE.md.
   common::Status enable_persistence(persist::Engine* engine);
   /// Snapshots the full store state at the current commit-seq boundary and
-  /// rotates the journal. Automatic snapshots honor the engine's
-  /// `snapshot_every` cadence; this forces one now. A failed snapshot
-  /// crashes the DE (already-acked commits stay acked — they are in the
-  /// journal) but never corrupts the previous generation.
+  /// rotates the journal, synchronously: begin_snapshot() plus every
+  /// slice. Automatic snapshots honor the engine's `snapshot_every`
+  /// cadence; this forces one now. A failed snapshot crashes the DE
+  /// (already-acked commits stay acked — they are in the journal) but
+  /// never corrupts the previous generation.
   common::Status snapshot_now();
+  /// The cut of a snapshot: captures the store state as shared payload
+  /// handles and rotates the journal at once. The encode and file write
+  /// then run in bounded slices, one after each committed epoch, and all
+  /// that remain once no write is in flight; a crash or restart abandons
+  /// them. A snapshot still pending is finished first.
+  common::Status begin_snapshot();
   [[nodiscard]] persist::Engine* persistence() { return persist_; }
 
   /// Availability simulation for chaos testing. While unavailable, every
@@ -440,7 +447,7 @@ class ObjectDe {
   /// and marks it up again.
   void set_available(bool available) { kernel_.set_available(available); }
   [[nodiscard]] bool available() const { return kernel_.available(); }
-  void crash() { kernel_.crash(); }
+  void crash();
   void recover() { kernel_.recover(); }
 
   /// Chaos hook for the epoch pipeline: invoked after every epoch's
@@ -638,9 +645,11 @@ class ObjectDe {
   /// engine (newest valid snapshot + journal suffix), restoring the
   /// kernel's sequence domains to the recovered durable point.
   common::Status recover_from_disk();
-  /// Snapshots when the journal delta reached the engine's cadence. Runs
-  /// after a commit is fully acked: a snapshot failure crashes the DE but
-  /// never fails the commit that triggered it.
+  /// Runs after every committed epoch's publish loop: cuts a snapshot when
+  /// the journal delta reached the engine's cadence, then writes one slice
+  /// of a pending snapshot, or all of it when no write is in flight. A
+  /// snapshot failure crashes the DE but never fails the commit that ran
+  /// it.
   void maybe_auto_snapshot();
 
   Kernel kernel_;
@@ -667,6 +676,9 @@ class ObjectDe {
   std::map<std::uint64_t, WatchBuffer> watch_buffers_;  // batched watches
   std::vector<Trigger> triggers_;
   persist::Engine* persist_ = nullptr;  // not owned; see enable_persistence
+  /// Writes scheduled but not yet executed; 0 means the DE is idle, and a
+  /// pending snapshot is then finished at once.
+  std::uint64_t writes_in_flight_ = 0;
   core::Tracer* tracer_ = nullptr;          // epoch-pipeline span sink
   core::Metrics* epoch_metrics_ = nullptr;  // epoch-pipeline counter sink
   std::function<bool()> epoch_fault_hook_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <system_error>
 
@@ -10,6 +11,10 @@ namespace knactor::de::persist {
 namespace fs = std::filesystem;
 
 namespace {
+
+// Encoded snapshot bytes are written once this many have accumulated (and
+// at the end of the payload).
+constexpr std::size_t kSnapshotWriteBytes = 64 * 1024;
 
 std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -123,6 +128,7 @@ void apply_record(ReplayState& state, const Record& rec) {
 const char* crash_point_name(CrashPoint point) {
   switch (point) {
     case CrashPoint::kJournalAppend: return "journal_append";
+    case CrashPoint::kSnapshotSlice: return "snapshot_slice";
     case CrashPoint::kSnapshotWrite: return "snapshot_write";
     case CrashPoint::kTruncate: return "truncate";
   }
@@ -214,51 +220,101 @@ common::Status Engine::append_batch(
   return common::Status::success();
 }
 
-common::Status Engine::snapshot(const Image& image) {
+common::Status Engine::snapshot(Image image) {
+  KN_TRY(begin_snapshot(std::move(image)));
+  return finish_snapshot();
+}
+
+common::Status Engine::begin_snapshot(Image image) {
   if (failed_) {
     return common::Error::unavailable("persist: engine crashed");
   }
   if (!opened_) {
     return common::Error::failed_precondition("persist: engine not opened");
   }
-  const std::uint64_t next_gen = generation_ + 1;
-  const std::string bytes = encode_snapshot(image, next_gen);
-  const std::string path = snapshot_path(next_gen);
-  const bool torn = fault_fires(CrashPoint::kSnapshotWrite);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      return common::Error::unavailable("persist: cannot write " + path);
-    }
-    // Simulated crash mid-snapshot: half the file reaches disk; the journal
-    // of the current generation is untouched, so recovery falls back to the
-    // previous snapshot plus the full journal chain.
-    const std::string_view view =
-        torn ? std::string_view(bytes).substr(0, bytes.size() / 2)
-             : std::string_view(bytes);
-    out.write(view.data(), static_cast<std::streamsize>(view.size()));
-    out.flush();
-    if (!torn && !out.good()) {
+  KN_TRY(finish_snapshot());
+  // Rotate the journal at the cut: every commit after it lands in the new
+  // generation, which the snapshot base g plus journals g and g+1 cover
+  // until the snapshot completes. The snapshot file itself is created by
+  // the first slice, so the cut does no more I/O than the rotation.
+  pending_ =
+      std::make_unique<PendingSnapshot>(std::move(image), generation_ + 1);
+  if (journal_out_.is_open()) journal_out_.close();
+  generation_ = pending_->generation;
+  records_since_snapshot_ = 0;
+  return ensure_journal_open();
+}
+
+common::Status Engine::snapshot_slice(std::size_t max_objects) {
+  if (pending_ == nullptr) return common::Status::success();
+  if (failed_) {
+    return common::Error::unavailable("persist: engine crashed");
+  }
+  PendingSnapshot& p = *pending_;
+  if (!p.out.is_open()) {
+    // A zeroed header is checksum-invalid, so until the real header lands
+    // last, recovery and gc() skip this file for the previous generation.
+    const std::string path = snapshot_path(p.generation);
+    p.out.open(path, std::ios::binary | std::ios::trunc);
+    p.unwritten.assign(kSnapshotHeaderBytes, '\0');
+  }
+  const bool last = p.encoder.encode_slice(p.unwritten, max_objects);
+  if (fault_fires(CrashPoint::kSnapshotSlice)) {
+    // Simulated crash mid-slice: half the unwritten bytes reach disk, the
+    // header is still the placeholder.
+    p.out.write(p.unwritten.data(),
+                static_cast<std::streamsize>(p.unwritten.size() / 2));
+    p.out.flush();
+    failed_ = true;
+    return common::Error::unavailable("persist: crashed during snapshot");
+  }
+  // Slices are small, so their bytes go out in batches of at least
+  // kSnapshotWriteBytes rather than one write per slice.
+  if (last || p.unwritten.size() >= kSnapshotWriteBytes) {
+    p.out.write(p.unwritten.data(),
+                static_cast<std::streamsize>(p.unwritten.size()));
+    p.out.flush();
+    p.unwritten.clear();
+    if (!p.out.good()) {
       return common::Error::unavailable("persist: snapshot write failed");
     }
   }
+  if (!last) return common::Status::success();
+
+  const std::string header = p.encoder.header(p.generation);
+  const bool torn = fault_fires(CrashPoint::kSnapshotWrite);
+  p.out.seekp(0);
+  // Simulated crash mid-patch: half the header reaches disk, which leaves
+  // a zero payload length and CRC behind it — still invalid.
+  p.out.write(header.data(), static_cast<std::streamsize>(
+                                 torn ? header.size() / 2 : header.size()));
+  p.out.flush();
   if (torn) {
     failed_ = true;
     return common::Error::unavailable("persist: crashed during snapshot");
   }
-  // Snapshot is durable — rotate the journal. The old generation stays on
-  // disk until gc() so an in-flight recovery can still use it.
-  if (journal_out_.is_open()) journal_out_.close();
-  generation_ = next_gen;
-  records_since_snapshot_ = 0;
+  if (!p.out.good()) {
+    return common::Error::unavailable("persist: snapshot write failed");
+  }
+  pending_.reset();  // releases the captured image
   stats_.snapshots += 1;
-  return ensure_journal_open();
+  return common::Status::success();
 }
+
+common::Status Engine::finish_snapshot() {
+  while (pending_ != nullptr) {
+    KN_TRY(snapshot_slice(std::numeric_limits<std::size_t>::max()));
+  }
+  return common::Status::success();
+}
+
+void Engine::abandon_snapshot() { pending_.reset(); }
 
 common::Result<Image> Engine::recover() {
   if (!opened_) {
     KN_TRY(open());
   }
+  abandon_snapshot();
   if (journal_out_.is_open()) journal_out_.close();
   stats_.recoveries += 1;
   stats_.frames_replayed = 0;
@@ -298,7 +354,10 @@ common::Result<Image> Engine::recover() {
   // contributes its longest checksum-valid frame prefix; the chain stops at
   // the first torn or missing journal (anything after it predates the torn
   // write and can only exist if the torn journal was mid-rotation, which
-  // the generation protocol makes impossible — so stopping is exact).
+  // the generation protocol makes impossible — so stopping is exact). A
+  // generation whose snapshot was still being written at the crash keeps
+  // its journal, so the chain runs through it: from base g, a crash
+  // mid-snapshot replays journals g and g+1.
   std::uint64_t current_gen = base_gen;
   std::uint64_t last_journal_gen = base_gen;
   std::size_t last_valid_bytes = kJournalHeaderBytes;
@@ -307,8 +366,10 @@ common::Result<Image> Engine::recover() {
     const std::string path = journal_path(g);
     const auto bytes = read_file(path);
     if (!bytes) {
-      // No journal for this generation: crash happened after the snapshot
-      // was written but before the journal rotation completed. Appends
+      // No journal for this generation, only a snapshot. A cut creates
+      // the journal before the first slice creates the snapshot, so only
+      // a directory written in the older order (snapshot file first, then
+      // the journal) can hold this after a crash between the two. Appends
       // resume here with a fresh journal.
       current_gen = g;
       last_journal_gen = g;

@@ -6,23 +6,26 @@
 // Generation protocol:
 //   * Generation g is the pair (snapshot-<g>.ksnp, journal-<g>.kjnl).
 //     Generation 0 has no snapshot (the implicit empty image).
-//   * snapshot() writes snapshot-<g+1> with the full store state, then
-//     creates journal-<g+1> and switches appends to it. The old
-//     generation's files are NOT deleted here — gc() reclaims them later,
-//     so a crash between snapshot write and truncation can always fall
-//     back to generation g.
-//   * Snapshots are written in place (no tmp+rename): a torn snapshot is a
-//     first-class case, detected by checksum and skipped in favor of the
-//     previous generation. Because journal-<g+1> is only created after
-//     snapshot-<g+1> is fully on disk, a generation with a journal always
-//     has a complete snapshot (or is generation 0).
+//   * A snapshot starts with a cut, begin_snapshot(): it takes the image,
+//     creates journal-<g+1> and switches appends to it at once. The first
+//     slice (snapshot_slice()) creates snapshot-<g+1> with a zeroed
+//     placeholder header; each slice encodes a bounded part of the
+//     payload, written out in 64 KiB batches, and the real header is
+//     written last. snapshot() is the cut plus every slice.
+//   * Snapshots are written in place (no tmp+rename): a torn or unfinished
+//     snapshot is a first-class case, detected by checksum and skipped in
+//     favor of the previous generation. So while snapshot-<g+1> is being
+//     written, generation g+1 holds a journal and an incomplete snapshot,
+//     and snapshot-<g> plus journals g and g+1 still recover everything.
 //   * recover() picks the newest checksum-valid snapshot as the base, then
 //     chain-replays the valid frame prefix of every journal from that
 //     generation up (stopping at the first torn journal), truncates the
-//     torn tail, and resumes appends there.
+//     torn tail, and resumes appends there. A snapshot still being
+//     written is abandoned.
 //   * gc() reclaims every generation strictly below the newest valid
 //     on-disk snapshot — by construction it can never reclaim a generation
-//     a recovery could still need.
+//     a recovery could still need, and an incomplete snapshot never moves
+//     that floor.
 //
 // Crash simulation: set_fault_hook() installs a deterministic fault point
 // (see sim::CrashPointPlan). When the hook fires, the engine writes a
@@ -34,6 +37,7 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,7 +49,8 @@ namespace knactor::de::persist {
 /// Internal fault points a simulated crash can hit.
 enum class CrashPoint {
   kJournalAppend,  // torn frame at the journal tail
-  kSnapshotWrite,  // torn snapshot file (previous generation must survive)
+  kSnapshotSlice,  // torn payload slice of a snapshot being written
+  kSnapshotWrite,  // torn header patch that would complete a snapshot
   kTruncate,       // partial old-generation reclamation in gc()
 };
 [[nodiscard]] const char* crash_point_name(CrashPoint point);
@@ -76,7 +81,7 @@ struct GenerationInfo {
 struct EngineStats {
   std::uint64_t appends = 0;           // frames written
   std::uint64_t records_appended = 0;
-  std::uint64_t snapshots = 0;
+  std::uint64_t snapshots = 0;  // completed
   std::uint64_t recoveries = 0;
   std::uint64_t frames_replayed = 0;   // last recovery
   std::uint64_t records_replayed = 0;  // last recovery
@@ -106,9 +111,33 @@ class Engine {
                               std::uint64_t next_revision,
                               std::uint64_t commit_seq);
 
+  /// Objects per snapshot slice. A write in flight pays for every slice
+  /// that runs before it completes, so slices are small and many.
+  static constexpr std::size_t kSnapshotSliceObjects = 32;
+
   /// Writes `image` as the next generation's snapshot and rotates the
-  /// journal. Old generations remain on disk until gc().
-  common::Status snapshot(const Image& image);
+  /// journal: begin_snapshot() plus every slice. Old generations remain
+  /// on disk until gc().
+  common::Status snapshot(Image image);
+
+  /// The cut: keeps `image` (shared payload handles) and rotates appends
+  /// to the next generation's journal at once. A snapshot still pending
+  /// is finished first.
+  common::Status begin_snapshot(Image image);
+  /// Encodes the pending snapshot's next slice of at most `max_objects`
+  /// objects and writes the encoded bytes once 64 KiB have accumulated;
+  /// the first slice creates the file with a placeholder header. The
+  /// slice that ends the payload writes the rest and then the real
+  /// header, completes the snapshot and releases its image. A no-op with
+  /// nothing pending.
+  common::Status snapshot_slice(
+      std::size_t max_objects = kSnapshotSliceObjects);
+  /// Runs every remaining slice of the pending snapshot.
+  common::Status finish_snapshot();
+  /// Drops the pending snapshot, as a crash would: its file stays behind
+  /// incomplete (checksum-invalid) and its image is released.
+  void abandon_snapshot();
+  [[nodiscard]] bool snapshot_pending() const { return pending_ != nullptr; }
 
   /// Loads the newest valid snapshot, chain-replays the journal suffix,
   /// truncates any torn tail, and resumes appends at the recovered
@@ -157,6 +186,20 @@ class Engine {
   common::Status ensure_journal_open();
   common::Status write_journal_bytes(const std::string& bytes);
 
+  /// A cut snapshot whose payload is still being written.
+  struct PendingSnapshot {
+    explicit PendingSnapshot(Image captured, std::uint64_t gen)
+        : image(std::move(captured)), encoder(image), generation(gen) {}
+    // `encoder` points at `image`, so the object never moves.
+    PendingSnapshot(const PendingSnapshot&) = delete;
+    PendingSnapshot& operator=(const PendingSnapshot&) = delete;
+    Image image;
+    SnapshotEncoder encoder;  // reads `image`; declared after it
+    std::uint64_t generation;
+    std::ofstream out;
+    std::string unwritten;  // encoded bytes not yet written
+  };
+
   EngineOptions options_;
   std::ofstream journal_out_;
   std::uint64_t generation_ = 0;
@@ -164,6 +207,7 @@ class Engine {
   bool opened_ = false;
   bool failed_ = false;
   std::function<bool(CrashPoint)> fault_hook_;
+  std::unique_ptr<PendingSnapshot> pending_;
   EngineStats stats_;
 };
 

@@ -1,8 +1,10 @@
 #include "de/persist/format.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
+#include <limits>
 
 namespace knactor::de::persist {
 
@@ -18,18 +20,39 @@ constexpr std::array<char, 4> kSnapshotMagic = {'K', 'S', 'N', 'P'};
 // corruption must degrade to a decode error, never to unbounded recursion.
 constexpr int kMaxValueDepth = 128;
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+static_assert(std::endian::native == std::endian::little,
+              "persist appends integers as host words and the CRC loads "
+              "little-endian words; a big-endian host needs a byteswap");
+
+// Slicing-by-8 tables: table[0] is the bytewise CRC table, and table[k][b]
+// is the CRC of byte b followed by k zero bytes, so one 8-byte word costs
+// eight independent lookups instead of eight dependent steps.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr CrcTables kCrc = make_crc_tables();
+
+std::uint32_t load_u32(const char* p) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store_u32(char* p, std::uint32_t v) { std::memcpy(p, &v, sizeof v); }
 
 // Value type tags. Bool splits into two tags so the payload is tag-only.
 enum : std::uint8_t {
@@ -45,24 +68,32 @@ enum : std::uint8_t {
 
 }  // namespace
 
-std::uint32_t crc32(std::string_view bytes) {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (unsigned char byte : bytes) {
-    c = kCrcTable[(c ^ byte) & 0xFFu] ^ (c >> 8);
+std::uint32_t crc32(std::string_view bytes) { return crc32_update(0, bytes); }
+
+std::uint32_t crc32_update(std::uint32_t crc, std::string_view bytes) {
+  std::uint32_t c = ~crc;
+  const char* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_u32(p) ^ c;
+    const std::uint32_t hi = load_u32(p + 4);
+    c = kCrc[7][lo & 0xFFu] ^ kCrc[6][(lo >> 8) & 0xFFu] ^
+        kCrc[5][(lo >> 16) & 0xFFu] ^ kCrc[4][lo >> 24] ^
+        kCrc[3][hi & 0xFFu] ^ kCrc[2][(hi >> 8) & 0xFFu] ^
+        kCrc[1][(hi >> 16) & 0xFFu] ^ kCrc[0][hi >> 24];
   }
-  return c ^ 0xFFFFFFFFu;
+  for (; n > 0; ++p, --n) {
+    c = kCrc[0][(c ^ static_cast<unsigned char>(*p)) & 0xFFu] ^ (c >> 8);
+  }
+  return ~c;
 }
 
 void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
 void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
 void put_i64(std::string& out, std::int64_t v) {
@@ -121,27 +152,15 @@ bool Cursor::get_u8(std::uint8_t* out) {
 
 bool Cursor::get_u32(std::uint32_t* out) {
   if (remaining() < 4) return false;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(
-             static_cast<unsigned char>(bytes_[offset_ + i]))
-         << (8 * i);
-  }
+  *out = load_u32(bytes_.data() + offset_);
   offset_ += 4;
-  *out = v;
   return true;
 }
 
 bool Cursor::get_u64(std::uint64_t* out) {
   if (remaining() < 8) return false;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(
-             static_cast<unsigned char>(bytes_[offset_ + i]))
-         << (8 * i);
-  }
+  std::memcpy(out, bytes_.data() + offset_, sizeof *out);
   offset_ += 8;
-  *out = v;
   return true;
 }
 
@@ -283,20 +302,20 @@ std::string build_frame(const std::vector<std::string_view>& records,
                         std::uint32_t record_count,
                         std::uint64_t next_revision,
                         std::uint64_t commit_seq) {
-  std::string payload;
-  std::size_t bytes = 4 + 16;
+  // Header first with len/crc placeholders, patched once the payload is in.
+  std::size_t bytes = kFrameHeaderBytes + 4 + 16;
   for (std::string_view rec : records) bytes += rec.size();
-  payload.reserve(bytes);
-  put_u32(payload, record_count);
-  for (std::string_view rec : records) payload.append(rec);
-  put_u64(payload, next_revision);
-  put_u64(payload, commit_seq);
-
   std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32(payload));
-  frame.append(payload);
+  frame.reserve(bytes);
+  frame.resize(kFrameHeaderBytes);
+  put_u32(frame, record_count);
+  for (std::string_view rec : records) frame.append(rec);
+  put_u64(frame, next_revision);
+  put_u64(frame, commit_seq);
+  const std::string_view payload =
+      std::string_view(frame).substr(kFrameHeaderBytes);
+  store_u32(frame.data(), static_cast<std::uint32_t>(payload.size()));
+  store_u32(frame.data() + 4, crc32(payload));
   return frame;
 }
 
@@ -370,37 +389,82 @@ std::uint64_t Image::object_count() const {
   return n;
 }
 
-std::string encode_snapshot(const Image& image, std::uint64_t generation) {
-  std::string payload;
-  put_u64(payload, image.next_revision);
-  put_u64(payload, image.commit_seq);
-  put_u32(payload, static_cast<std::uint32_t>(image.stores.size()));
-  for (const StoreImage& store : image.stores) {
-    put_string(payload, store.name);
-    put_u32(payload, static_cast<std::uint32_t>(store.objects.size()));
-    for (const ObjectImage& obj : store.objects) {
-      put_string(payload, obj.key);
-      put_u64(payload, obj.version);
-      put_i64(payload, obj.created_at);
-      put_i64(payload, obj.updated_at);
-      put_value(payload, obj.data ? *obj.data : Value(nullptr));
-    }
+bool SnapshotEncoder::encode_slice(std::string& out,
+                                   std::size_t max_objects) {
+  const std::size_t start = out.size();
+  if (!started_) {
+    put_u64(out, image_->next_revision);
+    put_u64(out, image_->commit_seq);
+    put_u32(out, static_cast<std::uint32_t>(image_->stores.size()));
+    started_ = true;
   }
+  std::size_t budget = max_objects;
+  for (; store_ < image_->stores.size(); ++store_, object_ = 0) {
+    const StoreImage& store = image_->stores[store_];
+    if (object_ == 0) {
+      // A store's name and count go out with its first object (an empty
+      // store's right away), so a slice boundary never splits them.
+      if (budget == 0 && !store.objects.empty()) break;
+      put_string(out, store.name);
+      put_u32(out, static_cast<std::uint32_t>(store.objects.size()));
+    }
+    const std::size_t end =
+        object_ + std::min(budget, store.objects.size() - object_);
+    budget -= end - object_;
+    objects_ += end - object_;
+    for (; object_ < end; ++object_) {
+      const ObjectImage& obj = store.objects[object_];
+      put_string(out, obj.key);
+      put_u64(out, obj.version);
+      put_i64(out, obj.created_at);
+      put_i64(out, obj.updated_at);
+      // A null handle encodes as the null tag; dereferencing the handle
+      // (never a temporary Value) keeps the payload uncopied.
+      if (obj.data) {
+        put_value(out, *obj.data);
+      } else {
+        out.push_back(static_cast<char>(kTagNull));
+      }
+    }
+    if (object_ < store.objects.size()) break;  // budget spent mid-store
+  }
+  const std::string_view added = std::string_view(out).substr(start);
+  bytes_ += added.size();
+  crc_ = crc32_update(crc_, added);
+  return done();
+}
 
+std::string SnapshotEncoder::header(std::uint64_t generation) const {
   std::string out;
-  out.reserve(4 + 4 + 8 + 8 + 4 + payload.size());
+  out.reserve(kSnapshotHeaderBytes);
   out.append(kSnapshotMagic.data(), kSnapshotMagic.size());
   put_u32(out, kFormatVersion);
   put_u64(out, generation);
-  put_u64(out, payload.size());
-  put_u32(out, crc32(payload));
-  out.append(payload);
+  put_u64(out, bytes_);
+  put_u32(out, crc_);
+  return out;
+}
+
+std::string encode_snapshot(const Image& image, std::uint64_t generation) {
+  // Header placeholder first, patched in place once the payload is in.
+  std::string out(kSnapshotHeaderBytes, '\0');
+  SnapshotEncoder encoder(image);
+  // The first object's size sizes the buffer for the rest (+1/8 slack).
+  encoder.encode_slice(out, 1);
+  const std::uint64_t encoded = encoder.objects_encoded();
+  if (encoded > 0) {
+    const std::uint64_t per_object = encoder.payload_bytes() / encoded;
+    const std::uint64_t rest = image.object_count() - encoded;
+    out.reserve(out.size() + rest * per_object + rest * per_object / 8 + 64);
+  }
+  encoder.encode_slice(out, std::numeric_limits<std::size_t>::max());
+  out.replace(0, kSnapshotHeaderBytes, encoder.header(generation));
   return out;
 }
 
 SnapshotInfo probe_snapshot(std::string_view bytes) {
   SnapshotInfo info;
-  if (bytes.size() < 28) return info;
+  if (bytes.size() < kSnapshotHeaderBytes) return info;
   if (bytes.compare(0, 4, kSnapshotMagic.data(), 4) != 0) return info;
   Cursor in(bytes.substr(4));
   std::uint32_t version = 0;
@@ -410,14 +474,15 @@ SnapshotInfo probe_snapshot(std::string_view bytes) {
   if (!in.get_u64(&info.payload_len)) return info;
   if (!in.get_u32(&crc)) return info;
   info.header_valid = true;
-  info.complete = bytes.size() - 28 >= info.payload_len;
+  info.complete = bytes.size() - kSnapshotHeaderBytes >= info.payload_len;
   return info;
 }
 
 std::optional<Image> decode_snapshot(std::string_view bytes) {
   SnapshotInfo info = probe_snapshot(bytes);
   if (!info.header_valid || !info.complete) return std::nullopt;
-  std::string_view payload = bytes.substr(28, info.payload_len);
+  std::string_view payload =
+      bytes.substr(kSnapshotHeaderBytes, info.payload_len);
   Cursor crc_check(bytes.substr(24));
   std::uint32_t expected_crc = 0;
   if (!crc_check.get_u32(&expected_crc)) return std::nullopt;

@@ -4,7 +4,8 @@
 // is pure byte-level code — file handling lives in engine.{h,cpp}.
 //
 // Format invariants (see docs/PERSISTENCE.md):
-//   * Multi-byte integers are little-endian, fixed width.
+//   * Multi-byte integers are little-endian, fixed width (the encoder
+//     appends them as host words, so a big-endian host fails to build).
 //   * A journal is a 16-byte header (magic "KJNL", format version,
 //     generation) followed by frames: [u32 payload_len][u32 crc32(payload)]
 //     [payload]. A reader accepts the longest prefix of checksum-valid
@@ -35,9 +36,17 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 inline constexpr std::size_t kJournalHeaderBytes = 16;  // magic+version+gen
 inline constexpr std::size_t kFrameHeaderBytes = 8;     // len+crc
 
+inline constexpr std::size_t kSnapshotHeaderBytes = 28;  // magic..crc
+
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), the checksum on every
-/// journal frame and snapshot payload.
+/// journal frame and snapshot payload. Slicing-by-8: eight table lookups
+/// per 8-byte word.
 [[nodiscard]] std::uint32_t crc32(std::string_view bytes);
+/// Streaming form: extends `crc`, the CRC-32 of a prefix, over the next
+/// `bytes`. crc32_update(crc32(a), b) == crc32(a + b); crc32(x) is
+/// crc32_update(0, x).
+[[nodiscard]] std::uint32_t crc32_update(std::uint32_t crc,
+                                         std::string_view bytes);
 
 // --- little-endian scalar / value append ----------------------------------
 
@@ -165,6 +174,38 @@ struct Image {
 
 [[nodiscard]] std::string encode_snapshot(const Image& image,
                                           std::uint64_t generation);
+
+/// Encodes a snapshot payload in bounded slices: each encode_slice call
+/// appends the bytes of at most `max_objects` more objects (the counters
+/// and each store's name and count ride along) and folds them into the
+/// running payload length and CRC. Once done(), header() is the file's
+/// header for that payload. encode_snapshot is this run in one slice
+/// after a placeholder header; the engine's sliced snapshot writes each
+/// slice to disk as it goes. The image must outlive the encoder.
+class SnapshotEncoder {
+ public:
+  explicit SnapshotEncoder(const Image& image) : image_(&image) {}
+
+  /// Returns true once the whole payload has been appended.
+  bool encode_slice(std::string& out, std::size_t max_objects);
+  [[nodiscard]] bool done() const {
+    return started_ && store_ == image_->stores.size();
+  }
+  [[nodiscard]] std::uint64_t objects_encoded() const { return objects_; }
+  [[nodiscard]] std::uint64_t payload_bytes() const { return bytes_; }
+  /// The kSnapshotHeaderBytes header (magic, version, generation, payload
+  /// length and CRC) of the payload encoded so far.
+  [[nodiscard]] std::string header(std::uint64_t generation) const;
+
+ private:
+  const Image* image_;
+  bool started_ = false;   // counters and store count written
+  std::size_t store_ = 0;  // cursor: next store...
+  std::size_t object_ = 0; // ...and next object within it
+  std::uint64_t objects_ = 0;
+  std::uint64_t bytes_ = 0;
+  std::uint32_t crc_ = 0;
+};
 
 /// Header-only probe (no payload checksum verification).
 struct SnapshotInfo {

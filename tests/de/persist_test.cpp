@@ -1,16 +1,17 @@
-// Unit tests for the durable persistence tier: the binary format layer
-// (CRC framing, value codec, journal scan, snapshot codec), the
-// generation-based Engine (append/snapshot/recover/gc/inspect), and the
-// ObjectDe integration (journal-before-notify, counter restoration,
-// transaction/epoch frames, auto-snapshot cadence, GC safety). The
-// crash-seed differential and torn-tail fuzz suites live under
-// tests/property/ with the `durable` label.
+// Unit tests for the durable persistence tier: the generation-based
+// Engine (append/snapshot/recover/gc/inspect), and the ObjectDe
+// integration (journal-before-notify, counter restoration,
+// transaction/epoch frames, auto-snapshot cadence, GC safety). The format
+// layer's tests are in persist_format_test.cpp; they, the crash-seed
+// differential and the torn-tail fuzz suites carry the `durable` label.
 #include "de/persist/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include "de/object.h"
 #include "de/persist/format.h"
@@ -36,165 +37,6 @@ std::string slurp(const std::string& path) {
 void spit(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-// --- format layer ----------------------------------------------------------
-
-TEST(PersistFormat, Crc32KnownVector) {
-  // The IEEE CRC-32 check value ("123456789" -> 0xCBF43926).
-  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
-  EXPECT_EQ(crc32(""), 0u);
-}
-
-TEST(PersistFormat, ValueCodecRoundTripIsByteFaithful) {
-  Value v = Value::object({
-      {"null", Value(nullptr)},
-      {"t", Value(true)},
-      {"f", Value(false)},
-      {"int", Value(static_cast<std::int64_t>(-42))},
-      {"dbl", Value(3.25)},
-      {"str", Value("hello")},
-  });
-  Value arr = Value::array();
-  arr.as_array().push_back(Value(1));
-  arr.as_array().push_back(Value("two"));
-  arr.as_array().push_back(Value::object({{"nested", Value(3)}}));
-  v.set("arr", std::move(arr));
-
-  std::string bytes;
-  put_value(bytes, v);
-  Cursor in(bytes);
-  Value decoded;
-  ASSERT_TRUE(in.get_value(&decoded));
-  EXPECT_TRUE(in.done());
-
-  std::string again;
-  put_value(again, decoded);
-  EXPECT_EQ(bytes, again);  // byte-faithful: field order survives
-}
-
-TEST(PersistFormat, RecordRoundTrip) {
-  std::string bytes;
-  encode_put(bytes, "orders", "o-1", 17, 100, 200,
-             Value::object({{"qty", Value(3)}}));
-  encode_delete(bytes, "orders", "o-2");
-
-  Cursor in(bytes);
-  Record put;
-  ASSERT_TRUE(decode_record(in, &put));
-  EXPECT_EQ(put.op, Record::Op::kPut);
-  EXPECT_EQ(put.store, "orders");
-  EXPECT_EQ(put.key, "o-1");
-  EXPECT_EQ(put.version, 17u);
-  EXPECT_EQ(put.created_at, 100);
-  EXPECT_EQ(put.updated_at, 200);
-  ASSERT_NE(put.data, nullptr);
-  EXPECT_EQ(put.data->as_object().find("qty")->as_int(), 3);
-
-  Record del;
-  ASSERT_TRUE(decode_record(in, &del));
-  EXPECT_EQ(del.op, Record::Op::kDelete);
-  EXPECT_EQ(del.key, "o-2");
-  EXPECT_EQ(del.data, nullptr);
-  EXPECT_TRUE(in.done());
-}
-
-TEST(PersistFormat, JournalScanWalksFrames) {
-  std::string rec1;
-  encode_put(rec1, "s", "a", 1, 0, 0, Value(1));
-  std::string rec2;
-  encode_delete(rec2, "s", "a");
-
-  std::string journal = build_journal_header(3);
-  journal += build_frame({rec1}, 1, 2, 2);
-  journal += build_frame({rec2}, 1, 2, 3);
-
-  JournalScan scan = scan_journal(journal);
-  EXPECT_TRUE(scan.header_valid);
-  EXPECT_EQ(scan.generation, 3u);
-  ASSERT_EQ(scan.frames.size(), 2u);
-  EXPECT_FALSE(scan.torn);
-  EXPECT_EQ(scan.valid_bytes, journal.size());
-  EXPECT_EQ(scan.frames[0].records.size(), 1u);
-  EXPECT_EQ(scan.frames[1].records[0].op, Record::Op::kDelete);
-  EXPECT_EQ(scan.frames[1].next_revision, 2u);
-  EXPECT_EQ(scan.frames[1].commit_seq, 3u);
-}
-
-TEST(PersistFormat, TornTailStopsAtLastValidFrame) {
-  std::string rec;
-  encode_put(rec, "s", "a", 1, 0, 0, Value(1));
-  std::string journal = build_journal_header(0);
-  journal += build_frame({rec}, 1, 2, 2);
-  const std::size_t valid = journal.size();
-  std::string torn_frame = build_frame({rec}, 1, 3, 3);
-  journal += torn_frame.substr(0, torn_frame.size() / 2);
-
-  JournalScan scan = scan_journal(journal);
-  ASSERT_EQ(scan.frames.size(), 1u);
-  EXPECT_TRUE(scan.torn);
-  EXPECT_EQ(scan.valid_bytes, valid);
-}
-
-TEST(PersistFormat, BitFlipInvalidatesExactlyTheHitFrame) {
-  std::string rec;
-  encode_put(rec, "s", "a", 1, 0, 0, Value(1));
-  std::string journal = build_journal_header(0);
-  journal += build_frame({rec}, 1, 2, 2);
-  const std::size_t first_end = journal.size();
-  journal += build_frame({rec}, 1, 3, 3);
-  journal[first_end + kFrameHeaderBytes + 2] ^= 0x40;  // payload of frame 2
-
-  JournalScan scan = scan_journal(journal);
-  ASSERT_EQ(scan.frames.size(), 1u);
-  EXPECT_TRUE(scan.torn);
-  EXPECT_EQ(scan.valid_bytes, first_end);
-}
-
-TEST(PersistFormat, SnapshotRoundTrip) {
-  Image image;
-  image.next_revision = 42;
-  image.commit_seq = 17;
-  StoreImage store;
-  store.name = "orders";
-  ObjectImage obj;
-  obj.key = "o-1";
-  obj.version = 7;
-  obj.created_at = 5;
-  obj.updated_at = 9;
-  obj.data = std::make_shared<const Value>(Value::object({{"x", Value(1)}}));
-  store.objects.push_back(obj);
-  image.stores.push_back(store);
-
-  const std::string bytes = encode_snapshot(image, 4);
-  SnapshotInfo info = probe_snapshot(bytes);
-  EXPECT_TRUE(info.header_valid);
-  EXPECT_TRUE(info.complete);
-  EXPECT_EQ(info.generation, 4u);
-
-  auto decoded = decode_snapshot(bytes);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->next_revision, 42u);
-  EXPECT_EQ(decoded->commit_seq, 17u);
-  ASSERT_EQ(decoded->stores.size(), 1u);
-  ASSERT_EQ(decoded->stores[0].objects.size(), 1u);
-  EXPECT_EQ(decoded->stores[0].objects[0].version, 7u);
-  // Identical state must serialize to identical bytes.
-  EXPECT_EQ(encode_snapshot(*decoded, 4), bytes);
-}
-
-TEST(PersistFormat, CorruptSnapshotRejected) {
-  Image image;
-  std::string bytes = encode_snapshot(image, 1);
-  EXPECT_TRUE(decode_snapshot(bytes).has_value());
-  // Torn tail.
-  EXPECT_FALSE(decode_snapshot(
-                   std::string_view(bytes).substr(0, bytes.size() - 1))
-                   .has_value());
-  // Bit flip in the payload.
-  std::string flipped = bytes;
-  flipped.back() = static_cast<char>(flipped.back() ^ 0x01);
-  EXPECT_FALSE(decode_snapshot(flipped).has_value());
 }
 
 // --- engine ----------------------------------------------------------------
@@ -399,6 +241,249 @@ TEST(PersistEngine, SimulatedCrashTearsTheFrameAndFailsTheEngine) {
   EXPECT_EQ(reader.stats().frames_replayed, 2u);
 }
 
+// --- sliced snapshots ------------------------------------------------------
+
+// The durable history a crash must recover exactly: every acked put's
+// object image plus the kernel counters after it.
+struct SliceOracle {
+  std::map<std::string, ObjectImage> objects;
+  std::uint64_t next_revision = 1;
+  std::uint64_t commit_seq = 0;
+  std::uint64_t frames = 0;
+};
+
+void oracle_put(Engine& engine, SliceOracle& oracle, const std::string& key,
+                int value) {
+  ObjectImage obj;
+  obj.key = key;
+  obj.version = oracle.next_revision;
+  obj.created_at = static_cast<std::int64_t>(obj.version) * 10;
+  obj.updated_at = obj.created_at + 1;
+  obj.data = std::make_shared<const Value>(
+      Value::object({{"v", Value(value)}, {"key", Value(key)}}));
+  std::string rec;
+  encode_put(rec, "s", key, obj.version, obj.created_at, obj.updated_at,
+             *obj.data);
+  ASSERT_TRUE(engine
+                  .append_batch({rec}, 1, oracle.next_revision + 1,
+                                oracle.commit_seq + 1)
+                  .ok());
+  ++oracle.next_revision;
+  ++oracle.commit_seq;
+  ++oracle.frames;
+  oracle.objects[key] = std::move(obj);
+}
+
+Image oracle_image(const SliceOracle& oracle) {
+  Image image;
+  image.next_revision = oracle.next_revision;
+  image.commit_seq = oracle.commit_seq;
+  StoreImage store;
+  store.name = "s";
+  for (const auto& [key, obj] : oracle.objects) store.objects.push_back(obj);
+  image.stores.push_back(std::move(store));
+  return image;
+}
+
+void expect_recovers_oracle(const Image& got, const SliceOracle& oracle,
+                            const std::string& label) {
+  EXPECT_EQ(got.next_revision, oracle.next_revision) << label;
+  EXPECT_EQ(got.commit_seq, oracle.commit_seq) << label;
+  ASSERT_EQ(got.stores.size(), 1u) << label;
+  const auto& objects = got.stores[0].objects;
+  ASSERT_EQ(objects.size(), oracle.objects.size()) << label;
+  auto want = oracle.objects.begin();
+  for (const ObjectImage& obj : objects) {
+    EXPECT_EQ(obj.key, want->first) << label;
+    EXPECT_EQ(obj.version, want->second.version) << label << " " << obj.key;
+    EXPECT_EQ(obj.created_at, want->second.created_at) << label;
+    EXPECT_EQ(obj.updated_at, want->second.updated_at) << label;
+    ASSERT_NE(obj.data, nullptr) << label;
+    EXPECT_EQ(*obj.data, *want->second.data) << label << " " << obj.key;
+    ++want;
+  }
+}
+
+constexpr int kSliceObjects = 64;
+constexpr std::size_t kPerSlice = 8;
+constexpr int kSlices = kSliceObjects / static_cast<int>(kPerSlice);
+
+// Cuts a snapshot of a 64-object store, then writes it 8 objects per slice
+// with one post-cut commit after the cut and after every slice. The fault
+// hook crashes slice `crash_at` (kSnapshotSlice), the header patch
+// (`crash_at == kSlices`, kSnapshotWrite), or nothing (`crash_at` past
+// that); `crash_at == -1` crashes right after the cut, before any slice.
+// A fresh engine then recovers the directory, as a restarted process
+// would.
+void run_slice_crash(int crash_at) {
+  const std::string label = "crash_at=" + std::to_string(crash_at);
+  const std::string dir = test_dir("slice_crash_" + std::to_string(crash_at + 1));
+  Engine engine({dir, 0});
+  ASSERT_TRUE(engine.open().ok());
+  SliceOracle oracle;
+  for (int i = 0; i < kSliceObjects; ++i) {
+    oracle_put(engine, oracle, "k" + std::to_string(100 + i), i);
+  }
+  const std::uint64_t pre_cut_frames = oracle.frames;
+  int slice_checks = 0;
+  engine.set_fault_hook([&](CrashPoint point) {
+    if (point == CrashPoint::kSnapshotSlice) return slice_checks++ == crash_at;
+    return point == CrashPoint::kSnapshotWrite && crash_at == kSlices;
+  });
+  ASSERT_TRUE(engine.begin_snapshot(oracle_image(oracle)).ok()) << label;
+  EXPECT_EQ(engine.generation(), 1u);  // the journal rotated at the cut
+  EXPECT_TRUE(engine.snapshot_pending());
+  oracle_put(engine, oracle, "k100", 1000);  // post-cut: lands in journal-1
+  if (crash_at >= 0) {
+    for (int slice = 0; engine.snapshot_pending(); ++slice) {
+      if (!engine.snapshot_slice(kPerSlice).ok()) break;
+      oracle_put(engine, oracle, "late-" + std::to_string(slice), slice);
+      oracle_put(engine, oracle, "k" + std::to_string(100 + slice), -slice);
+    }
+  }
+  const bool completed = crash_at > kSlices;
+  EXPECT_EQ(engine.failed(), crash_at >= 0 && !completed) << label;
+  EXPECT_EQ(engine.snapshot_pending(), !completed) << label;
+  EXPECT_EQ(engine.stats().snapshots, completed ? 1u : 0u) << label;
+  if (crash_at >= 0) {
+    EXPECT_EQ(slice_checks, std::min(crash_at + 1, kSlices)) << label;
+  }
+
+  Engine reader({dir, 0});
+  auto recovered = reader.recover();
+  ASSERT_TRUE(recovered.ok()) << label;
+  expect_recovers_oracle(recovered.value(), oracle, label);
+  if (completed) {
+    // The new snapshot is the base: only post-cut frames replay.
+    EXPECT_EQ(reader.stats().snapshots_skipped, 0u) << label;
+    EXPECT_EQ(reader.stats().frames_replayed, oracle.frames - pre_cut_frames);
+  } else {
+    // The incomplete snapshot is skipped (right after the cut there is no
+    // snapshot file yet): journals 0 and 1 replay in full.
+    EXPECT_EQ(std::filesystem::exists(engine.snapshot_path(1)), crash_at >= 0)
+        << label;
+    EXPECT_EQ(reader.stats().snapshots_skipped, crash_at >= 0 ? 1u : 0u)
+        << label;
+    EXPECT_EQ(reader.stats().frames_replayed, oracle.frames) << label;
+  }
+  EXPECT_EQ(reader.generation(), 1u) << label;
+}
+
+TEST(PersistSlicedSnapshot, CrashRightAfterTheCutRecoversTheOracle) {
+  run_slice_crash(-1);
+}
+
+TEST(PersistSlicedSnapshot, CrashAtEverySliceRecoversTheOracle) {
+  for (int slice = 0; slice < kSlices; ++slice) run_slice_crash(slice);
+}
+
+TEST(PersistSlicedSnapshot, CrashDuringTheHeaderPatchRecoversTheOracle) {
+  run_slice_crash(kSlices);
+}
+
+TEST(PersistSlicedSnapshot, CompletedSlicesBoundReplayToThePostCutDelta) {
+  run_slice_crash(kSlices + 1);
+}
+
+TEST(PersistSlicedSnapshot, SlicedBytesEqualTheOneShotSnapshot) {
+  const std::string dir = test_dir("slice_bytes");
+  Engine engine({dir, 0});
+  ASSERT_TRUE(engine.open().ok());
+  SliceOracle oracle;
+  for (int i = 0; i < kSliceObjects; ++i) {
+    oracle_put(engine, oracle, "k" + std::to_string(i), i);
+  }
+  const Image image = oracle_image(oracle);
+  ASSERT_TRUE(engine.begin_snapshot(image).ok());
+  int slices = 0;
+  while (engine.snapshot_pending()) {
+    ASSERT_TRUE(engine.snapshot_slice(kPerSlice).ok());
+    ++slices;
+  }
+  EXPECT_EQ(slices, kSlices);
+  EXPECT_EQ(slurp(engine.snapshot_path(1)), encode_snapshot(image, 1));
+}
+
+TEST(PersistSlicedSnapshot, GcFloorStaysPutWhileASnapshotIsPending) {
+  const std::string dir = test_dir("slice_gc");
+  Engine engine({dir, 0});
+  ASSERT_TRUE(engine.open().ok());
+  SliceOracle oracle;
+  oracle_put(engine, oracle, "a", 1);
+  ASSERT_TRUE(engine.snapshot(oracle_image(oracle)).ok());  // generation 1
+  for (int i = 0; i < 20; ++i) {
+    oracle_put(engine, oracle, "k" + std::to_string(i), i);
+  }
+  ASSERT_TRUE(engine.begin_snapshot(oracle_image(oracle)).ok());
+  ASSERT_TRUE(engine.snapshot_slice(kPerSlice).ok());
+  ASSERT_TRUE(engine.snapshot_pending());
+  // snapshot-1 is still the newest valid one: only generation 0 goes.
+  EXPECT_EQ(engine.gc(), 1u);
+  EXPECT_TRUE(std::filesystem::exists(engine.snapshot_path(1)));
+  EXPECT_TRUE(std::filesystem::exists(engine.journal_path(1)));
+  ASSERT_TRUE(engine.finish_snapshot().ok());
+  EXPECT_EQ(engine.gc(), 1u);  // now generation 1 goes too
+  EXPECT_FALSE(std::filesystem::exists(engine.journal_path(1)));
+
+  Engine reader({dir, 0});
+  auto recovered = reader.recover();
+  ASSERT_TRUE(recovered.ok());
+  expect_recovers_oracle(recovered.value(), oracle, "after gc");
+}
+
+TEST(PersistSlicedSnapshot, ACutWhileOneIsPendingFinishesItFirst) {
+  const std::string dir = test_dir("slice_recut");
+  Engine engine({dir, 0});
+  ASSERT_TRUE(engine.open().ok());
+  SliceOracle oracle;
+  for (int i = 0; i < 20; ++i) {
+    oracle_put(engine, oracle, "k" + std::to_string(i), i);
+  }
+  const Image first = oracle_image(oracle);
+  ASSERT_TRUE(engine.begin_snapshot(first).ok());
+  ASSERT_TRUE(engine.snapshot_slice(kPerSlice).ok());
+  oracle_put(engine, oracle, "k0", 99);
+  ASSERT_TRUE(engine.begin_snapshot(oracle_image(oracle)).ok());
+  EXPECT_EQ(engine.stats().snapshots, 1u);
+  EXPECT_EQ(engine.generation(), 2u);
+  EXPECT_EQ(slurp(engine.snapshot_path(1)), encode_snapshot(first, 1));
+  ASSERT_TRUE(engine.finish_snapshot().ok());
+  EXPECT_EQ(engine.stats().snapshots, 2u);
+  Engine reader({dir, 0});
+  auto recovered = reader.recover();
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(reader.stats().frames_replayed, 0u);
+  expect_recovers_oracle(recovered.value(), oracle, "recut");
+}
+
+TEST(PersistSlicedSnapshot, RecoverAbandonsThePendingSnapshot) {
+  const std::string dir = test_dir("slice_abandon");
+  Engine engine({dir, 0});
+  ASSERT_TRUE(engine.open().ok());
+  SliceOracle oracle;
+  for (int i = 0; i < 20; ++i) {
+    oracle_put(engine, oracle, "k" + std::to_string(i), i);
+  }
+  ASSERT_TRUE(engine.begin_snapshot(oracle_image(oracle)).ok());
+  ASSERT_TRUE(engine.snapshot_slice(kPerSlice).ok());
+  oracle_put(engine, oracle, "k0", 99);
+  auto recovered = engine.recover();
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_FALSE(engine.snapshot_pending());
+  EXPECT_EQ(engine.stats().snapshots, 0u);
+  expect_recovers_oracle(recovered.value(), oracle, "abandoned");
+  // Appends continue in generation 1; the next cut starts generation 2.
+  EXPECT_EQ(engine.generation(), 1u);
+  oracle_put(engine, oracle, "k1", 98);
+  ASSERT_TRUE(engine.snapshot(oracle_image(oracle)).ok());
+  EXPECT_EQ(engine.generation(), 2u);
+  Engine reader({dir, 0});
+  auto again = reader.recover();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(reader.stats().frames_replayed, 0u);
+  expect_recovers_oracle(again.value(), oracle, "after the next snapshot");
+}
+
 // --- ObjectDe integration --------------------------------------------------
 
 ObjectDeProfile durable_instant() {
@@ -578,6 +663,105 @@ TEST(PersistObjectDe, TornAppendFailsTheOpAndRetryMatchesOracle) {
   auto oracle_b = oracle_store.put_sync("me", "b", Value(2));
   ASSERT_TRUE(oracle_b.ok());
   EXPECT_EQ(retried.value(), oracle_b.value());
+}
+
+
+TEST(PersistObjectDe, AutoSnapshotSlicesBetweenCommitsAndFinishesWhenIdle) {
+  const std::string dir = test_dir("de_sliced");
+  sim::VirtualClock clock;
+  ObjectDeProfile profile = durable_instant();
+  profile.write_rt = sim::LatencyModel::constant_ms(1.0);
+  ObjectDe de(clock, profile);
+  Engine engine({dir, 400});
+  ASSERT_TRUE(de.enable_persistence(&engine).ok());
+  ObjectStore& store = de.create_store("s");
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(store.put_sync("me", "k" + std::to_string(i), Value(i)).ok());
+  }
+  EXPECT_EQ(engine.stats().snapshots, 0u);
+
+  // 200 writes in flight at once: the 100th crosses the cadence and cuts a
+  // 400-object snapshot, whose slices then ride the following commits.
+  std::vector<bool> pending_after;
+  std::vector<std::uint64_t> generation_after;
+  for (int i = 300; i < 500; ++i) {
+    store.put("me", "k" + std::to_string(i), Value(i),
+              [&](common::Result<std::uint64_t> r) {
+                ASSERT_TRUE(r.ok());
+                pending_after.push_back(engine.snapshot_pending());
+                generation_after.push_back(engine.generation());
+              });
+  }
+  clock.run_all();
+  ASSERT_EQ(pending_after.size(), 200u);
+  EXPECT_EQ(generation_after[98], 0u);
+  EXPECT_EQ(generation_after[99], 1u);  // rotated at the cut
+  const std::size_t slices =
+      (400 + Engine::kSnapshotSliceObjects - 1) / Engine::kSnapshotSliceObjects;
+  for (std::size_t i = 99; i < 99 + slices - 1; ++i) {
+    EXPECT_TRUE(pending_after[i]) << "commit " << i;
+  }
+  EXPECT_FALSE(pending_after[99 + slices - 1]);
+  EXPECT_EQ(engine.stats().snapshots, 1u);
+
+  // The snapshot holds the cut's 400 objects; the journal the rest.
+  Engine reader({dir, 0});
+  auto recovered = reader.recover();
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(reader.stats().snapshots_skipped, 0u);
+  EXPECT_EQ(reader.stats().frames_replayed, 100u);
+  EXPECT_EQ(recovered.value().object_count(), 500u);
+
+  // A cut with no other write in flight finishes at once.
+  ASSERT_TRUE(store.put_sync("me", "extra", Value(1)).ok());
+  ASSERT_TRUE(de.snapshot_now().ok());
+  EXPECT_FALSE(engine.snapshot_pending());
+  EXPECT_EQ(engine.stats().snapshots, 2u);
+}
+
+TEST(PersistObjectDe, CrashMidSnapshotAbandonsItAndRecoversEverything) {
+  const std::string dir = test_dir("de_slice_crash");
+  sim::VirtualClock clock;
+  ObjectDeProfile profile = durable_instant();
+  profile.write_rt = sim::LatencyModel::constant_ms(1.0);
+  ObjectDe de(clock, profile);
+  Engine engine({dir, 300});
+  ASSERT_TRUE(de.enable_persistence(&engine).ok());
+  ObjectStore& store = de.create_store("s");
+  for (int i = 0; i < 290; ++i) {
+    ASSERT_TRUE(store.put_sync("me", "k" + std::to_string(i), Value(i)).ok());
+  }
+  // Crash the second slice of the snapshot cut at the 300th record.
+  int slices = 0;
+  engine.set_fault_hook([&slices](CrashPoint point) {
+    return point == CrashPoint::kSnapshotSlice && slices++ == 1;
+  });
+  int acked = 0;
+  int rejected = 0;
+  for (int i = 290; i < 330; ++i) {
+    store.put("me", "k" + std::to_string(i), Value(i),
+              [&](common::Result<std::uint64_t> r) {
+                ++(r.ok() ? acked : rejected);
+              });
+  }
+  clock.run_all();
+  // The 300th record (k299) cuts and runs slice 0; the next commit (k300)
+  // runs slice 1, which crashes after that commit was acked. Every write
+  // after it is rejected.
+  EXPECT_EQ(acked, 11);
+  EXPECT_EQ(rejected, 29);
+  EXPECT_FALSE(de.available());
+  EXPECT_EQ(engine.stats().snapshots, 0u);
+
+  engine.set_fault_hook(nullptr);
+  de.recover();
+  ASSERT_TRUE(de.available());
+  EXPECT_EQ(engine.stats().snapshots_skipped, 1u);  // the torn snapshot
+  EXPECT_EQ(engine.stats().frames_replayed, 301u);  // journals 0 and 1
+  EXPECT_EQ(de.store("s")->size(), 301u);
+  const StateObject* last = de.store("s")->peek("k300");
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->version, 301u);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Crash/recover differential suite (`ctest -L durable`): a seeded corpus
 // of scripted workloads runs against a persisted ObjectDe while
 // CrashPointPlan crashes the durability engine mid-journal-append,
-// mid-snapshot, mid-truncation (GC), mid-epoch, and with plain process
-// kills. Every crashed operation is retried after recovery, exactly as a
+// mid-snapshot (in a payload slice or the header patch), mid-truncation
+// (GC), mid-epoch, and with plain process kills. Every crashed operation is retried after recovery, exactly as a
 // real client would. The invariant is byte-identity with the fault-free
 // oracle — state, object versions, and the kernel's revision/commit-seq
 // counters, with nothing masked: recovery must land the durable history on
@@ -196,16 +196,19 @@ void run_op(ObjectDe& de, const OpSpec& op) {
 // actually exercised every crash point, not just the happy path).
 struct CrashTally {
   std::uint64_t journal_append = 0;
+  std::uint64_t snapshot_slice = 0;
   std::uint64_t snapshot_write = 0;
   std::uint64_t truncate = 0;
   std::uint64_t epoch = 0;
   std::uint64_t hard_kill = 0;
 
   [[nodiscard]] std::uint64_t total() const {
-    return journal_append + snapshot_write + truncate + epoch + hard_kill;
+    return journal_append + snapshot_slice + snapshot_write + truncate +
+           epoch + hard_kill;
   }
   CrashTally& operator+=(const CrashTally& o) {
     journal_append += o.journal_append;
+    snapshot_slice += o.snapshot_slice;
     snapshot_write += o.snapshot_write;
     truncate += o.truncate;
     epoch += o.epoch;
@@ -238,6 +241,9 @@ std::string run_seed(std::uint64_t seed, bool inject, const std::string& dir,
         switch (point) {
           case CrashPoint::kJournalAppend:
             ++tally->journal_append;
+            break;
+          case CrashPoint::kSnapshotSlice:
+            ++tally->snapshot_slice;
             break;
           case CrashPoint::kSnapshotWrite:
             ++tally->snapshot_write;
@@ -298,6 +304,7 @@ TEST(PersistRecoveryDifferential, HundredTwentySeedsMatchOracleExactly) {
     ASSERT_EQ(faulted, oracle)
         << "seed " << seed << " diverged after " << seed_tally.total()
         << " crashes (journal=" << seed_tally.journal_append
+        << " slice=" << seed_tally.snapshot_slice
         << " snapshot=" << seed_tally.snapshot_write
         << " truncate=" << seed_tally.truncate
         << " epoch=" << seed_tally.epoch
@@ -307,6 +314,7 @@ TEST(PersistRecoveryDifferential, HundredTwentySeedsMatchOracleExactly) {
   // The corpus must have exercised every crash mechanism; a suite that
   // never crashed proves nothing.
   EXPECT_GT(tally.journal_append, 0u);
+  EXPECT_GT(tally.snapshot_slice, 0u);
   EXPECT_GT(tally.snapshot_write, 0u);
   EXPECT_GT(tally.truncate, 0u);
   EXPECT_GT(tally.epoch, 0u);

@@ -30,9 +30,10 @@
 // WatchBatch and one pass consumes the burst.
 //
 // Smart-home workload: a Sync route (motion -> house) over a zed-profile
-// Log DE running the Fig. 4-style pipeline. Naive mode materializes deep
-// copies and runs one pass per operator; consolidated mode pulls shared
-// handles (copy-on-write) and runs the fused plan.
+// Log DE running the Fig. 4-style pipeline. Naive mode deep-copies the
+// batch and runs the unfused plan (one pass per operator); consolidated
+// mode pulls shared handles (copy-on-write) and runs the fused plan. Every
+// row's moved and processed counts are gated exactly.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -1224,9 +1225,27 @@ int main(int argc, char** argv) {
   report.set("retail", std::move(retail));
 
   Value home = Value::array();
+  // Exact-count gate on every home row (deterministic, so it cannot flake):
+  // both modes move the same records; the naive round charges each of the
+  // pipeline's five operators a pass over the whole batch, the
+  // consolidated round one fused pass over it plus the sort barrier over
+  // the records that survive the filter.
+  std::string home_count_error;
   if (want("home")) for (const auto& [label, records] : home_scales) {
     SyncRun naive = run_smart_home(records, false);
     SyncRun fused = run_smart_home(records, true);
+    if (home_count_error.empty() &&
+        (naive.moved != fused.moved ||
+         naive.records_processed != 5 * records ||
+         fused.records_processed != records + fused.moved)) {
+      home_count_error =
+          label + ": moved " + std::to_string(naive.moved) + " naive / " +
+          std::to_string(fused.moved) + " consolidated, processed " +
+          std::to_string(naive.records_processed) + " naive (want " +
+          std::to_string(5 * records) + ") / " +
+          std::to_string(fused.records_processed) + " consolidated (want " +
+          std::to_string(records + fused.moved) + ")";
+    }
     double speedup = naive.wall_ms > 0 && fused.wall_ms > 0
                          ? naive.wall_ms / fused.wall_ms
                          : 0;
@@ -1496,7 +1515,9 @@ int main(int argc, char** argv) {
     gate.set("openloop_ride_knee_rps", Value(openloop_ride_knee));
     gate.set("openloop_fleet_knee_rps", Value(openloop_fleet_knee));
     gate.set("openloop_ok", Value(openloop_ok));
+    gate.set("home_counts_exact", Value(home_count_error.empty()));
     gate.set("pass", Value((smoke || retail_100x_speedup >= 2.0) &&
+                           home_count_error.empty() &&
                            incremental_gate_ok && scaling_gate_ok &&
                            recovery_gate_ok && snapshot_stall_gate_ok &&
                            fanout_gate_ok &&
@@ -1519,6 +1540,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "bench_hotpath: FAIL: retail 100x speedup %.2fx < 2.0x\n",
                  retail_100x_speedup);
+    return 1;
+  }
+  if (!home_count_error.empty()) {
+    std::fprintf(stderr, "bench_hotpath: FAIL: home %s\n",
+                 home_count_error.c_str());
     return 1;
   }
   if (!incremental_gate_ok) {

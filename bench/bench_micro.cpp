@@ -18,6 +18,7 @@
 #include "de/query.h"
 #include "de/log.h"
 #include "de/object.h"
+#include "de/plan.h"
 #include "expr/eval.h"
 #include "expr/parser.h"
 #include "net/wire.h"
@@ -219,21 +220,24 @@ void BM_ObjectStoreWatchDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ObjectStoreWatchDispatch)->Arg(1)->Arg(16);
 
+// The unfused plan: one pass per operator, the naive side of the
+// consolidation ablation.
 void BM_LogPipeline(benchmark::State& state) {
   using namespace knactor;
-  std::vector<Value> records;
+  std::vector<common::CowValue> records;
   for (int i = 0; i < state.range(0); ++i) {
     Value v = Value::object();
     v.set("device", Value(i % 2 == 0 ? "lamp" : "heater"));
     v.set("kwh", Value(0.01 * i));
-    records.push_back(std::move(v));
+    records.emplace_back(std::move(v));
   }
   de::LogQuery q;
   q.push_back(de::LogOp::filter("kwh > 0.5").value());
   q.push_back(de::LogOp::rename({{"kwh", "energy"}}));
   q.push_back(de::LogOp::aggregate({"device"}, {{"total", {"sum", "energy"}}}));
+  const de::QueryPlan plan = de::plan_query(q, /*fuse=*/false);
   for (auto _ : state) {
-    auto out = de::run_pipeline(q, records);
+    auto out = de::run_plan(plan, records);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -40,7 +40,7 @@ int main() {
     auto report = app.house_log->query_sync("house", energy);
     if (report.ok() && !report.value().empty()) {
       std::printf("\n== house energy analytics (from the Log DE) ==\n  %s\n",
-                  common::to_json(report.value()[0]).c_str());
+                  common::to_json(*report.value()[0]).c_str());
     }
     de::LogQuery motion_q;
     motion_q.push_back(de::LogOp::filter("motion == true").value());

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "de/plan.h"
 
 namespace knactor::core {
 
@@ -156,11 +155,7 @@ void SyncIntegrator::schedule_tick() {
 
 std::size_t SyncIntegrator::count_passes(const de::LogQuery& pipeline,
                                          bool consolidated) {
-  if (pipeline.empty()) return 0;
-  if (!consolidated) return pipeline.size();
-  // The planner is the single source of truth for what fuses: one pass per
-  // plan stage (fused record-local segment or barrier).
-  return de::plan_query(pipeline).passes();
+  return de::plan_query(pipeline, consolidated).passes();
 }
 
 Result<std::size_t> SyncIntegrator::run_route(SyncRoute& route) {
@@ -181,95 +176,61 @@ Result<std::size_t> SyncIntegrator::run_route(SyncRoute& route) {
   // Pull raw records after the cursor; the source query itself charges the
   // DE's scan cost once.
   std::uint64_t latest = route.source->latest_seq();
-  sim::SimTime per_record = de_.profile().per_record.mean();
-  std::size_t moved = 0;
   // Lineage: snapshot the consumed window (seq + shared payload) before
   // the pipeline consumes it. Zero-copy; only taken when recording is on.
   const bool lineage = de_.kernel().provenance().enabled();
   std::vector<de::LogRecord> raw;
   if (lineage) raw = route.source->records_after(route.cursor);
-  if (options_.consolidate) {
-    // Consolidated round (§3.3): records move as copy-on-write handles
-    // (no deep copy until a pipeline stage mutates one), the fused plan
-    // runs record-local segments as single passes, and execution cost is
-    // charged on the records each stage actually processed.
-    std::uint64_t q_span = open_stage("sync.query.", route, "C-I");
-    auto batch_r =
-        route.source->query_shared_sync(principal(), {}, route.cursor);
-    end_span(q_span);
-    if (!batch_r.ok()) {
-      end_span(span);
-      return batch_r.error();
-    }
-    std::uint64_t p_span = open_stage("sync.pipeline.", route, "I");
-    de::QueryPlan plan = de::plan_query(route.pipeline);
-    de::PlanRunStats prs;
-    auto transformed_r = de::run_plan(plan, batch_r.take(), &prs);
-    if (!transformed_r.ok()) {
-      end_span(p_span);
-      end_span(span);
-      return transformed_r.error();
-    }
-    std::vector<common::CowValue> transformed = transformed_r.take();
-    stats_.records_processed += prs.total_processed();
-    de_.clock().advance(
-        static_cast<sim::SimTime>(prs.total_processed()) * per_record);
-    end_span(p_span);
-    moved = transformed.size();
-    if (!transformed.empty()) {
-      std::uint64_t a_span = open_stage("sync.append.", route, "I-S");
-      auto appended = route.target->append_batch_shared_sync(
-          principal(), std::move(transformed));
-      end_span(a_span);
-      if (!appended.ok()) {
-        ++stats_.pipeline_errors;
-        end_span(span);
-        return appended.error();
-      }
-      if (lineage) {
-        record_route_lineage(route, raw, appended.value(), moved, span);
-      }
-    }
-  } else {
-    std::uint64_t q_span = open_stage("sync.query.", route, "C-I");
-    auto batch_r = route.source->query_sync(principal(), {}, route.cursor);
-    end_span(q_span);
-    if (!batch_r.ok()) {
-      end_span(span);
-      return batch_r.error();
-    }
-    std::vector<Value> batch = batch_r.take();
+  std::uint64_t q_span = open_stage("sync.query.", route, "C-I");
+  auto batch_r = route.source->query_sync(principal(), {}, route.cursor);
+  end_span(q_span);
+  if (!batch_r.ok()) {
+    end_span(span);
+    return batch_r.error();
+  }
+  std::vector<common::CowValue> batch = batch_r.take();
 
-    // Charge pipeline execution: one per-record scan per operator (this is
-    // the operator-consolidation ablation surface).
-    std::uint64_t p_span = open_stage("sync.pipeline.", route, "I");
-    std::size_t passes = count_passes(route.pipeline, /*consolidated=*/false);
-    stats_.records_processed += passes * batch.size();
-    de_.clock().advance(static_cast<sim::SimTime>(passes * batch.size()) *
-                        per_record);
-
-    auto transformed_r = de::run_pipeline(route.pipeline, std::move(batch));
-    end_span(p_span);
-    if (!transformed_r.ok()) {
+  // Consolidated rounds (§3.3) move records as copy-on-write handles and
+  // run the fused plan. The naive side of the ablation deep-copies the
+  // batch on load (no zero-copy) and runs the unfused plan, one pass per
+  // operator.
+  std::uint64_t p_span = open_stage("sync.pipeline.", route, "I");
+  const de::QueryPlan plan =
+      de::plan_query(route.pipeline, options_.consolidate);
+  if (!options_.consolidate) {
+    for (auto& r : batch) r = common::CowValue(Value(*r));
+  }
+  const std::size_t loaded = batch.size();
+  de::PlanRunStats prs;
+  auto transformed_r = de::run_plan(plan, std::move(batch), &prs);
+  // Consolidated rounds charge the records each stage actually processed
+  // (nothing when the pipeline fails); naive rounds charge every operator
+  // a pass over the whole batch, failed or not.
+  const std::size_t processed = !options_.consolidate ? plan.passes() * loaded
+                                : transformed_r.ok()  ? prs.total_processed()
+                                                      : 0;
+  stats_.records_processed += processed;
+  de_.clock().advance(static_cast<sim::SimTime>(processed) *
+                      de_.profile().per_record.mean());
+  end_span(p_span);
+  if (!transformed_r.ok()) {
+    end_span(span);
+    return transformed_r.error();
+  }
+  std::vector<common::CowValue> transformed = transformed_r.take();
+  const std::size_t moved = transformed.size();
+  if (!transformed.empty()) {
+    std::uint64_t a_span = open_stage("sync.append.", route, "I-S");
+    auto appended =
+        route.target->append_batch_sync(principal(), std::move(transformed));
+    end_span(a_span);
+    if (!appended.ok()) {
+      ++stats_.pipeline_errors;
       end_span(span);
-      return transformed_r.error();
+      return appended.error();
     }
-    std::vector<Value> transformed = transformed_r.take();
-
-    moved = transformed.size();
-    if (!transformed.empty()) {
-      std::uint64_t a_span = open_stage("sync.append.", route, "I-S");
-      auto appended =
-          route.target->append_batch_sync(principal(), std::move(transformed));
-      end_span(a_span);
-      if (!appended.ok()) {
-        ++stats_.pipeline_errors;
-        end_span(span);
-        return appended.error();
-      }
-      if (lineage) {
-        record_route_lineage(route, raw, appended.value(), moved, span);
-      }
+    if (lineage) {
+      record_route_lineage(route, plan, raw, appended.value(), moved, span);
     }
   }
   route.cursor = latest;
@@ -279,6 +240,7 @@ Result<std::size_t> SyncIntegrator::run_route(SyncRoute& route) {
 }
 
 void SyncIntegrator::record_route_lineage(const SyncRoute& route,
+                                          const de::QueryPlan& plan,
                                           const std::vector<de::LogRecord>& raw,
                                           std::uint64_t last_seq,
                                           std::size_t appended,
@@ -293,16 +255,9 @@ void SyncIntegrator::record_route_lineage(const SyncRoute& route,
     ref.data = r.data;
     return ref;
   };
-  bool barrier = false;
-  for (const auto& op : route.pipeline) {
-    if (op.kind == de::LogOp::Kind::kSort ||
-        op.kind == de::LogOp::Kind::kHead ||
-        op.kind == de::LogOp::Kind::kTail ||
-        op.kind == de::LogOp::Kind::kAggregate) {
-      barrier = true;
-      break;
-    }
-  }
+  const bool barrier =
+      std::any_of(plan.stages.begin(), plan.stages.end(),
+                  [](const de::PlanStage& s) { return s.is_barrier; });
   // Per-output input attribution. Record-local pipelines map each output
   // to exactly one source record; confirm by singleton replay (each input
   // alone produces 0 or 1 outputs, survivors line up with the batch
@@ -313,8 +268,9 @@ void SyncIntegrator::record_route_lineage(const SyncRoute& route,
     std::vector<const de::LogRecord*> survivors;
     bool ok = true;
     for (const auto& r : raw) {
-      auto one = de::run_pipeline(
-          route.pipeline, {r.data ? *r.data : Value(nullptr)});
+      std::vector<common::CowValue> one_in;
+      one_in.emplace_back(r.data);
+      auto one = de::run_plan(plan, std::move(one_in));
       if (!one.ok() || one.value().size() > 1) {
         ok = false;
         break;

@@ -10,8 +10,9 @@
 // added, removed, or re-piped at run-time (§3.3).
 //
 // Operator consolidation (§3.3 optimization 3): adjacent compatible
-// operators are fused into fewer passes; `set_consolidation` toggles it
-// for the ablation bench.
+// operators are fused into fewer passes. `Options::consolidate` (or
+// `reconfigure({"consolidate": false})`) turns it off for the ablation
+// bench: routes then run the unfused plan over deep-copied batches.
 #pragma once
 
 #include <map>
@@ -22,6 +23,7 @@
 #include "core/integrator.h"
 #include "core/trace.h"
 #include "de/log.h"
+#include "de/plan.h"
 #include "sim/clock.h"
 #include "sim/random.h"
 #include "sim/retry.h"
@@ -97,8 +99,6 @@ class SyncIntegrator : public Integrator {
   /// moved.
   common::Result<std::size_t> run_round_sync();
 
-  void set_consolidation(bool on) { options_.consolidate = on; }
-
   [[nodiscard]] const SyncStats& stats() const { return stats_; }
   [[nodiscard]] const std::vector<SyncRoute>& routes() const { return routes_; }
 
@@ -107,11 +107,12 @@ class SyncIntegrator : public Integrator {
   /// Records lineage for the records a route just appended: `raw` is the
   /// consumed source window, `appended` the target seqs of this append.
   /// Record-local pipelines attribute each output to exactly the one
-  /// source record that produced it (verified by singleton replay);
-  /// barrier pipelines (sort/head/tail/aggregate) attribute each output
-  /// to the whole consumed window — the minimal correct input set, since
-  /// a barrier output depends on every record in the batch.
-  void record_route_lineage(const SyncRoute& route,
+  /// source record that produced it (verified by replaying `plan` over
+  /// each record alone); plans with a barrier stage (sort/head/tail/
+  /// aggregate) attribute each output to the whole consumed window — the
+  /// minimal correct input set, since a barrier output depends on every
+  /// record in the batch.
+  void record_route_lineage(const SyncRoute& route, const de::QueryPlan& plan,
                             const std::vector<de::LogRecord>& raw,
                             std::uint64_t last_seq, std::size_t appended,
                             std::uint64_t span_id);
@@ -124,11 +125,12 @@ class SyncIntegrator : public Integrator {
   void schedule_push_round();
 
  public:
-  /// Number of record passes a pipeline costs: unconsolidated, one pass
-  /// per operator; consolidated, adjacent record-local operators (filter,
-  /// rename, project, drop, map) fuse into a single pass, while barrier
-  /// operators (sort, aggregate, head, tail) each cost their own.
-  /// Exposed for the ablation bench; results are identical either way.
+  /// Number of record passes a pipeline costs: the stages of its plan.
+  /// Unconsolidated, one pass per operator; consolidated, adjacent
+  /// record-local operators (filter, rename, project, drop, map) fuse into
+  /// a single pass, while barrier operators (sort, aggregate, head, tail)
+  /// each cost their own. Exposed for the ablation bench; results are
+  /// identical either way.
   static std::size_t count_passes(const de::LogQuery& pipeline,
                                   bool consolidated);
 

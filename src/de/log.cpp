@@ -106,9 +106,6 @@ Result<LogOp> LogOp::window(std::string target_field,
   return op;
 }
 
-// run_pipeline (the naive one-pass-per-operator executor) and the fused
-// planner both live in de/plan.cpp, sharing per-operator primitives.
-
 // ---------------------------------------------------------------------------
 // Profiles.
 // ---------------------------------------------------------------------------
@@ -162,16 +159,8 @@ void LogPool::append(const std::string& principal, Value record,
 }
 
 void LogPool::append_batch(const std::string& principal,
-                           std::vector<Value> records, AppendCallback done) {
-  std::vector<common::CowValue> wrapped;
-  wrapped.reserve(records.size());
-  for (auto& r : records) wrapped.emplace_back(std::move(r));
-  append_batch_shared(principal, std::move(wrapped), std::move(done));
-}
-
-void LogPool::append_batch_shared(const std::string& principal,
-                                  std::vector<common::CowValue> records,
-                                  AppendCallback done) {
+                           std::vector<common::CowValue> records,
+                           AppendCallback done) {
   sim::SimTime rt = de_.profile_.append_rt.sample(de_.kernel_.rng());
   rt += static_cast<sim::SimTime>(records.size()) *
         de_.profile_.per_record.sample(de_.kernel_.rng());
@@ -206,8 +195,8 @@ void LogPool::append_batch_shared(const std::string& principal,
       });
 }
 
-Result<std::uint64_t> LogPool::append_batch_sync(const std::string& principal,
-                                                 std::vector<Value> records) {
+Result<std::uint64_t> LogPool::append_batch_sync(
+    const std::string& principal, std::vector<common::CowValue> records) {
   std::optional<Result<std::uint64_t>> result;
   append_batch(principal, std::move(records),
                [&](Result<std::uint64_t> r) { result = std::move(r); });
@@ -215,17 +204,16 @@ Result<std::uint64_t> LogPool::append_batch_sync(const std::string& principal,
   return std::move(*result);
 }
 
-Result<std::uint64_t> LogPool::append_batch_shared_sync(
-    const std::string& principal, std::vector<common::CowValue> records) {
-  std::optional<Result<std::uint64_t>> result;
-  append_batch_shared(principal, std::move(records),
-                      [&](Result<std::uint64_t> r) { result = std::move(r); });
-  de_.run_sync([&] { return result.has_value(); });
-  return std::move(*result);
+Result<std::uint64_t> LogPool::append_batch_sync(const std::string& principal,
+                                                 std::vector<Value> records) {
+  std::vector<common::CowValue> wrapped;
+  wrapped.reserve(records.size());
+  for (auto& r : records) wrapped.emplace_back(std::move(r));
+  return append_batch_sync(principal, std::move(wrapped));
 }
 
-void LogPool::query_shared(const std::string& principal, const LogQuery& q,
-                           std::uint64_t after_seq, SharedQueryCallback done) {
+void LogPool::query(const std::string& principal, const LogQuery& q,
+                    std::uint64_t after_seq, QueryCallback done) {
   // Plan first: a leading head/tail bounds how many records the scan must
   // materialize (and pay per-record latency for).
   QueryPlan plan = plan_query(q);
@@ -280,22 +268,6 @@ void LogPool::query_shared(const std::string& principal, const LogQuery& q,
       });
 }
 
-void LogPool::query(const std::string& principal, const LogQuery& q,
-                    std::uint64_t after_seq, QueryCallback done) {
-  query_shared(principal, q, after_seq,
-               [done = std::move(done)](
-                   Result<std::vector<common::CowValue>> r) mutable {
-                 if (!r.ok()) {
-                   done(r.error());
-                   return;
-                 }
-                 std::vector<Value> out;
-                 out.reserve(r.value().size());
-                 for (auto& cow : r.value()) out.push_back(cow.take());
-                 done(std::move(out));
-               });
-}
-
 Result<std::uint64_t> LogPool::append_sync(const std::string& principal,
                                            Value record) {
   std::optional<Result<std::uint64_t>> result;
@@ -305,23 +277,11 @@ Result<std::uint64_t> LogPool::append_sync(const std::string& principal,
   return std::move(*result);
 }
 
-Result<std::vector<Value>> LogPool::query_sync(const std::string& principal,
-                                               const LogQuery& q,
-                                               std::uint64_t after_seq) {
-  std::optional<Result<std::vector<Value>>> result;
-  query(principal, q, after_seq,
-        [&](Result<std::vector<Value>> r) { result = std::move(r); });
-  de_.run_sync([&] { return result.has_value(); });
-  return std::move(*result);
-}
-
-Result<std::vector<common::CowValue>> LogPool::query_shared_sync(
+Result<std::vector<common::CowValue>> LogPool::query_sync(
     const std::string& principal, const LogQuery& q, std::uint64_t after_seq) {
   std::optional<Result<std::vector<common::CowValue>>> result;
-  query_shared(principal, q, after_seq,
-               [&](Result<std::vector<common::CowValue>> r) {
-                 result = std::move(r);
-               });
+  query(principal, q, after_seq,
+        [&](Result<std::vector<common::CowValue>> r) { result = std::move(r); });
   de_.run_sync([&] { return result.has_value(); });
   return std::move(*result);
 }

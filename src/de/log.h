@@ -125,47 +125,41 @@ class LogPool {
  public:
   using AppendCallback = std::function<void(common::Result<std::uint64_t>)>;
   using QueryCallback =
-      std::function<void(common::Result<std::vector<common::Value>>)>;
-  using SharedQueryCallback =
       std::function<void(common::Result<std::vector<common::CowValue>>)>;
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::size_t size() const { return records_.size(); }
 
-  /// Appends one record; callback receives its sequence number.
+  /// Appends one record; callback receives its sequence number. One
+  /// append round trip and no per-record engine cost. perfbench's
+  /// fleet_telemetry workload pins this plain-value entry point.
   void append(const std::string& principal, common::Value record,
               AppendCallback done);
   /// Appends a batch in one round trip (one append_rt + per-record engine
-  /// cost); callback receives the last sequence number. This is how bulk
-  /// loaders (the Sync integrator) ingest.
+  /// cost); callback receives the last sequence number. The pool stores
+  /// the shared buffers as they are (zero-copy: no deep copy of records a
+  /// pipeline left untouched). This is how bulk loaders (the Sync
+  /// integrator) ingest.
   void append_batch(const std::string& principal,
-                    std::vector<common::Value> records, AppendCallback done);
-  /// Appends a batch of shared buffers zero-copy: the pool stores the
-  /// handles directly (no deep copy of untouched records). This is the
-  /// consolidated Sync integrator's ingest path.
-  void append_batch_shared(const std::string& principal,
-                           std::vector<common::CowValue> records,
-                           AppendCallback done);
+                    std::vector<common::CowValue> records, AppendCallback done);
   /// Runs a query over records with seq > after_seq (0 = all). Executed
   /// through the query planner: adjacent record-local operators run as one
   /// fused pass and leading head/tail limits bound the scan itself.
+  /// Results are copy-on-write handles onto the stored buffers (records
+  /// the pipeline never mutated are not copied).
   void query(const std::string& principal, const LogQuery& q,
              std::uint64_t after_seq, QueryCallback done);
-  /// Zero-copy query: results are copy-on-write handles onto the stored
-  /// buffers (records the pipeline never mutated are not copied).
-  void query_shared(const std::string& principal, const LogQuery& q,
-                    std::uint64_t after_seq, SharedQueryCallback done);
 
+  /// Synchronous forms: run the clock until the operation completes.
+  /// perfbench pins `append_sync` and the plain-value `append_batch_sync`,
+  /// which wraps each record and appends through the shared path.
   common::Result<std::uint64_t> append_sync(const std::string& principal,
                                             common::Value record);
   common::Result<std::uint64_t> append_batch_sync(
-      const std::string& principal, std::vector<common::Value> records);
-  common::Result<std::uint64_t> append_batch_shared_sync(
       const std::string& principal, std::vector<common::CowValue> records);
-  common::Result<std::vector<common::Value>> query_sync(
-      const std::string& principal, const LogQuery& q,
-      std::uint64_t after_seq = 0);
-  common::Result<std::vector<common::CowValue>> query_shared_sync(
+  common::Result<std::uint64_t> append_batch_sync(
+      const std::string& principal, std::vector<common::Value> records);
+  common::Result<std::vector<common::CowValue>> query_sync(
       const std::string& principal, const LogQuery& q,
       std::uint64_t after_seq = 0);
 
@@ -240,11 +234,6 @@ class LogPool {
   std::deque<LogRecord> records_;
   std::vector<Subscriber> subscribers_;  // ascending id (registration order)
 };
-
-/// Executes a query pipeline over a batch of records (shared by LogPool
-/// and the Sync integrator's operator-consolidation ablation).
-common::Result<std::vector<common::Value>> run_pipeline(
-    const LogQuery& q, std::vector<common::Value> records);
 
 /// One deployed Log data exchange: a typed facade over de::Kernel (record
 /// sequencing via the kernel's revision counter, RBAC enforcement + audit,

@@ -14,9 +14,7 @@ using common::Result;
 using common::Value;
 
 // ---------------------------------------------------------------------------
-// Shared per-operator primitives. The naive executor (`run_pipeline`, one
-// pass per operator) and the consolidated executor (`run_plan`, fused
-// passes) both route through these, so their results cannot drift apart.
+// Per-operator primitives.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -149,14 +147,14 @@ Result<Value> aggregate_column(const std::string& fn,
   return Value(out);
 }
 
-/// Aggregates rows (read through pointers so both executors share it):
-/// groups by the group_by key tuple in first-seen order, one output row
-/// per group.
-Result<std::vector<Value>> apply_aggregate(const LogOp& op,
-                                           std::vector<const Value*> rows) {
+/// Aggregates rows: groups by the group_by key tuple in first-seen order,
+/// one output row per group.
+Result<std::vector<CowValue>> apply_aggregate(
+    const LogOp& op, const std::vector<CowValue>& rows) {
   std::vector<std::pair<std::string, std::vector<const Value*>>> groups;
   std::map<std::string, std::size_t> index;
-  for (const Value* r : rows) {
+  for (const CowValue& rec : rows) {
+    const Value* r = &rec.value();
     std::string key;
     for (const auto& f : op.fields) {
       const Value* v = r->get(f);
@@ -170,7 +168,7 @@ Result<std::vector<Value>> apply_aggregate(const LogOp& op,
       groups[it->second].second.push_back(r);
     }
   }
-  std::vector<Value> out;
+  std::vector<CowValue> out;
   for (auto& [key, members] : groups) {
     Value row = Value::object();
     for (const auto& f : op.fields) {
@@ -187,7 +185,7 @@ Result<std::vector<Value>> apply_aggregate(const LogOp& op,
       KN_ASSIGN_OR_RETURN(Value agg_value, aggregate_column(fn, column));
       row.set(out_field, std::move(agg_value));
     }
-    out.push_back(std::move(row));
+    out.emplace_back(std::move(row));
   }
   return out;
 }
@@ -199,95 +197,7 @@ bool is_barrier(const LogOp& op) {
 }
 
 // ---------------------------------------------------------------------------
-// Naive executor: one pass per operator (the unconsolidated baseline).
-// ---------------------------------------------------------------------------
-
-Result<std::vector<Value>> apply_op(const LogOp& op,
-                                    std::vector<Value> records) {
-  switch (op.kind) {
-    case LogOp::Kind::kFilter: {
-      std::vector<Value> out;
-      for (auto& r : records) {
-        KN_ASSIGN_OR_RETURN(Value keep, eval_record_expr(op, r));
-        if (keep.truthy()) out.push_back(std::move(r));
-      }
-      return out;
-    }
-    case LogOp::Kind::kRename: {
-      for (auto& r : records) {
-        if (!r.is_object()) continue;
-        r = rename_record(op, r);
-      }
-      return records;
-    }
-    case LogOp::Kind::kProject: {
-      for (auto& r : records) {
-        if (!r.is_object()) continue;
-        r = project_record(op, r);
-      }
-      return records;
-    }
-    case LogOp::Kind::kDrop: {
-      for (auto& r : records) {
-        if (!r.is_object()) continue;
-        for (const auto& f : op.fields) {
-          r.as_object().erase(f);
-        }
-      }
-      return records;
-    }
-    case LogOp::Kind::kSort: {
-      bool type_error = false;
-      std::stable_sort(records.begin(), records.end(),
-                       [&](const Value& a, const Value& b) {
-                         int c = sort_compare(op, a, b, &type_error);
-                         return op.descending ? c > 0 : c < 0;
-                       });
-      if (type_error) {
-        return Error::eval("sort: unorderable values in field '" + op.field +
-                           "'");
-      }
-      return records;
-    }
-    case LogOp::Kind::kHead: {
-      if (records.size() > op.n) records.resize(op.n);
-      return records;
-    }
-    case LogOp::Kind::kTail: {
-      if (records.size() > op.n) {
-        records.erase(records.begin(),
-                      records.end() - static_cast<std::ptrdiff_t>(op.n));
-      }
-      return records;
-    }
-    case LogOp::Kind::kMap: {
-      for (auto& r : records) {
-        KN_ASSIGN_OR_RETURN(Value v, eval_record_expr(op, r));
-        if (!r.is_object()) r = Value::object();
-        r.set(op.field, std::move(v));
-      }
-      return records;
-    }
-    case LogOp::Kind::kWindow: {
-      for (auto& r : records) {
-        Value bucket = window_bucket(op, r);
-        if (!r.is_object()) r = Value::object();
-        r.set(op.field, std::move(bucket));
-      }
-      return records;
-    }
-    case LogOp::Kind::kAggregate: {
-      std::vector<const Value*> rows;
-      rows.reserve(records.size());
-      for (const auto& r : records) rows.push_back(&r);
-      return apply_aggregate(op, std::move(rows));
-    }
-  }
-  return Error::internal("unhandled log op");
-}
-
-// ---------------------------------------------------------------------------
-// Consolidated executor pieces.
+// Executor pieces.
 // ---------------------------------------------------------------------------
 
 /// Runs one record through a fused record-local segment. Returns false when
@@ -368,17 +278,8 @@ Result<std::vector<CowValue>> apply_barrier(const LogOp& op,
       }
       return records;
     }
-    case LogOp::Kind::kAggregate: {
-      std::vector<const Value*> rows;
-      rows.reserve(records.size());
-      for (const auto& r : records) rows.push_back(&r.value());
-      KN_ASSIGN_OR_RETURN(std::vector<Value> out,
-                          apply_aggregate(op, std::move(rows)));
-      std::vector<CowValue> wrapped;
-      wrapped.reserve(out.size());
-      for (auto& v : out) wrapped.emplace_back(std::move(v));
-      return wrapped;
-    }
+    case LogOp::Kind::kAggregate:
+      return apply_aggregate(op, records);
     default:
       return Error::internal("record-local op used as barrier");
   }
@@ -390,15 +291,7 @@ Result<std::vector<CowValue>> apply_barrier(const LogOp& op,
 // Public entry points.
 // ---------------------------------------------------------------------------
 
-Result<std::vector<Value>> run_pipeline(const LogQuery& q,
-                                        std::vector<Value> records) {
-  for (const auto& op : q) {
-    KN_ASSIGN_OR_RETURN(records, apply_op(op, std::move(records)));
-  }
-  return records;
-}
-
-QueryPlan plan_query(const LogQuery& q) {
+QueryPlan plan_query(const LogQuery& q, bool fuse) {
   QueryPlan plan;
   for (const auto& op : q) {
     if (is_barrier(op)) {
@@ -406,7 +299,7 @@ QueryPlan plan_query(const LogQuery& q) {
       stage.barrier = op;
       stage.is_barrier = true;
       plan.stages.push_back(std::move(stage));
-    } else if (plan.stages.empty() || plan.stages.back().is_barrier) {
+    } else if (!fuse || plan.stages.empty() || plan.stages.back().is_barrier) {
       PlanStage stage;
       stage.fused.push_back(op);
       plan.stages.push_back(std::move(stage));
@@ -414,6 +307,7 @@ QueryPlan plan_query(const LogQuery& q) {
       plan.stages.back().fused.push_back(op);
     }
   }
+  if (!fuse) return plan;
   // Scan hints: a leading head/tail bounds how much of the log the scan
   // must materialize; a head right after the leading fused segment lets
   // execution stop once enough records survive it.
@@ -489,20 +383,6 @@ std::vector<std::size_t> estimate_stage_inputs(const QueryPlan& plan,
   }
   estimates.push_back(n);
   return estimates;
-}
-
-Result<std::vector<Value>> run_plan(const QueryPlan& plan,
-                                    std::vector<Value> records,
-                                    PlanRunStats* stats) {
-  std::vector<CowValue> wrapped;
-  wrapped.reserve(records.size());
-  for (auto& r : records) wrapped.emplace_back(std::move(r));
-  KN_ASSIGN_OR_RETURN(std::vector<CowValue> out,
-                      run_plan(plan, std::move(wrapped), stats));
-  std::vector<Value> unwrapped;
-  unwrapped.reserve(out.size());
-  for (auto& r : out) unwrapped.push_back(r.take());
-  return unwrapped;
 }
 
 }  // namespace knactor::de

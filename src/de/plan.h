@@ -12,9 +12,10 @@
 // Execution is copy-on-write over shared record buffers (common/cow.h):
 // records that pass through unmutated move as handles, and a mutation
 // (rename/map/...) clones at most once per record regardless of how many
-// fused operators touch it. Results are bit-identical to the naive
-// one-pass-per-operator `run_pipeline` — the differential equivalence
-// suite in tests/property enforces this.
+// fused operators touch it. An unfused plan (one stage per operator, no
+// scan hints) is the naive side of the consolidation ablation; fused and
+// unfused plans give bit-identical results on total pipelines — the
+// differential equivalence suite in tests/property enforces this.
 #pragma once
 
 #include <cstddef>
@@ -57,7 +58,10 @@ struct QueryPlan {
 
 /// Plans a query. Pure function of the pipeline; cheap enough to run per
 /// round (ops are copied by value, compiled expressions are shared).
-QueryPlan plan_query(const LogQuery& q);
+/// Unfused (`fuse` false), every operator is its own stage and the plan
+/// carries no scan hints, so it reads every record and surfaces the first
+/// error an operator-at-a-time run meets.
+QueryPlan plan_query(const LogQuery& q, bool fuse = true);
 
 /// Static per-stage record-count upper bounds for `input_records` entering
 /// the plan: entry i is the worst-case number of records entering stage i,
@@ -83,12 +87,6 @@ struct PlanRunStats {
 };
 common::Result<std::vector<common::CowValue>> run_plan(
     const QueryPlan& plan, std::vector<common::CowValue> records,
-    PlanRunStats* stats = nullptr);
-
-/// Wraps/unwraps plain values (convenience for callers without shared
-/// buffers; still benefits from fused passes).
-common::Result<std::vector<common::Value>> run_plan(
-    const QueryPlan& plan, std::vector<common::Value> records,
     PlanRunStats* stats = nullptr);
 
 }  // namespace knactor::de

@@ -1,5 +1,6 @@
 # CI exit-code contract for knctl analyze/lint:
 #   0 = clean (warnings allowed), 1 = findings, 2 = unusable input.
+# and for knctl query: 0 = results printed, 2 = bad pipeline or record.
 #
 # Usage: cmake -DKNCTL=<path> -DSPECS=<dir> -DFIXTURES=<dir> -P cli_exit_codes.cmake
 cmake_minimum_required(VERSION 3.16)
@@ -62,3 +63,26 @@ if(NOT rc EQUAL 1 OR NOT out MATCHES "\"diagnostics\"")
   message(FATAL_ERROR "lint --format json: rc=${rc} out:\n${out}")
 endif()
 message(STATUS "json smoke OK")
+
+# --- knctl query: the pipeline runs as LogPool::query runs it ----------------
+# The last record's filter would error, but the fused plan stops reading
+# once `head 1` is satisfied, exactly as a pool query does.
+file(WRITE ${scratch}/readings.jsonl
+  "{\"device\": \"lamp\", \"kwh\": 0.2, \"room\": \"hall\"}\n"
+  "{\"device\": \"heater\", \"kwh\": 2.5, \"room\": \"attic\"}\n"
+  "\n"
+  "{\"device\": \"meter\", \"kwh\": \"n/a\", \"room\": \"hall\"}\n")
+execute_process(COMMAND ${KNCTL} query
+                        "where kwh * 2 > 1 | cut device, kwh | head 1"
+                        ${scratch}/readings.jsonl
+                OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0 OR NOT out STREQUAL "{\"device\":\"heater\",\"kwh\":2.5}\n")
+  message(FATAL_ERROR "query fixture: rc=${rc} out:\n${out}${err}")
+endif()
+message(STATUS "query fixture: exit 0 with the expected line")
+expect_rc("query malformed pipeline" 2
+  ${KNCTL} query "where kwh >" ${scratch}/readings.jsonl)
+file(WRITE ${scratch}/bad_record.jsonl
+  "{\"device\": \"lamp\", \"kwh\": 0.2}\n{\"device\": \n")
+expect_rc("query malformed record" 2
+  ${KNCTL} query "where kwh > 0.5" ${scratch}/bad_record.jsonl)

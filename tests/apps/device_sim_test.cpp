@@ -74,7 +74,7 @@ TEST(MotionSensorSim, LogsEverySample) {
   auto rows = pool.query_sync("house", query.value());
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 1u);
-  EXPECT_EQ(rows.value()[0].get("n")->as_int(), 14);
+  EXPECT_EQ(rows.value()[0]->get("n")->as_int(), 14);
 }
 
 TEST(MotionSensorSim, FlakySensorStillBounded) {

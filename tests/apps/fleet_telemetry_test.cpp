@@ -17,6 +17,8 @@
 #include "de/plan.h"
 #include "de/query.h"
 
+#include "../de/plan_values.h"
+
 namespace knactor {
 namespace {
 
@@ -167,7 +169,8 @@ TEST(FleetTelemetry, AlertRecordsReplayFromAttributedReading) {
       EXPECT_EQ(ref.store, "fleet-readings");
       inputs.push_back(Value(*ref.data));
     }
-    auto out = de::run_pipeline(alert_route->pipeline, std::move(inputs));
+    auto out = de::run_plan_values(de::plan_query(alert_route->pipeline),
+                                   std::move(inputs));
     ASSERT_TRUE(out.ok());
     ASSERT_EQ(out.value().size(), 1u);  // record-local: 1:1 attribution
     EXPECT_EQ(common::to_json(out.value()[0]),

@@ -30,9 +30,9 @@ TEST(SmartHomeKnactor, TelemetrySyncRenamesTriggeredToMotion) {
   ASSERT_TRUE(records.ok());
   bool found = false;
   for (const auto& r : records.value()) {
-    if (r.get("motion") != nullptr) {
+    if (r->get("motion") != nullptr) {
       found = true;
-      EXPECT_EQ(r.get("triggered"), nullptr);  // renamed away
+      EXPECT_EQ(r->get("triggered"), nullptr);  // renamed away
     }
   }
   EXPECT_TRUE(found);
@@ -48,9 +48,9 @@ TEST(SmartHomeKnactor, LampEnergyFlowsToHouseLog) {
   ASSERT_TRUE(records.ok());
   bool energy_seen = false;
   for (const auto& r : records.value()) {
-    if (r.get("energy") != nullptr) {
+    if (r->get("energy") != nullptr) {
       energy_seen = true;
-      EXPECT_GT(r.get("energy")->as_number(), 0.0);
+      EXPECT_GT(r->get("energy")->as_number(), 0.0);
     }
   }
   EXPECT_TRUE(energy_seen);
@@ -71,8 +71,8 @@ TEST(SmartHomeKnactor, HouseAggregatesEnergyWithLogQuery) {
   auto result = app.house_log->query_sync("house", q);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().size(), 1u);
-  EXPECT_GT(result.value()[0].get("total")->as_number(), 0.0);
-  EXPECT_GE(result.value()[0].get("n")->as_int(), 2);
+  EXPECT_GT(result.value()[0]->get("total")->as_number(), 0.0);
+  EXPECT_GE(result.value()[0]->get("n")->as_int(), 2);
 }
 
 TEST(SmartHomeKnactor, MotionSensorHasConfigStore) {

@@ -38,13 +38,13 @@ TEST_F(CaptureTest, RecordsAddModifyDelete) {
   auto records = pool_->query_sync("r", {});
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records.value().size(), 3u);
-  EXPECT_EQ(records.value()[0].get("event")->as_string(), "added");
-  EXPECT_EQ(records.value()[1].get("event")->as_string(), "modified");
-  EXPECT_EQ(records.value()[2].get("event")->as_string(), "deleted");
-  EXPECT_EQ(records.value()[1].get("data")->get("n")->as_int(), 2);
+  EXPECT_EQ(records.value()[0]->get("event")->as_string(), "added");
+  EXPECT_EQ(records.value()[1]->get("event")->as_string(), "modified");
+  EXPECT_EQ(records.value()[2]->get("event")->as_string(), "deleted");
+  EXPECT_EQ(records.value()[1]->get("data")->get("n")->as_int(), 2);
   // Versions captured monotonically.
-  EXPECT_LT(records.value()[0].get("version")->as_int(),
-            records.value()[1].get("version")->as_int());
+  EXPECT_LT(records.value()[0]->get("version")->as_int(),
+            records.value()[1]->get("version")->as_int());
 }
 
 TEST_F(CaptureTest, PrefixScoping) {
@@ -67,8 +67,8 @@ TEST_F(CaptureTest, MetadataOnlyMode) {
   clock_.run_all();
   auto records = pool_->query_sync("r", {});
   ASSERT_EQ(records.value().size(), 1u);
-  EXPECT_EQ(records.value()[0].get("data"), nullptr);
-  EXPECT_NE(records.value()[0].get("version"), nullptr);
+  EXPECT_EQ(records.value()[0]->get("data"), nullptr);
+  EXPECT_NE(records.value()[0]->get("version"), nullptr);
 }
 
 TEST_F(CaptureTest, StopHaltsCapture) {
@@ -107,8 +107,8 @@ TEST_F(CaptureTest, HistorySurvivesRetentionGc) {
   auto rows = pool_->query_sync("analyst", query.value());
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 1u);
-  EXPECT_EQ(rows.value()[0].get("n")->as_int(), 3);  // add, modify, delete
-  EXPECT_EQ(rows.value()[0].get("last")->as_string(), "deleted");
+  EXPECT_EQ(rows.value()[0]->get("n")->as_int(), 3);  // add, modify, delete
+  EXPECT_EQ(rows.value()[0]->get("last")->as_string(), "deleted");
 }
 
 TEST_F(CaptureTest, AnalyticsOverRetailOrderHistory) {
@@ -130,7 +130,7 @@ TEST_F(CaptureTest, AnalyticsOverRetailOrderHistory) {
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 1u);
   // items/addr/method fill + quote + tracking id: several captured writes.
-  EXPECT_GE(rows.value()[0].get("versions")->as_int(), 3);
+  EXPECT_GE(rows.value()[0]->get("versions")->as_int(), 3);
   capture.stop();
 }
 

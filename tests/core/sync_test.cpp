@@ -45,8 +45,8 @@ TEST_F(SyncTest, MovesRecordsThroughPipeline) {
   EXPECT_EQ(moved.value(), 1u);
   auto out = dst_->query_sync("h", {});
   ASSERT_EQ(out.value().size(), 1u);
-  EXPECT_TRUE(out.value()[0].get("motion")->as_bool());
-  EXPECT_EQ(out.value()[0].get("triggered"), nullptr);
+  EXPECT_TRUE(out.value()[0]->get("motion")->as_bool());
+  EXPECT_EQ(out.value()[0]->get("triggered"), nullptr);
 }
 
 TEST_F(SyncTest, CursorPreventsDuplicates) {
@@ -205,9 +205,9 @@ TEST_F(SyncTest, PushAppendsFasterThanARoundAreRolledUpOnce) {
   auto rows = rollup.query_sync("h", {});
   ASSERT_TRUE(rows.ok());
   std::map<std::int64_t, int> rows_per_id;
-  for (const Value& row : rows.value()) {
-    EXPECT_EQ(row.get("n")->as_int(), 1);
-    ++rows_per_id[row.get("id")->as_int()];
+  for (const auto& row : rows.value()) {
+    EXPECT_EQ(row->get("n")->as_int(), 1);
+    ++rows_per_id[row->get("id")->as_int()];
   }
   EXPECT_EQ(rows_per_id.size(), static_cast<std::size_t>(kReadings));
   for (const auto& [id, n] : rows_per_id) {
@@ -268,7 +268,7 @@ TEST_F(SyncTest, ConsolidationPreservesResults) {
   auto b = out_separate.query_sync("q", {});
   ASSERT_EQ(a.value().size(), b.value().size());
   for (std::size_t i = 0; i < a.value().size(); ++i) {
-    EXPECT_TRUE(a.value()[i] == b.value()[i]);
+    EXPECT_TRUE(*a.value()[i] == *b.value()[i]);
   }
 }
 
@@ -310,6 +310,49 @@ TEST_F(SyncTest, ConsolidationIsFasterOnTimedProfile) {
   sim::SimTime separate_time = clock_.now() - start;
 
   EXPECT_LT(fused_time, separate_time);
+}
+
+TEST_F(SyncTest, NaiveModeFailsOnAnErrorTheFusedHeadNeverReaches) {
+  // `where n + 1 > 0 | head 2` errors on the last record only. The fused
+  // plan stops its filter stage once two records survive, so it never
+  // evaluates that record; naive mode runs each operator over the whole
+  // batch and fails (docs/PERFORMANCE.md §2, totality caveat).
+  for (int i = 1; i <= 3; ++i) {
+    (void)src_->append_sync("m", Value::object({{"n", i}}));
+  }
+  Value late = Value::object();
+  late.set("n", Value(std::string("late")));
+  (void)src_->append_sync("m", std::move(late));
+  auto route = [&](de::LogPool* target) {
+    SyncRoute r;
+    r.name = "r";
+    r.source = src_;
+    r.target = target;
+    r.pipeline.push_back(de::LogOp::filter("n + 1 > 0").value());
+    r.pipeline.push_back(de::LogOp::head(2));
+    return r;
+  };
+  de::LogPool& naive_out = de_.create_pool("naive");
+  de::LogPool& fused_out = de_.create_pool("fused");
+
+  SyncIntegrator::Options naive_opts;
+  naive_opts.consolidate = false;
+  SyncIntegrator naive("naive", de_, naive_opts);
+  ASSERT_TRUE(naive.add_route(route(&naive_out)).ok());
+  EXPECT_FALSE(naive.run_round_sync().ok());
+  EXPECT_EQ(naive.routes()[0].cursor, 0u);
+  EXPECT_EQ(naive_out.size(), 0u);
+  EXPECT_EQ(naive.stats().records_moved, 0u);
+  // Both operators are charged a pass over the whole batch, failed or not.
+  EXPECT_EQ(naive.stats().records_processed, 8u);
+
+  SyncIntegrator fused("fused", de_);
+  ASSERT_TRUE(fused.add_route(route(&fused_out)).ok());
+  auto moved = fused.run_round_sync();
+  ASSERT_TRUE(moved.ok()) << moved.error().to_string();
+  EXPECT_EQ(moved.value(), 2u);
+  EXPECT_EQ(fused.routes()[0].cursor, src_->latest_seq());
+  EXPECT_EQ(fused_out.size(), 2u);
 }
 
 TEST_F(SyncTest, ReconfigureTogglesConsolidation) {

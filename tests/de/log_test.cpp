@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "de/plan.h"
+#include "plan_values.h"
+
 namespace knactor::de {
 namespace {
 
@@ -48,7 +51,7 @@ TEST_F(LogDeTest, QueryAfterSeqCursor) {
   auto r = pool.query_sync("me", {}, s1.value());
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r.value().size(), 1u);
-  EXPECT_EQ(r.value()[0].get("device")->as_string(), "b");
+  EXPECT_EQ(r.value()[0]->get("device")->as_string(), "b");
 }
 
 TEST_F(LogDeTest, FilterOp) {
@@ -59,7 +62,7 @@ TEST_F(LogDeTest, FilterOp) {
   q.push_back(LogOp::filter("kwh > 1").value());
   auto r = pool.query_sync("me", q);
   ASSERT_EQ(r.value().size(), 1u);
-  EXPECT_EQ(r.value()[0].get("device")->as_string(), "b");
+  EXPECT_EQ(r.value()[0]->get("device")->as_string(), "b");
 }
 
 TEST_F(LogDeTest, FilterExprParseErrorSurfaces) {
@@ -73,8 +76,8 @@ TEST_F(LogDeTest, RenameOp) {
   q.push_back(LogOp::rename({{"triggered", "motion"}}));
   auto r = pool.query_sync("me", q);
   ASSERT_EQ(r.value().size(), 1u);
-  EXPECT_EQ(r.value()[0].get("triggered"), nullptr);
-  EXPECT_TRUE(r.value()[0].get("motion")->as_bool());
+  EXPECT_EQ(r.value()[0]->get("triggered"), nullptr);
+  EXPECT_TRUE(r.value()[0]->get("motion")->as_bool());
 }
 
 TEST_F(LogDeTest, ProjectAndDrop) {
@@ -83,12 +86,12 @@ TEST_F(LogDeTest, ProjectAndDrop) {
   LogQuery project;
   project.push_back(LogOp::project({"device"}));
   auto r1 = pool.query_sync("me", project);
-  EXPECT_EQ(r1.value()[0].as_object().size(), 1u);
+  EXPECT_EQ(r1.value()[0]->as_object().size(), 1u);
   LogQuery drop;
   drop.push_back(LogOp::drop({"kwh"}));
   auto r2 = pool.query_sync("me", drop);
-  EXPECT_EQ(r2.value()[0].get("kwh"), nullptr);
-  EXPECT_NE(r2.value()[0].get("device"), nullptr);
+  EXPECT_EQ(r2.value()[0]->get("kwh"), nullptr);
+  EXPECT_NE(r2.value()[0]->get("device"), nullptr);
 }
 
 TEST_F(LogDeTest, SortAscendingDescendingAndMissing) {
@@ -104,14 +107,14 @@ TEST_F(LogDeTest, SortAscendingDescendingAndMissing) {
   asc.push_back(LogOp::sort("kwh"));
   auto r = pool.query_sync("me", asc);
   ASSERT_EQ(r.value().size(), 4u);
-  EXPECT_EQ(r.value()[0].get("device")->as_string(), "a");
-  EXPECT_EQ(r.value()[2].get("device")->as_string(), "c");
-  EXPECT_EQ(r.value()[3].get("device")->as_string(), "z");  // missing last
+  EXPECT_EQ(r.value()[0]->get("device")->as_string(), "a");
+  EXPECT_EQ(r.value()[2]->get("device")->as_string(), "c");
+  EXPECT_EQ(r.value()[3]->get("device")->as_string(), "z");  // missing last
 
   LogQuery desc;
   desc.push_back(LogOp::sort("kwh", /*descending=*/true));
   auto r2 = pool.query_sync("me", desc);
-  EXPECT_EQ(r2.value()[0].get("device")->as_string(), "c");
+  EXPECT_EQ(r2.value()[0]->get("device")->as_string(), "c");
 }
 
 TEST_F(LogDeTest, HeadAndTail) {
@@ -122,13 +125,13 @@ TEST_F(LogDeTest, HeadAndTail) {
   LogQuery head;
   head.push_back(LogOp::head(2));
   EXPECT_EQ(pool.query_sync("me", head).value().size(), 2u);
-  EXPECT_EQ(pool.query_sync("me", head).value()[0].get("device")->as_string(),
+  EXPECT_EQ(pool.query_sync("me", head).value()[0]->get("device")->as_string(),
             "d0");
   LogQuery tail;
   tail.push_back(LogOp::tail(2));
   auto t = pool.query_sync("me", tail);
   EXPECT_EQ(t.value().size(), 2u);
-  EXPECT_EQ(t.value()[0].get("device")->as_string(), "d3");
+  EXPECT_EQ(t.value()[0]->get("device")->as_string(), "d3");
 }
 
 TEST_F(LogDeTest, MapAddsComputedField) {
@@ -137,7 +140,7 @@ TEST_F(LogDeTest, MapAddsComputedField) {
   LogQuery q;
   q.push_back(LogOp::map("wh", "kwh * 1000").value());
   auto r = pool.query_sync("me", q);
-  EXPECT_DOUBLE_EQ(r.value()[0].get("wh")->as_double(), 2000.0);
+  EXPECT_DOUBLE_EQ(r.value()[0]->get("wh")->as_double(), 2000.0);
 }
 
 TEST_F(LogDeTest, AggregateSumCountAvg) {
@@ -152,7 +155,7 @@ TEST_F(LogDeTest, AggregateSumCountAvg) {
                    {"mean", {"avg", "kwh"}}}));
   auto r = pool.query_sync("me", q);
   ASSERT_EQ(r.value().size(), 2u);
-  const Value& lamp = r.value()[0];
+  const Value& lamp = *r.value()[0];
   EXPECT_EQ(lamp.get("device")->as_string(), "lamp");
   EXPECT_DOUBLE_EQ(lamp.get("total")->as_double(), 4.0);
   EXPECT_EQ(lamp.get("n")->as_int(), 2);
@@ -171,10 +174,10 @@ TEST_F(LogDeTest, AggregateMinMaxFirstLast) {
                                     {"last", {"last", "kwh"}}}));
   auto r = pool.query_sync("me", q);
   ASSERT_EQ(r.value().size(), 1u);
-  EXPECT_DOUBLE_EQ(r.value()[0].get("lo")->as_double(), 1.0);
-  EXPECT_DOUBLE_EQ(r.value()[0].get("hi")->as_double(), 5.0);
-  EXPECT_DOUBLE_EQ(r.value()[0].get("first")->as_double(), 5.0);
-  EXPECT_DOUBLE_EQ(r.value()[0].get("last")->as_double(), 3.0);
+  EXPECT_DOUBLE_EQ(r.value()[0]->get("lo")->as_double(), 1.0);
+  EXPECT_DOUBLE_EQ(r.value()[0]->get("hi")->as_double(), 5.0);
+  EXPECT_DOUBLE_EQ(r.value()[0]->get("first")->as_double(), 5.0);
+  EXPECT_DOUBLE_EQ(r.value()[0]->get("last")->as_double(), 3.0);
 }
 
 TEST_F(LogDeTest, AggregateNonNumericErrors) {
@@ -199,15 +202,15 @@ TEST_F(LogDeTest, PipelineComposition) {
   q.push_back(LogOp::project({"wh"}));
   auto r = pool.query_sync("me", q);
   ASSERT_EQ(r.value().size(), 2u);
-  EXPECT_DOUBLE_EQ(r.value()[0].get("wh")->as_double(), 8000.0);
-  EXPECT_DOUBLE_EQ(r.value()[1].get("wh")->as_double(), 6000.0);
+  EXPECT_DOUBLE_EQ(r.value()[0]->get("wh")->as_double(), 8000.0);
+  EXPECT_DOUBLE_EQ(r.value()[1]->get("wh")->as_double(), 6000.0);
 }
 
 TEST_F(LogDeTest, RunPipelineStandalone) {
   std::vector<Value> records = {record("a", 2.0), record("b", 1.0)};
   LogQuery q;
   q.push_back(LogOp::sort("kwh"));
-  auto r = run_pipeline(q, std::move(records));
+  auto r = run_plan_values(plan_query(q), std::move(records));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value()[0].get("device")->as_string(), "b");
 }
@@ -220,7 +223,7 @@ TEST_F(LogDeTest, CompactDropsOldRecords) {
   EXPECT_EQ(pool.compact(s1.value()), 1u);
   EXPECT_EQ(pool.size(), 1u);
   auto r = pool.query_sync("me", {});
-  EXPECT_EQ(r.value()[0].get("device")->as_string(), "b");
+  EXPECT_EQ(r.value()[0]->get("device")->as_string(), "b");
 }
 
 TEST_F(LogDeTest, QueryChargesPerRecordLatency) {

@@ -8,6 +8,7 @@
 
 #include "de/log.h"
 #include "de/plan.h"
+#include "plan_values.h"
 #include "sim/clock.h"
 
 namespace knactor::de {
@@ -83,6 +84,21 @@ TEST(PlanTest, MidPipelineHeadIsNoScanHint) {
   EXPECT_EQ(plan.early_stop, kNoLimit);
 }
 
+TEST(PlanTest, UnfusedPlanIsOneStagePerOperatorWithoutHints) {
+  LogQuery q;
+  q.push_back(LogOp::filter("n > 1").value());
+  q.push_back(LogOp::rename({{"n", "m"}}));
+  q.push_back(LogOp::head(2));
+  QueryPlan plan = plan_query(q, /*fuse=*/false);
+  ASSERT_EQ(plan.passes(), 3u);
+  EXPECT_EQ(plan.stages[0].fused.size(), 1u);
+  EXPECT_EQ(plan.stages[1].fused.size(), 1u);
+  EXPECT_TRUE(plan.stages[2].is_barrier);
+  EXPECT_EQ(plan.early_stop, kNoLimit);
+  EXPECT_EQ(plan_query({LogOp::head(5)}, /*fuse=*/false).scan_head, kNoLimit);
+  EXPECT_EQ(plan_query({LogOp::tail(5)}, /*fuse=*/false).scan_tail, kNoLimit);
+}
+
 TEST(PlanTest, RunPlanMatchesNaivePipeline) {
   LogQuery q;
   q.push_back(LogOp::filter("n % 2 == 0").value());
@@ -92,8 +108,8 @@ TEST(PlanTest, RunPlanMatchesNaivePipeline) {
 
   std::vector<Value> records;
   for (int i = 0; i < 20; ++i) records.push_back(rec(i));
-  auto naive = run_pipeline(q, records);
-  auto fused = run_plan(plan_query(q), records);
+  auto naive = run_plan_values(plan_query(q, /*fuse=*/false), records);
+  auto fused = run_plan_values(plan_query(q), records);
   ASSERT_TRUE(naive.ok());
   ASSERT_TRUE(fused.ok());
   ASSERT_EQ(naive.value().size(), fused.value().size());
@@ -128,7 +144,7 @@ TEST(PlanTest, HeadPushdownBoundsTheScan) {
   auto out = pool.query_sync("svc", q);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out.value().size(), 5u);
-  EXPECT_EQ(out.value()[0].get("n")->as_int(), 0);
+  EXPECT_EQ(out.value()[0]->get("n")->as_int(), 0);
   // 45 of the 50 records were never materialized or charged.
   EXPECT_EQ(de.stats().records_scan_saved, 45u);
   EXPECT_EQ(de.stats().records_scanned, 5u);
@@ -146,8 +162,8 @@ TEST(PlanTest, TailPushdownScansSuffix) {
   auto out = pool.query_sync("svc", q);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out.value().size(), 4u);
-  EXPECT_EQ(out.value()[0].get("n")->as_int(), 46);
-  EXPECT_EQ(out.value()[3].get("n")->as_int(), 49);
+  EXPECT_EQ(out.value()[0]->get("n")->as_int(), 46);
+  EXPECT_EQ(out.value()[3]->get("n")->as_int(), 49);
   EXPECT_EQ(de.stats().records_scan_saved, 46u);
 }
 
@@ -176,7 +192,7 @@ TEST(PlanTest, SharedQueryIsZeroCopyUntilMutation) {
   // stored buffer (shared), not a private copy.
   LogQuery q;
   q.push_back(LogOp::filter("n >= 2").value());
-  auto out = pool.query_shared_sync("svc", q);
+  auto out = pool.query_sync("svc", q);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out.value().size(), 3u);
   for (auto& handle : out.value()) {
@@ -185,14 +201,14 @@ TEST(PlanTest, SharedQueryIsZeroCopyUntilMutation) {
   // A renaming query mutates: handles detach from the store.
   LogQuery q2;
   q2.push_back(LogOp::rename({{"n", "m"}}));
-  auto out2 = pool.query_shared_sync("svc", q2);
+  auto out2 = pool.query_sync("svc", q2);
   ASSERT_TRUE(out2.ok());
   ASSERT_EQ(out2.value().size(), 5u);
   EXPECT_NE(out2.value()[0]->get("m"), nullptr);
   // The stored records are untouched.
   auto raw = pool.query_sync("svc", {});
   ASSERT_TRUE(raw.ok());
-  EXPECT_NE(raw.value()[0].get("n"), nullptr);
+  EXPECT_NE(raw.value()[0]->get("n"), nullptr);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "plan_values.h"
+
 namespace knactor::de {
 namespace {
 
@@ -31,7 +33,7 @@ std::vector<Value> run(const std::string& text) {
   EXPECT_TRUE(query.ok()) << text << ": "
                           << (query.ok() ? "" : query.error().to_string());
   if (!query.ok()) return {};
-  auto result = run_pipeline(query.value(), sample_records());
+  auto result = run_plan_values(plan_query(query.value()), sample_records());
   EXPECT_TRUE(result.ok()) << text;
   return result.ok() ? result.take() : std::vector<Value>{};
 }
@@ -121,7 +123,7 @@ TEST(Query, PipeInsideStringLiteralNotASeparator) {
   records.push_back(std::move(v));
   auto query = parse_query("where name == \"a|b\"");
   ASSERT_TRUE(query.ok());
-  auto result = run_pipeline(query.value(), std::move(records));
+  auto result = run_plan_values(plan_query(query.value()), std::move(records));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().size(), 1u);
 }
@@ -133,7 +135,7 @@ TEST(Query, IdentifierStartingWithKeywordIsExpression) {
   records.push_back(std::move(v));
   auto query = parse_query("heading > 1");
   ASSERT_TRUE(query.ok());
-  auto result = run_pipeline(query.value(), std::move(records));
+  auto result = run_plan_values(plan_query(query.value()), std::move(records));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().size(), 1u);
 }
@@ -161,8 +163,8 @@ TEST(Query, RoundTripThroughToString) {
   auto reparsed = parse_query(rendered);
   ASSERT_TRUE(reparsed.ok()) << rendered;
   // Same results either way.
-  auto a = run_pipeline(query.value(), sample_records());
-  auto b = run_pipeline(reparsed.value(), sample_records());
+  auto a = run_plan_values(plan_query(query.value()), sample_records());
+  auto b = run_plan_values(plan_query(reparsed.value()), sample_records());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a.value().size(), b.value().size());
@@ -183,7 +185,7 @@ TEST(Query, UsableThroughLogPool) {
   auto rows = pool.query_sync("r", query.value());
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 1u);
-  EXPECT_NEAR(rows.value()[0].get("s")->as_double(), 4.4, 1e-9);
+  EXPECT_NEAR(rows.value()[0]->get("s")->as_double(), 4.4, 1e-9);
 }
 
 }  // namespace

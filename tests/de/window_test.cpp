@@ -1,7 +1,7 @@
 // `window NAME := FIELD every WIDTH` (de/log.h kWindow): parse/print
 // round-trip, record-local bucket semantics (null bucket for missing or
 // non-numeric sources, integer-preserving keys), and fused-plan equivalence
-// against the naive executor — the telemetry rollup's load-bearing stage.
+// against the unfused plan — the telemetry rollup's load-bearing stage.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +13,7 @@
 #include "de/log.h"
 #include "de/plan.h"
 #include "de/query.h"
+#include "plan_values.h"
 
 namespace knactor::de {
 namespace {
@@ -56,7 +57,7 @@ TEST(WindowOp, BucketsIntegerSourcesToIntegerKeys) {
   ASSERT_TRUE(q.ok());
   Value r = Value::object();
   r.set("ts", Value(static_cast<std::int64_t>(179)));
-  auto out = run_pipeline(q.value(), {std::move(r)});
+  auto out = run_plan_values(plan_query(q.value()), {std::move(r)});
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out.value().size(), 1u);
   const Value* w = out.value()[0].get("wstart");
@@ -72,7 +73,8 @@ TEST(WindowOp, MissingAndNonNumericSourcesLandInTheNullBucket) {
   no_ts.set("temp", Value(50.0));
   Value bad_ts = Value::object();
   bad_ts.set("ts", Value(std::string("later")));
-  auto out = run_pipeline(q.value(), {std::move(no_ts), std::move(bad_ts)});
+  auto out = run_plan_values(plan_query(q.value()),
+                             {std::move(no_ts), std::move(bad_ts)});
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out.value().size(), 2u);
   for (const auto& r : out.value()) {
@@ -87,7 +89,7 @@ TEST(WindowOp, FractionalWidthKeepsDoubleKeys) {
   ASSERT_TRUE(q.ok());
   Value r = Value::object();
   r.set("ts", Value(static_cast<std::int64_t>(3)));
-  auto out = run_pipeline(q.value(), {std::move(r)});
+  auto out = run_plan_values(plan_query(q.value()), {std::move(r)});
   ASSERT_TRUE(out.ok());
   const Value* w = out.value()[0].get("b");
   ASSERT_NE(w, nullptr);
@@ -98,7 +100,7 @@ TEST(WindowOp, FractionalWidthKeepsDoubleKeys) {
 TEST(WindowOp, FusesIntoTheScanAndMatchesTheNaiveExecutor) {
   // The telemetry rollup shape: window | summarize. The planner must fuse
   // the record-local window into stage 0 and keep only the summarize
-  // barrier; the fused result must match run_pipeline byte for byte.
+  // barrier; the fused result must match the unfused plan byte for byte.
   auto q = parse_query(
       "window wstart := ts every 60 "
       "| summarize n := count(), hi := max(temp) by wstart");
@@ -114,8 +116,8 @@ TEST(WindowOp, FusesIntoTheScanAndMatchesTheNaiveExecutor) {
   for (int i = 0; i < 50; ++i) {
     records.push_back(record(i * 7.0, 60.0 + i));
   }
-  auto naive = run_pipeline(q.value(), records);
-  auto fused = run_plan(plan, records);
+  auto naive = run_plan_values(plan_query(q.value(), /*fuse=*/false), records);
+  auto fused = run_plan_values(plan, records);
   ASSERT_TRUE(naive.ok());
   ASSERT_TRUE(fused.ok());
   ASSERT_EQ(naive.value().size(), fused.value().size());

@@ -18,6 +18,8 @@
 #include "de/log.h"
 #include "de/object.h"
 
+#include "../de/plan_values.h"
+
 namespace knactor {
 namespace {
 
@@ -151,7 +153,8 @@ TEST(LineageDifferential, SmartHomeSyncRecordsReplayByteForByte) {
       ASSERT_NE(ref.data, nullptr);
       inputs.push_back(Value(*ref.data));
     }
-    auto out = de::run_pipeline(route->pipeline, std::move(inputs));
+    auto out =
+        de::run_plan_values(de::plan_query(route->pipeline), std::move(inputs));
     ASSERT_TRUE(out.ok());
     ASSERT_EQ(out.value().size(), 1u);  // record-local: 1:1 attribution
     EXPECT_EQ(common::to_json(out.value()[0]),

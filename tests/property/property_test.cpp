@@ -338,7 +338,7 @@ TEST_P(ConsolidationEquivalence, SameOutputEitherWay) {
   auto separate = run(false);
   ASSERT_EQ(fused.size(), separate.size());
   for (std::size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_TRUE(fused[i] == separate[i]) << i;
+    EXPECT_TRUE(*fused[i] == *separate[i]) << i;
   }
 }
 

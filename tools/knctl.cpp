@@ -66,9 +66,11 @@
 #include "core/dxg.h"
 #include "core/runtime.h"
 #include "core/trace_export.h"
+#include "de/log.h"
 #include "de/persist/engine.h"
 #include "de/query.h"
 #include "de/schema.h"
+#include "sim/clock.h"
 #include "yaml/yaml.h"
 
 namespace {
@@ -319,14 +321,26 @@ int cmd_query(const std::string& pipeline_text, const std::string& jsonl) {
     }
     records.push_back(record.take());
   }
-  auto result = knactor::de::run_pipeline(query.value(), std::move(records));
+  // Load the records into a latency-free Log pool and query it there, so
+  // the pipeline runs exactly as LogPool::query runs it: scan hints, then
+  // the fused plan.
+  knactor::sim::VirtualClock clock;
+  knactor::de::LogDe log(clock, knactor::de::LogDeProfile::instant());
+  knactor::de::LogPool& pool = log.create_pool("records");
+  auto loaded = pool.append_batch_sync("knctl", std::move(records));
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "load error: %s\n",
+                 loaded.error().to_string().c_str());
+    return 2;
+  }
+  auto result = pool.query_sync("knctl", query.value());
   if (!result.ok()) {
     std::fprintf(stderr, "pipeline error: %s\n",
                  result.error().to_string().c_str());
     return 2;
   }
   for (const auto& record : result.value()) {
-    std::printf("%s\n", knactor::common::to_json(record).c_str());
+    std::printf("%s\n", knactor::common::to_json(*record).c_str());
   }
   return 0;
 }

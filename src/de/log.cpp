@@ -139,7 +139,6 @@ void LogPool::append(const std::string& principal, Value record,
           done(Error::unavailable("log: de unavailable (crashed)"));
           return;
         }
-        ++de_.stats_.appends;
         Decision d = de_.kernel_.check_access(principal, name_, "",
                                               Verb::kCreate);
         if (!d.allowed) {
@@ -148,6 +147,7 @@ void LogPool::append(const std::string& principal, Value record,
                                         " cannot append to " + name_));
           return;
         }
+        ++de_.stats_.appends;
         LogRecord rec;
         rec.seq = de_.kernel_.next_revision();
         rec.ingested_at = de_.clock().now();

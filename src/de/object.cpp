@@ -588,18 +588,20 @@ Status ObjectDe::recover_from_disk() {
   }
   auto recovered = persist_->recover();
   if (!recovered.ok()) return recovered.error();
-  const persist::Image& image = recovered.value();
+  persist::Image image = std::move(recovered.value());
   core::ScopedSpan span(tracer_, "de.persist.recover");
-  for (const auto& store_image : image.stores) {
-    ObjectStore& store = create_store(store_image.name);
-    for (const auto& obj : store_image.objects) {
+  for (auto& store_image : image.stores) {
+    auto& objects = create_store(store_image.name).objects_;
+    // Key-sorted, so each object moves in at the end of the map.
+    for (auto& obj : store_image.objects) {
       StateObject state;
       state.key = obj.key;
-      state.data = obj.data;
+      state.data = std::move(obj.data);
       state.version = obj.version;
       state.created_at = obj.created_at;
       state.updated_at = obj.updated_at;
-      store.objects_[state.key] = std::move(state);
+      objects.insert_or_assign(objects.end(), std::move(obj.key),
+                               std::move(state));
     }
   }
   // Counters resume at the recovered durable point: retried ops get the

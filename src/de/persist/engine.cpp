@@ -45,49 +45,56 @@ std::optional<std::uint64_t> parse_generation(const std::string& name,
   return value;
 }
 
-/// Mutable replay image: stores/objects as maps while folding records, then
-/// rebuilt into the sorted Image layout at the end.
+std::string journal_file(const std::string& dir, std::uint64_t generation) {
+  return dir + "/journal-" + std::to_string(generation) + ".kjnl";
+}
+
+std::string snapshot_file(const std::string& dir, std::uint64_t generation) {
+  return dir + "/snapshot-" + std::to_string(generation) + ".ksnp";
+}
+
+/// Mutable replay image: stores/objects as maps while folding records. The
+/// base image moves in and the result moves back out into the sorted Image
+/// layout; only the map keys are copies.
 using ReplayState = std::map<std::string, std::map<std::string, ObjectImage>>;
 
-ReplayState to_replay_state(const Image& image) {
+ReplayState to_replay_state(Image&& image) {
   ReplayState state;
-  for (const auto& store : image.stores) {
+  for (auto& store : image.stores) {
     auto& objects = state[store.name];
-    for (const auto& obj : store.objects) objects[obj.key] = obj;
+    for (auto& obj : store.objects) {
+      objects.emplace_hint(objects.end(), obj.key, std::move(obj));
+    }
   }
   return state;
 }
 
-Image to_image(const ReplayState& state, std::uint64_t next_revision,
+Image to_image(ReplayState&& state, std::uint64_t next_revision,
                std::uint64_t commit_seq) {
   Image image;
   image.next_revision = next_revision;
   image.commit_seq = commit_seq;
-  for (const auto& [name, objects] : state) {
-    StoreImage store;
+  image.stores.reserve(state.size());
+  for (auto& [name, objects] : state) {
+    StoreImage& store = image.stores.emplace_back();
     store.name = name;
     store.objects.reserve(objects.size());
-    for (const auto& [key, obj] : objects) store.objects.push_back(obj);
-    image.stores.push_back(std::move(store));
+    for (auto& [key, obj] : objects) store.objects.push_back(std::move(obj));
   }
   return image;
 }
 
-/// Filename-only view of one generation: which artifacts exist, with no
-/// file contents read. recover() and gc() work from this listing and only
-/// open the files they actually need (snapshots newest-first until one
-/// validates, journals from the base up), so their cost scales with the
-/// delta since the last snapshot — not with the total history on disk.
-/// The exhaustive content scan lives in Engine::inspect() for tooling.
-struct GenerationFiles {
-  std::uint64_t generation = 0;
-  bool has_journal = false;
-  bool has_snapshot = false;
-};
-
-std::vector<GenerationFiles> list_generation_files(const std::string& dir) {
-  std::map<std::uint64_t, GenerationFiles> by_gen;
-  std::error_code ec;
+/// The generations in `dir`, oldest first, from file names alone: which
+/// artifacts exist, no contents read. Every reader of the directory works
+/// from this listing: open() takes the newest generation from it,
+/// recover() and gc() open only the files they need (snapshots
+/// newest-first until one decodes, journals from the base up), so their
+/// cost scales with the delta since the last snapshot, and inspect()
+/// fills in the rest of each entry from every listed file. An unreadable
+/// directory lists as empty and sets `ec`.
+std::vector<GenerationInfo> list_generation_files(const std::string& dir,
+                                                  std::error_code& ec) {
+  std::map<std::uint64_t, GenerationInfo> by_gen;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
     if (auto g = parse_generation(name, "journal-", ".kjnl")) {
@@ -98,13 +105,42 @@ std::vector<GenerationFiles> list_generation_files(const std::string& dir) {
       by_gen[*s].has_snapshot = true;
     }
   }
-  std::vector<GenerationFiles> out;
+  std::vector<GenerationInfo> out;
   out.reserve(by_gen.size());
   for (const auto& [g, info] : by_gen) out.push_back(info);
   return out;
 }
 
-void apply_record(ReplayState& state, const Record& rec) {
+/// The floor both recovery and reclamation rest on: the newest snapshot
+/// that reads and decodes. Snapshots are tried newest-first and the walk
+/// stops at the first that decodes, so old generations awaiting gc cost
+/// nothing. With no decodable snapshot, `generation` is empty and `image`
+/// is the empty image.
+struct SnapshotFloor {
+  std::optional<std::uint64_t> generation;
+  Image image;
+  std::uint64_t skipped = 0;  // newer snapshots that did not decode
+};
+
+SnapshotFloor snapshot_floor(const std::string& dir,
+                             const std::vector<GenerationInfo>& gens) {
+  SnapshotFloor floor;
+  for (auto it = gens.rbegin(); it != gens.rend(); ++it) {
+    if (!it->has_snapshot) continue;
+    const auto bytes = read_file(snapshot_file(dir, it->generation));
+    auto image = bytes ? decode_snapshot(*bytes) : std::nullopt;
+    if (!image) {
+      floor.skipped += 1;
+      continue;
+    }
+    floor.generation = it->generation;
+    floor.image = std::move(*image);
+    break;
+  }
+  return floor;
+}
+
+void apply_record(ReplayState& state, Record&& rec) {
   if (rec.op == Record::Op::kDelete) {
     auto it = state.find(rec.store);
     if (it != state.end()) {
@@ -114,13 +150,12 @@ void apply_record(ReplayState& state, const Record& rec) {
     }
     return;
   }
-  ObjectImage obj;
-  obj.key = rec.key;
+  ObjectImage& obj = state[rec.store][rec.key];
+  obj.key = std::move(rec.key);
   obj.version = rec.version;
   obj.created_at = rec.created_at;
   obj.updated_at = rec.updated_at;
-  obj.data = rec.data;
-  state[rec.store][rec.key] = std::move(obj);
+  obj.data = std::move(rec.data);
 }
 
 }  // namespace
@@ -136,11 +171,11 @@ const char* crash_point_name(CrashPoint point) {
 }
 
 std::string Engine::journal_path(std::uint64_t generation) const {
-  return options_.dir + "/journal-" + std::to_string(generation) + ".kjnl";
+  return journal_file(options_.dir, generation);
 }
 
 std::string Engine::snapshot_path(std::uint64_t generation) const {
-  return options_.dir + "/snapshot-" + std::to_string(generation) + ".ksnp";
+  return snapshot_file(options_.dir, generation);
 }
 
 common::Status Engine::open() {
@@ -153,15 +188,9 @@ common::Status Engine::open() {
     return common::Error::unavailable("persist: cannot create " +
                                       options_.dir + ": " + ec.message());
   }
-  generation_ = 0;
-  for (const auto& entry : fs::directory_iterator(options_.dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (auto g = parse_generation(name, "journal-", ".kjnl")) {
-      generation_ = std::max(generation_, *g);
-    } else if (auto s = parse_generation(name, "snapshot-", ".ksnp")) {
-      generation_ = std::max(generation_, *s);
-    }
-  }
+  const std::vector<GenerationInfo> gens =
+      list_generation_files(options_.dir, ec);
+  generation_ = gens.empty() ? 0 : gens.back().generation;
   if (ec) {
     return common::Error::unavailable("persist: cannot scan " + options_.dir +
                                       ": " + ec.message());
@@ -320,35 +349,19 @@ common::Result<Image> Engine::recover() {
   stats_.frames_replayed = 0;
   stats_.records_replayed = 0;
 
-  const std::vector<GenerationFiles> gens =
-      list_generation_files(options_.dir);
+  std::error_code ec;
+  const std::vector<GenerationInfo> gens =
+      list_generation_files(options_.dir, ec);
 
-  // Base: the newest checksum-valid snapshot; otherwise the empty image at
-  // the oldest generation still on disk (generation 0 on a fresh dir).
-  // Snapshots are decoded newest-first and the walk stops at the first
-  // valid one, so old generations awaiting gc cost recovery nothing.
-  Image base;
-  std::uint64_t base_gen = gens.empty() ? 0 : gens.front().generation;
-  for (auto it = gens.rbegin(); it != gens.rend(); ++it) {
-    if (!it->has_snapshot) continue;
-    const auto bytes = read_file(snapshot_path(it->generation));
-    if (!bytes) {
-      stats_.snapshots_skipped += 1;
-      continue;
-    }
-    auto image = decode_snapshot(*bytes);
-    if (!image) {
-      stats_.snapshots_skipped += 1;
-      continue;
-    }
-    base = std::move(*image);
-    base_gen = it->generation;
-    break;
-  }
-
-  ReplayState state = to_replay_state(base);
-  std::uint64_t next_revision = base.next_revision;
-  std::uint64_t commit_seq = base.commit_seq;
+  // Base: the snapshot floor; otherwise the empty image at the oldest
+  // generation still on disk (generation 0 on a fresh dir).
+  SnapshotFloor floor = snapshot_floor(options_.dir, gens);
+  stats_.snapshots_skipped += floor.skipped;
+  const std::uint64_t base_gen = floor.generation.value_or(
+      gens.empty() ? 0 : gens.front().generation);
+  std::uint64_t next_revision = floor.image.next_revision;
+  std::uint64_t commit_seq = floor.image.commit_seq;
+  ReplayState state = to_replay_state(std::move(floor.image));
 
   // Chain-replay journals from the base generation up. Each journal
   // contributes its longest checksum-valid frame prefix; the chain stops at
@@ -358,99 +371,74 @@ common::Result<Image> Engine::recover() {
   // generation whose snapshot was still being written at the crash keeps
   // its journal, so the chain runs through it: from base g, a crash
   // mid-snapshot replays journals g and g+1.
-  std::uint64_t current_gen = base_gen;
-  std::uint64_t last_journal_gen = base_gen;
-  std::size_t last_valid_bytes = kJournalHeaderBytes;
-  bool last_torn = false;
-  for (std::uint64_t g = base_gen;; ++g) {
-    const std::string path = journal_path(g);
-    const auto bytes = read_file(path);
+  std::uint64_t g = base_gen;
+  std::size_t valid_bytes = 0;  // of journal g; 0 = start it over
+  bool torn = false;
+  for (;; ++g) {
+    const auto bytes = read_file(journal_path(g));
     if (!bytes) {
       // No journal for this generation, only a snapshot. A cut creates
       // the journal before the first slice creates the snapshot, so only
       // a directory written in the older order (snapshot file first, then
       // the journal) can hold this after a crash between the two. Appends
-      // resume here with a fresh journal.
-      current_gen = g;
-      last_journal_gen = g;
-      last_valid_bytes = 0;
-      last_torn = false;
+      // resume here: ensure_journal_open() below creates the journal.
       break;
     }
-    const JournalScan scan = scan_journal(*bytes);
-    if (scan.header_valid) {
-      for (const auto& frame : scan.frames) {
-        for (const auto& rec : frame.records) apply_record(state, rec);
-        next_revision = frame.next_revision;
-        commit_seq = frame.commit_seq;
-        stats_.frames_replayed += 1;
-        stats_.records_replayed += frame.records.size();
-      }
-    }
-    current_gen = g;
-    last_journal_gen = g;
-    last_valid_bytes = scan.header_valid ? scan.valid_bytes : 0;
-    last_torn = scan.torn || !scan.header_valid;
-    if (last_torn) break;
+    // Each frame folds into the image as soon as it is decoded, so the
+    // replay holds one decoded frame at a time, never the whole journal.
+    const JournalScan scan = scan_journal(*bytes, [&](Frame&& frame) {
+      for (auto& rec : frame.records) apply_record(state, std::move(rec));
+      next_revision = frame.next_revision;
+      commit_seq = frame.commit_seq;
+    });
+    stats_.frames_replayed += scan.frames;
+    stats_.records_replayed += scan.records;
+    valid_bytes = scan.header_valid ? scan.valid_bytes : 0;
+    torn = scan.torn || !scan.header_valid;
+    if (torn) break;
     // A clean journal ends the chain unless the next generation exists.
-    std::error_code ec;
     if (!fs::exists(journal_path(g + 1), ec) &&
         !fs::exists(snapshot_path(g + 1), ec)) {
       break;
     }
   }
 
-  // Truncate the torn tail (or recreate a missing/corrupt-header journal)
-  // so subsequent appends continue from the exact durable prefix.
-  {
-    const std::string path = journal_path(last_journal_gen);
-    if (last_valid_bytes < kJournalHeaderBytes) {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      if (!out.is_open()) {
-        return common::Error::unavailable("persist: cannot reset " + path);
-      }
-      const std::string header = build_journal_header(last_journal_gen);
-      out.write(header.data(), static_cast<std::streamsize>(header.size()));
-      if (!out.good()) {
-        return common::Error::unavailable("persist: cannot reset " + path);
-      }
-    } else if (last_torn) {
-      std::error_code ec;
-      fs::resize_file(path, last_valid_bytes, ec);
-      if (ec) {
-        return common::Error::unavailable("persist: cannot truncate " + path +
-                                          ": " + ec.message());
-      }
-      stats_.torn_frames_dropped += 1;
+  // Truncate the torn tail, or empty a journal whose header is corrupt so
+  // ensure_journal_open() writes a fresh one: appends continue from the
+  // exact durable prefix.
+  const std::string path = journal_path(g);
+  if (valid_bytes == 0) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out.is_open()) {
+      return common::Error::unavailable("persist: cannot reset " + path);
     }
+  } else if (torn) {
+    fs::resize_file(path, valid_bytes, ec);
+    if (ec) {
+      return common::Error::unavailable("persist: cannot truncate " + path +
+                                        ": " + ec.message());
+    }
+    stats_.torn_frames_dropped += 1;
   }
 
-  generation_ = current_gen;
+  generation_ = g;
   // Everything replayed postdates the snapshot base, so it all counts
   // toward the next auto-snapshot.
   records_since_snapshot_ = stats_.records_replayed;
   failed_ = false;
   KN_TRY(ensure_journal_open());
-  return to_image(state, next_revision, commit_seq);
+  return to_image(std::move(state), next_revision, commit_seq);
 }
 
 std::size_t Engine::gc() {
   if (!opened_ || failed_) return 0;
-  const std::vector<GenerationFiles> gens =
-      list_generation_files(options_.dir);
-  // The reclamation floor is the newest checksum-valid snapshot — the same
-  // base recover() would load. Decoded newest-first, stopping at the first
-  // valid one, so gc (like recovery) never pays for the history it is
-  // about to reclaim.
-  std::optional<std::uint64_t> base;
-  for (auto it = gens.rbegin(); it != gens.rend(); ++it) {
-    if (!it->has_snapshot) continue;
-    const auto bytes = read_file(snapshot_path(it->generation));
-    if (bytes && decode_snapshot(*bytes)) {
-      base = it->generation;
-      break;
-    }
-  }
+  std::error_code ec;
+  const std::vector<GenerationInfo> gens =
+      list_generation_files(options_.dir, ec);
+  // Reclaim below the same floor recover() loads as its base, so gc can
+  // never remove a generation a recovery would still read.
+  const std::optional<std::uint64_t> base =
+      snapshot_floor(options_.dir, gens).generation;
   if (!base) return 0;
   std::size_t reclaimed = 0;
   for (const auto& gen : gens) {
@@ -458,12 +446,10 @@ std::size_t Engine::gc() {
     if (fault_fires(CrashPoint::kTruncate)) {
       // Simulated crash mid-reclamation: the snapshot went away but the
       // journal survived. Recovery must still work off generation *base.
-      std::error_code ec;
       fs::remove(snapshot_path(gen.generation), ec);
       failed_ = true;
       return reclaimed;
     }
-    std::error_code ec;
     const bool removed_snapshot = fs::remove(snapshot_path(gen.generation), ec);
     const bool removed_journal = fs::remove(journal_path(gen.generation), ec);
     if (removed_snapshot || removed_journal) {
@@ -475,31 +461,23 @@ std::size_t Engine::gc() {
 }
 
 std::vector<GenerationInfo> Engine::inspect(const std::string& dir) {
-  std::map<std::uint64_t, GenerationInfo> by_gen;
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (auto g = parse_generation(name, "journal-", ".kjnl")) {
-      auto& info = by_gen[*g];
-      info.generation = *g;
-      info.has_journal = true;
-      if (const auto bytes = read_file(entry.path().string())) {
-        info.journal_bytes = bytes->size();
+  std::vector<GenerationInfo> gens = list_generation_files(dir, ec);
+  for (GenerationInfo& info : gens) {
+    if (info.has_journal) {
+      if (const auto bytes = read_file(journal_file(dir, info.generation))) {
         const JournalScan scan = scan_journal(*bytes);
+        info.journal_bytes = bytes->size();
         info.journal_valid_bytes = scan.header_valid ? scan.valid_bytes : 0;
-        info.journal_frames = scan.frames.size();
-        for (const auto& frame : scan.frames) {
-          info.journal_records += frame.records.size();
-        }
+        info.journal_frames = scan.frames;
+        info.journal_records = scan.records;
         info.journal_torn = scan.torn || !scan.header_valid;
       } else {
         info.journal_torn = true;
       }
-    } else if (auto s = parse_generation(name, "snapshot-", ".ksnp")) {
-      auto& info = by_gen[*s];
-      info.generation = *s;
-      info.has_snapshot = true;
-      if (const auto bytes = read_file(entry.path().string())) {
+    }
+    if (info.has_snapshot) {
+      if (const auto bytes = read_file(snapshot_file(dir, info.generation))) {
         info.snapshot_bytes = bytes->size();
         if (const auto image = decode_snapshot(*bytes)) {
           info.snapshot_valid = true;
@@ -508,10 +486,7 @@ std::vector<GenerationInfo> Engine::inspect(const std::string& dir) {
       }
     }
   }
-  std::vector<GenerationInfo> out;
-  out.reserve(by_gen.size());
-  for (auto& [g, info] : by_gen) out.push_back(std::move(info));
-  return out;
+  return gens;
 }
 
 std::optional<std::uint64_t> Engine::recovery_base(

@@ -145,13 +145,14 @@ class Engine {
   /// back up).
   common::Result<Image> recover();
 
-  /// Reclaims every generation strictly below the newest valid snapshot.
+  /// Reclaims every generation strictly below the newest valid snapshot,
+  /// the floor recover() loads as its base.
   /// Returns the number of generations reclaimed. Safe to register as a
   /// kernel GC hook.
   std::size_t gc();
 
-  /// Directory scan for tooling (`knctl recover --inspect`); static so it
-  /// needs no live engine.
+  /// Reads every file of the engine's generation listing, for tooling
+  /// (`knctl recover --inspect`); static so it needs no live engine.
   [[nodiscard]] static std::vector<GenerationInfo> inspect(
       const std::string& dir);
   /// The generation recover() would load as its snapshot base, given an

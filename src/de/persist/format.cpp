@@ -339,7 +339,8 @@ std::optional<std::uint64_t> read_journal_header(std::string_view bytes) {
   return generation;
 }
 
-JournalScan scan_journal(std::string_view bytes) {
+JournalScan scan_journal(std::string_view bytes,
+                         const std::function<void(Frame&&)>& visit) {
   JournalScan scan;
   auto generation = read_journal_header(bytes);
   if (!generation.has_value()) {
@@ -375,10 +376,11 @@ JournalScan scan_journal(std::string_view bytes) {
     if (!ok) break;  // checksum collided with a malformed payload
     offset += kFrameHeaderBytes + payload_len;
     frame.end_offset = offset;
-    scan.frames.push_back(std::move(frame));
+    scan.frames += 1;
+    scan.records += frame.records.size();
+    if (visit) visit(std::move(frame));
   }
-  scan.valid_bytes = scan.frames.empty() ? kJournalHeaderBytes
-                                         : scan.frames.back().end_offset;
+  scan.valid_bytes = offset;
   scan.torn = scan.valid_bytes < bytes.size();
   return scan;
 }

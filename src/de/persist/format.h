@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -140,11 +141,15 @@ struct Frame {
 struct JournalScan {
   bool header_valid = false;
   std::uint64_t generation = 0;
-  std::vector<Frame> frames;
+  std::uint64_t frames = 0;   // in the valid prefix
+  std::uint64_t records = 0;  // in those frames
   std::size_t valid_bytes = 0;
   bool torn = false;
 };
-[[nodiscard]] JournalScan scan_journal(std::string_view bytes);
+/// Hands each frame of the valid prefix to `visit` (if set) as soon as it
+/// is decoded, so a caller folds one frame at a time; it may move out.
+JournalScan scan_journal(std::string_view bytes,
+                         const std::function<void(Frame&&)>& visit = {});
 
 // --- snapshots -------------------------------------------------------------
 

@@ -261,6 +261,13 @@ TEST_F(LogDeTest, RbacDeniesAppendAndQuery) {
   EXPECT_FALSE(pool.query_sync("sensor", {}).ok());
   EXPECT_FALSE(pool.append_sync("stranger", record("a", 1)).ok());
   EXPECT_EQ(de_.stats().permission_denials, 2u);
+  // Only committed records count as appends, on both append paths.
+  EXPECT_EQ(de_.stats().appends, 1u);
+  EXPECT_FALSE(
+      pool.append_batch_sync("stranger", std::vector<Value>{record("a", 1)})
+          .ok());
+  EXPECT_EQ(de_.stats().appends, 1u);
+  EXPECT_EQ(de_.stats().permission_denials, 3u);
 }
 
 TEST_F(LogDeTest, StatsCount) {

@@ -94,16 +94,18 @@ TEST(PersistFormat, JournalScanWalksFrames) {
   journal += build_frame({rec1}, 1, 2, 2);
   journal += build_frame({rec2}, 1, 2, 3);
 
-  JournalScan scan = scan_journal(journal);
+  std::vector<Frame> frames;
+  JournalScan scan = scan_journal(
+      journal, [&](Frame&& frame) { frames.push_back(std::move(frame)); });
   EXPECT_TRUE(scan.header_valid);
   EXPECT_EQ(scan.generation, 3u);
-  ASSERT_EQ(scan.frames.size(), 2u);
+  ASSERT_EQ(frames.size(), 2u);
   EXPECT_FALSE(scan.torn);
   EXPECT_EQ(scan.valid_bytes, journal.size());
-  EXPECT_EQ(scan.frames[0].records.size(), 1u);
-  EXPECT_EQ(scan.frames[1].records[0].op, Record::Op::kDelete);
-  EXPECT_EQ(scan.frames[1].next_revision, 2u);
-  EXPECT_EQ(scan.frames[1].commit_seq, 3u);
+  EXPECT_EQ(frames[0].records.size(), 1u);
+  EXPECT_EQ(frames[1].records[0].op, Record::Op::kDelete);
+  EXPECT_EQ(frames[1].next_revision, 2u);
+  EXPECT_EQ(frames[1].commit_seq, 3u);
 }
 
 TEST(PersistFormat, TornTailStopsAtLastValidFrame) {
@@ -115,8 +117,10 @@ TEST(PersistFormat, TornTailStopsAtLastValidFrame) {
   std::string torn_frame = build_frame({rec}, 1, 3, 3);
   journal += torn_frame.substr(0, torn_frame.size() / 2);
 
-  JournalScan scan = scan_journal(journal);
-  ASSERT_EQ(scan.frames.size(), 1u);
+  std::vector<Frame> frames;
+  JournalScan scan = scan_journal(
+      journal, [&](Frame&& frame) { frames.push_back(std::move(frame)); });
+  ASSERT_EQ(frames.size(), 1u);
   EXPECT_TRUE(scan.torn);
   EXPECT_EQ(scan.valid_bytes, valid);
 }
@@ -130,8 +134,10 @@ TEST(PersistFormat, BitFlipInvalidatesExactlyTheHitFrame) {
   journal += build_frame({rec}, 1, 3, 3);
   journal[first_end + kFrameHeaderBytes + 2] ^= 0x40;  // payload of frame 2
 
-  JournalScan scan = scan_journal(journal);
-  ASSERT_EQ(scan.frames.size(), 1u);
+  std::vector<Frame> frames;
+  JournalScan scan = scan_journal(
+      journal, [&](Frame&& frame) { frames.push_back(std::move(frame)); });
+  ASSERT_EQ(frames.size(), 1u);
   EXPECT_TRUE(scan.torn);
   EXPECT_EQ(scan.valid_bytes, first_end);
 }
@@ -324,12 +330,14 @@ TEST(PersistFormatFixture, PinnedBytesDecodeBackToTheImage) {
   const std::string del = fixture_delete();
   std::string journal = build_journal_header(0x0102030405060708ULL);
   journal += build_frame({put, del}, 2, 41, 23);
-  const JournalScan scan = scan_journal(journal);
+  std::vector<Frame> frames;
+  const JournalScan scan = scan_journal(
+      journal, [&](Frame&& frame) { frames.push_back(std::move(frame)); });
   ASSERT_TRUE(scan.header_valid);
   EXPECT_EQ(scan.generation, 0x0102030405060708ULL);
   EXPECT_FALSE(scan.torn);
-  ASSERT_EQ(scan.frames.size(), 1u);
-  const Frame& frame = scan.frames[0];
+  ASSERT_EQ(frames.size(), 1u);
+  const Frame& frame = frames[0];
   EXPECT_EQ(frame.next_revision, 41u);
   EXPECT_EQ(frame.commit_seq, 23u);
   ASSERT_EQ(frame.records.size(), 2u);

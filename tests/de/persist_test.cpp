@@ -2,8 +2,9 @@
 // Engine (append/snapshot/recover/gc/inspect), and the ObjectDe
 // integration (journal-before-notify, counter restoration,
 // transaction/epoch frames, auto-snapshot cadence, GC safety). The format
-// layer's tests are in persist_format_test.cpp; they, the crash-seed
-// differential and the torn-tail fuzz suites carry the `durable` label.
+// layer's tests are in persist_format_test.cpp; this suite, they, the
+// crash-seed differential and the torn-tail fuzz suites all carry the
+// `durable` label.
 #include "de/persist/engine.h"
 
 #include <gtest/gtest.h>

@@ -13,7 +13,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/value.h"
@@ -178,7 +180,10 @@ TEST_F(PersistTornTail, RecoveryLandsOnTheLastValidPrefix) {
     std::uint64_t expected_newest_frames = 0;
     if (m.hit_journal) {
       ++journal_hits;
-      JournalScan scan = scan_journal(m.mutated_bytes);
+      std::vector<Frame> frames;
+      JournalScan scan = scan_journal(m.mutated_bytes, [&](Frame&& frame) {
+        frames.push_back(std::move(frame));
+      });
       const fs::path clean_journal =
           fs::path(clean_dir) / m.path.filename();
       if (!scan.header_valid) {
@@ -187,7 +192,7 @@ TEST_F(PersistTornTail, RecoveryLandsOnTheLastValidPrefix) {
         std::string clean_bytes = slurp(clean_journal);
         clean_bytes.resize(scan.valid_bytes);
         spit(clean_journal, clean_bytes);
-        expected_newest_frames = scan.frames.size();
+        expected_newest_frames = frames.size();
       }
     } else {
       ++snapshot_hits;
@@ -236,6 +241,34 @@ TEST_F(PersistTornTail, RecoveryLandsOnTheLastValidPrefix) {
         slurp(mutated.journal_path(mutated.generation())));
     EXPECT_TRUE(healed.header_valid) << "seed " << seed;
     EXPECT_FALSE(healed.torn) << "seed " << seed;
+
+    // gc on the healed hostile directory reclaims exactly the generations
+    // below the base recovery loads, keeps every one at or above it, and
+    // leaves a directory that recovers to the same image.
+    const std::vector<GenerationInfo> before = Engine::inspect(mutated_dir);
+    const std::optional<std::uint64_t> base = Engine::recovery_base(before);
+    using Artifacts = std::tuple<std::uint64_t, bool, bool>;
+    std::vector<Artifacts> kept;
+    std::size_t below = 0;
+    for (const GenerationInfo& gen : before) {
+      if (base && gen.generation < *base) {
+        ++below;
+      } else {
+        kept.emplace_back(gen.generation, gen.has_snapshot, gen.has_journal);
+      }
+    }
+    EXPECT_EQ(mutated.gc(), below) << "seed " << seed;
+    std::vector<Artifacts> after;
+    for (const GenerationInfo& gen : Engine::inspect(mutated_dir)) {
+      after.emplace_back(gen.generation, gen.has_snapshot, gen.has_journal);
+    }
+    EXPECT_EQ(after, kept) << "seed " << seed;
+    auto again = mutated.recover();
+    ASSERT_TRUE(again.ok()) << "seed " << seed;
+    EXPECT_EQ(encode_snapshot(again.value(), 0),
+              encode_snapshot(from_mutated.value(), 0))
+        << "seed " << seed;
+
     std::string rec;
     encode_put(rec, "alpha", "post", 9999, 0, 0, Value(1));
     EXPECT_TRUE(mutated.append_batch({rec}, 1, 10000, 10000).ok())
@@ -261,8 +294,11 @@ TEST_F(PersistTornTail, EveryTruncationPointOfTheNewestJournalRecovers) {
   const fs::path name = "journal-" + std::to_string(newest) + ".kjnl";
   const std::string pristine = slurp(fs::path(probe_dir) / name);
   fs::remove_all(probe_dir);
-  JournalScan pristine_scan = scan_journal(pristine);
-  ASSERT_GE(pristine_scan.frames.size(), 2u);
+  std::vector<Frame> pristine_frames;
+  scan_journal(pristine, [&](Frame&& frame) {
+    pristine_frames.push_back(std::move(frame));
+  });
+  ASSERT_GE(pristine_frames.size(), 2u);
 
   std::uint64_t prev_frames = 0;
   for (std::size_t cut = 0; cut <= pristine.size(); ++cut) {
@@ -272,7 +308,7 @@ TEST_F(PersistTornTail, EveryTruncationPointOfTheNewestJournalRecovers) {
     auto recovered = engine.recover();
     ASSERT_TRUE(recovered.ok()) << "cut at byte " << cut;
     std::uint64_t expected = 0;
-    for (const Frame& frame : pristine_scan.frames) {
+    for (const Frame& frame : pristine_frames) {
       if (frame.end_offset <= cut) ++expected;
     }
     EXPECT_EQ(engine.stats().frames_replayed, expected)
